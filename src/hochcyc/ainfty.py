@@ -8,6 +8,7 @@ deformation sums, and a small library of built-in algebras.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -21,16 +22,10 @@ from .scalars import (
     PiGroup,
     Scalar,
     TRIVIAL_CONTEXT,
+    accumulate,
+    scalar_mul,
 )
-from .graded import (
-    ChainComplex,
-    Element,
-    GradedModule,
-    Word,
-    shifted_parity,
-    split_enum,
-    word_from_factors,
-)
+from .graded import Element, GradedModule, Word, word_from_factors
 
 
 class AInfty:
@@ -92,16 +87,10 @@ class AInfty:
                         raise ValueError(
                             f"mu_{k}{tup!r} is not homogeneous of degree {want}"
                         )
-                val = min(
-                    (s.valuation() for _, s in el.items()), default=INFINITY
-                )
-                if val < 0:
+                if el.valuation() < 0:
                     raise ValueError(f"mu_{k}{tup!r} has negative valuation")
-        mu0 = self.mu0()
-        if not mu0.is_zero():
-            val = min(s.valuation() for _, s in mu0.items())
-            if val <= 0:
-                raise ValueError("curvature must have positive valuation")
+        if self.mu0().valuation() <= 0:
+            raise ValueError("curvature must have positive valuation")
         if self.unit is not None and self.unit not in mod.basis:
             raise ValueError(f"unit {self.unit!r} is not a generator")
 
@@ -111,23 +100,33 @@ class AInfty:
 # ---------------------------------------------------------------------------
 
 
-def hat_basis(A: AInfty, tup) -> list:
-    """The coderivation on one basis tuple, as (output tuple, scalar) pairs:
-    sum over all 3-splittings l = l1 o l2 o l3 of
-    (-1)^{||l1||} l1 (x) mu(l2) (x) l3, image coefficients commuted to the
-    front.  Cached on the algebra."""
-    cached = A._hat_cache.get(tup)
-    if cached is not None:
-        return cached
+def add_image(acc: dict, otup, s: Scalar, sign: int) -> None:
+    """Add (-1)^sign s into the monomial bucket of the output tuple otup."""
+    terms = s.terms.items()
+    if sign:
+        terms = [(m, -c) for m, c in terms]
+    accumulate(acc.setdefault(otup, {}), terms)
+
+
+def insertion_sum(A: AInfty, tup, start: int, acc: dict) -> list:
+    """Add the insertions of the operations into one basis tuple to ``acc``.
+
+    Sums, over all splittings tup = l1 o l2 o l3 with l1 at least ``start``
+    long, (-1)^{||l1||} l1 (x) mu(l2) (x) l3, with the coefficient of
+    mu(l2) commuted to the front past l1.  Together the two signs are
+    sp[i] * (1 + |c|), where i = len(l1) and c is the coefficient.  ``acc``
+    maps output tuples to monomial buckets (see ``add_image``).  Returns the
+    prefix parities sp, sp[i] = ||tup[:i]|| mod 2.
+
+    With ``start`` 0 this is the coderivation mu-hat (b' in Loday's
+    notation); with ``start`` 1 it is the part of the Hochschild
+    differential b that keeps the first slot in front."""
     mod = A.module
-    ctx = mod.ctx
-    # prefix shifted-parity sums: sp[i] = ||tup[:i]|| mod 2
     sp = [0]
     for g in tup:
         sp.append((sp[-1] + mod.degree(g) + 1) % 2)
     k = len(tup)
-    acc: dict[tuple, dict] = {}
-    for i in range(k + 1):
+    for i in range(start, k + 1):
         for j in range(i, k + 1):
             table = A.ops.get(j - i)
             if table is None:
@@ -137,25 +136,25 @@ def hat_basis(A: AInfty, tup) -> list:
                 continue
             head, tail = tup[:i], tup[j:]
             for g, s in img.items():
-                # operator front sign plus the coefficient crossing l1
-                terms = s.terms
-                if sp[i] and not s.degree_parity():
-                    terms = {m: -c for m, c in terms.items()}
-                otup = head + (g,) + tail
-                bucket = acc.get(otup)
-                if bucket is None:
-                    acc[otup] = dict(terms)
-                    continue
-                for m, c in terms.items():
-                    v = bucket.get(m)
-                    bucket[m] = c if v is None else v + c
-    out = []
-    for t, b in acc.items():
-        b = {m: c for m, c in b.items() if c}
-        if b:
-            out.append((t, Scalar._raw(ctx, b)))
-    A._hat_cache[tup] = out
-    return out
+                add_image(acc, head + (g,) + tail, s,
+                          (sp[i] * (1 + s.degree_parity())) % 2)
+    return sp
+
+
+def bucket_images(ctx: Context, acc: dict) -> list:
+    """The nonzero buckets of ``acc`` as (output tuple, Scalar) pairs."""
+    return [(t, Scalar._raw(ctx, b)) for t, b in acc.items() if b]
+
+
+def hat_basis(A: AInfty, tup) -> list:
+    """The coderivation on one basis tuple, as (output tuple, scalar) pairs:
+    ``insertion_sum`` over all 3-splittings.  Cached on the algebra."""
+    cached = A._hat_cache.get(tup)
+    if cached is None:
+        acc: dict[tuple, dict] = {}
+        insertion_sum(A, tup, 0, acc)
+        cached = A._hat_cache[tup] = bucket_images(A.module.ctx, acc)
+    return cached
 
 
 def combine_basis_images(module, w: Word, image_of, cap: Cap | None) -> Word:
@@ -248,8 +247,6 @@ class ResidualReport:
 
 def ainfty_residual(A: AInfty, cap: Cap) -> ResidualReport:
     """mu-hat o mu-hat on every basis word up to the weight cap."""
-    import itertools
-
     report = ResidualReport()
     for w in range(0, cap.weight + 1):
         for tup in itertools.product(A.module.basis, repeat=w):
@@ -266,8 +263,6 @@ def unit_check(A: AInfty) -> ResidualReport:
     binary unit laws hold for every generator, and every operation of arity
     other than 2 vanishes on tuples containing the unit (scanned over all
     tuples in arities where structure constants exist)."""
-    import itertools
-
     if A.unit is None:
         raise ValueError("no unit designated")
     report = ResidualReport()
@@ -305,64 +300,38 @@ def unit_check(A: AInfty) -> ResidualReport:
 
 
 # ---------------------------------------------------------------------------
-# interior algebras and q-families
+# q-families
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class InteriorAlgebra:
-    """Target-space algebra supplying interior inputs: a chain complex with a
-    distinguished closed degree-2 element of positive valuation and a
-    degree-0 'one'."""
-
-    complex: ChainComplex
-    gamma: Element
-    one: str
-
-    def __post_init__(self):
-        mod = self.complex.module
-        if self.one not in mod.basis or mod.degree(self.one) != 0:
-            raise ValueError("'one' must be a degree-0 generator")
-        if not self.gamma.is_zero():
-            if self.gamma.degree() != 2:
-                raise ValueError("gamma must have degree 2")
-            if min(s.valuation() for _, s in self.gamma.items()) <= 0:
-                raise ValueError("gamma must have positive valuation")
-            if not self.complex.d(self.gamma).is_zero():
-                raise ValueError("gamma must be closed")
-
-    @property
-    def module(self) -> GradedModule:
-        return self.complex.module
+def clean_pair_table(ops) -> dict:
+    """Copy of a ``{(k, l): {(btup, itup): Element}}`` operation table with
+    tuple keys of the declared lengths; zero entries and empty arities are
+    dropped."""
+    out = {}
+    for (k, l), table in ops.items():
+        clean = {}
+        for (btup, itup), el in table.items():
+            btup, itup = tuple(btup), tuple(itup)
+            if len(btup) != k or len(itup) != l:
+                raise ValueError(f"slot-count mismatch at {(btup, itup)!r}")
+            if not el.is_zero():
+                clean[(btup, itup)] = el
+        if clean:
+            out[(k, l)] = clean
+    return out
 
 
 class QFamily:
     """Operations q_{k,l} with k boundary and l interior inputs, valued in the
     boundary module; sparse structure constants on pairs of basis tuples.
 
-    The slice q_{*,0} is a curved A-infinity structure.  Flags record the
-    geometric special cases: the zero-area part of q_{1,0} is the boundary
-    differential and the zero-area part of q_{0,0} vanishes.
-    """
+    The slice q_{*,0} is a curved A-infinity structure."""
 
-    def __init__(self, module: GradedModule, interior: InteriorAlgebra | None,
-                 ops, q10_zero_area_is_d: bool = True,
-                 q00_zero_area_vanishes: bool = True):
+    def __init__(self, module: GradedModule, ops):
         self.module = module
-        self.interior = interior
-        self.q10_zero_area_is_d = q10_zero_area_is_d
-        self.q00_zero_area_vanishes = q00_zero_area_vanishes
-        self.ops: dict[tuple[int, int], dict[tuple, Element]] = {}
-        for (k, l), table in ops.items():
-            clean = {}
-            for (btup, itup), el in table.items():
-                btup, itup = tuple(btup), tuple(itup)
-                if len(btup) != k or len(itup) != l:
-                    raise ValueError("slot-count mismatch in q table")
-                if not el.is_zero():
-                    clean[(btup, itup)] = el
-            if clean:
-                self.ops[(k, l)] = clean
+        self.ops: dict[tuple[int, int], dict[tuple, Element]] = \
+            clean_pair_table(ops)
 
     def q(self, btup, itup) -> Element:
         btup, itup = tuple(btup), tuple(itup)
@@ -379,17 +348,15 @@ class QFamily:
         return AInfty(self.module, ops, unit=unit, name=name)
 
 
-def ainfty_to_qfamily(A: AInfty, interior: InteriorAlgebra | None = None) -> QFamily:
+def ainfty_to_qfamily(A: AInfty) -> QFamily:
     ops = {}
     for k, table in A.ops.items():
         ops[(k, 0)] = {(tup, ()): el for tup, el in table.items()}
-    return QFamily(A.module, interior, ops)
+    return QFamily(A.module, ops)
 
 
 def _insertion_patterns(k: int, s: int):
     """Weak compositions of s over the k+1 gaps around k boundary slots."""
-    import itertools
-
     for cuts in itertools.combinations(range(s + k), k):
         counts = []
         prev = -1
@@ -413,21 +380,19 @@ class DeformedQ:
         if not b.is_zero():
             if b.degree() != 1:
                 raise ValueError("deformation element b must have degree 1")
-            if min(s.valuation() for _, s in b.items()) <= 0:
+            if b.valuation() <= 0:
                 raise ValueError("b must have positive valuation")
         if not gamma.is_zero():
             if gamma.degree() != 2:
                 raise ValueError("interior deformation must have degree 2")
-            if min(s.valuation() for _, s in gamma.items()) <= 0:
+            if gamma.valuation() <= 0:
                 raise ValueError("gamma must have positive valuation")
         self.Q = Q
         self.b = b
         self.gamma = gamma
         self.cap = cap
-        self.b_val = (min(s.valuation() for _, s in b.items())
-                      if not b.is_zero() else INFINITY)
-        self.g_val = (min(s.valuation() for _, s in gamma.items())
-                      if not gamma.is_zero() else INFINITY)
+        self.b_val = b.valuation()
+        self.g_val = gamma.valuation()
 
     def _max_insert(self, val) -> int:
         if val == INFINITY:
@@ -469,14 +434,11 @@ def _q_multi(Q: QFamily, bword: Word, interior, cap: Cap | None) -> Element:
     """Multilinear evaluation: boundary inputs a Word (basis tuples with
     front coefficients), interior inputs a list of Elements (even degrees
     assumed; interior expansion via unshifted, sign-free multilinearity)."""
-    imod = Q.interior.module if Q.interior is not None else None
     iterms = [((), Scalar.one(Q.module.ctx))]
     for el in interior:
         new = []
         for itup, c in iterms:
             for g, s in el.items():
-                from .scalars import scalar_mul
-
                 new.append((itup + (g,), scalar_mul(c, s, cap)))
         iterms = new
     out = Element.zero(Q.module)
@@ -485,17 +447,9 @@ def _q_multi(Q: QFamily, bword: Word, interior, cap: Cap | None) -> Element:
             el = Q.q(btup, itup)
             if el.is_zero():
                 continue
-            from .scalars import scalar_mul
-
             coeff = scalar_mul(bc, ic, cap)
             out = out + el.scalar_left(coeff, cap)
     return out.truncate(cap)
-
-
-def deform_q(Q: QFamily, b: Element, gamma: Element, cap: Cap) -> DeformedQ:
-    """The deformed family; finiteness of the double insertion sum follows
-    from the positive valuations of b and gamma together with the energy cap."""
-    return DeformedQ(Q, b, gamma, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -535,8 +489,6 @@ def _dual_numbers() -> AInfty:
 
 def _exterior(r: int) -> AInfty:
     """Exterior algebra on r degree-1 generators; basis indexed by subsets."""
-    import itertools
-
     names = {}
     degs = []
     basis = []

@@ -34,7 +34,6 @@ from .scalars import (
     Context,
     FormalVarSpec,
     PiGroup,
-    Scalar,
     ScalarParseError,
     parse_scalar,
     scalar_to_str,
@@ -54,7 +53,7 @@ from .openclosed import (
     chain_map_residual,
     exterior_geometry,
     extended_P,
-    structure_rhs,
+    structure_terms,
     theorem5_toy,
     toy_zero_energy,
 )
@@ -84,7 +83,7 @@ def _split_sections(text: str):
             continue
         head = line.split()
         if head[0] in _SECTION_HEADS:
-            current = (head[0], tuple(head[1:]), [])
+            current = (head[0], tuple(head[1:]), [], i)
             sections.append(current)
             continue
         if current is None:
@@ -115,6 +114,14 @@ def _parse_element_expr(module: GradedModule, text: str, line: int) -> Element:
     return out
 
 
+def _ints(tokens, line: int) -> list[int]:
+    try:
+        return [int(x) for x in tokens]
+    except ValueError:
+        raise InstanceParseError(
+            f"expected integers, got {' '.join(tokens)!r}", line=line) from None
+
+
 def parse_instance(path: str) -> AInfty:
     """Parse an algebra-definition file; raises InstanceParseError with line
     information, or ValueError naming the violated structural invariant."""
@@ -128,35 +135,47 @@ def parse_instance(path: str) -> AInfty:
     unit = None
     mu_sections = []
     pi_fields = {}
-    for head, args, lines in sections:
+    pi_line = None
+    for head, args, lines, head_line in sections:
         if head == "PI":
+            pi_line = head_line
             for ln, line in lines:
                 parts = line.split()
                 pi_fields[parts[0]] = parts[1:]
         elif head == "TVARS":
             degs = []
             for ln, line in lines:
-                degs.extend(int(x) for x in line.split())
+                degs.extend(_ints(line.split(), ln))
             tvars = FormalVarSpec(tuple(degs))
         elif head == "BASIS":
+            basis_line = head_line
             basis = tuple(x for _, line in lines for x in line.split())
         elif head == "DEGREES":
-            degrees = tuple(int(x) for _, line in lines for x in line.split())
+            degrees = tuple(d for ln, line in lines
+                            for d in _ints(line.split(), ln))
         elif head == "UNIT":
             unit = lines[0][1].strip() if lines else None
         elif head == "MU":
             if len(args) != 1:
-                raise InstanceParseError("MU needs an arity argument")
-            mu_sections.append((int(args[0]), lines))
+                raise InstanceParseError("MU needs an arity argument",
+                                         line=head_line)
+            mu_sections.append((_ints(args, head_line)[0], lines))
     if pi_fields:
-        rank = int(pi_fields.get("rank", ["0"])[0])
-        omega = tuple(Fraction(x) for x in pi_fields.get("omega", []))
-        maslov = tuple(int(x) for x in pi_fields.get("maslov", []))
-        pi = PiGroup(rank, omega, maslov)
+        try:
+            rank = int(" ".join(pi_fields.get("rank", ["0"])))
+            omega = tuple(Fraction(x) for x in pi_fields.get("omega", []))
+            maslov = tuple(int(x) for x in pi_fields.get("maslov", []))
+            pi = PiGroup(rank, omega, maslov)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InstanceParseError(f"bad PI section: {exc}",
+                                     line=pi_line) from None
     if basis is None or degrees is None:
         raise InstanceParseError("BASIS and DEGREES sections are required")
     ctx = Context(pi, tvars)
-    module = GradedModule(path.rsplit("/", 1)[-1], basis, degrees, ctx)
+    try:
+        module = GradedModule(path.rsplit("/", 1)[-1], basis, degrees, ctx)
+    except ValueError as exc:
+        raise InstanceParseError(str(exc), line=basis_line) from None
     ops: dict[int, dict] = {}
     for k, lines in mu_sections:
         table = ops.setdefault(k, {})
@@ -290,16 +309,9 @@ def cmd_homology(args, report):
 def cmd_expand_structure(args, report):
     k, l = args.k, args.l
     terms = [{"kind": "interior-differential"}]
-    rotations = range(k) if k else range(1)
-    for j in rotations:
-        for k2 in range(0, k + 1):
-            for jsize in range(0, l + 1):
-                from math import comb
-
-                for _ in range(comb(l, jsize)):
-                    terms.append({"kind": "composite", "rotation": j,
-                                  "q_boundary_inputs": k2,
-                                  "q_interior_inputs": jsize})
+    for j, k2, J in structure_terms(k, l):
+        terms.append({"kind": "composite", "rotation": j,
+                      "q_boundary_inputs": k2, "q_interior_inputs": len(J)})
     if k == 0:
         terms.append({"kind": "sphere"})
     declared = k * (k + 1) * 2 ** l + 1 + (1 if k == 0 else 0)
@@ -431,17 +443,15 @@ def run(args) -> tuple[dict, int]:
     start = time.perf_counter()
     try:
         COMMANDS[args.command](args, report)
+        code = 0 if all(c["ok"] for c in report["checks"]) else 1
     except (InstanceParseError, FileNotFoundError) as exc:
         report["error"] = str(exc)
-        report["timings"]["total_s"] = round(time.perf_counter() - start, 3)
-        return report, 2
+        code = 2
     except ValueError as exc:
         report["error"] = str(exc)
-        report["timings"]["total_s"] = round(time.perf_counter() - start, 3)
-        return report, 1
+        code = 1
     report["timings"]["total_s"] = round(time.perf_counter() - start, 3)
-    ok = all(c["ok"] for c in report["checks"])
-    return report, 0 if ok else 1
+    return report, code
 
 
 def main(argv=None) -> int:

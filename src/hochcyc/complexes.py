@@ -15,17 +15,16 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .scalars import Cap, Scalar
-from .graded import (
-    Element,
-    GradedModule,
-    Word,
-    rotate,
-    shifted_parity,
-    split_enum,
-    word_from_factors,
+from .scalars import Cap, accumulate
+from .graded import GradedModule, Word, rotate
+from .ainfty import (
+    AInfty,
+    add_image,
+    bucket_images,
+    combine_basis_images,
+    hat_extension,
+    insertion_sum,
 )
-from .ainfty import AInfty, hat_extension
 
 
 class Variant(enum.Enum):
@@ -82,19 +81,15 @@ def t_word(w: Word) -> Word:
     the Koszul sign on shifted degrees; identity on weights 0 and 1."""
     mod = w.module
     out = {}
+    # rotation is a bijection on tuples, so no two terms collide
     for tup, c in w.items():
         k = len(tup)
         if k <= 1:
-            out[tup] = out.get(tup, Scalar.zero(mod.ctx)) + c
+            out[tup] = c
             continue
         rot, _, s1 = rotate(tup, _degs(mod, tup), k - 1)
-        val = -c if s1 else c
-        out[rot] = out.get(rot, Scalar.zero(mod.ctx)) + val
-    return Word(mod, out)
-
-
-def t_op(c: ChainElt) -> ChainElt:
-    return ChainElt(t_word(c.word), c.variant)
+        out[rot] = -c if s1 else c
+    return Word._raw(mod, out)
 
 
 def _canonical_rotation(module: GradedModule, tup):
@@ -126,15 +121,13 @@ def connes_canonical(w: Word) -> Word:
     1 - t: each term is rotated to its signed-lex-minimal position; terms
     fixed (up to rotation) with sign -1 are zero."""
     mod = w.module
-    out = {}
+    pairs = []
     for tup, c in w.items():
         can = _canonical_rotation(mod, tup)
-        if can is None:
-            continue
-        rot, sgn = can
-        val = -c if sgn else c
-        out[rot] = out.get(rot, Scalar.zero(mod.ctx)) + val
-    return Word(mod, out)
+        if can is not None:
+            rot, sgn = can
+            pairs.append((rot, -c if sgn else c))
+    return Word._raw(mod, accumulate({}, pairs))
 
 
 def connes_preimage(w: Word) -> Word:
@@ -167,25 +160,23 @@ def connes_preimage(w: Word) -> Word:
     return acc
 
 
+def is_degenerate(A: AInfty, tup, variant: Variant) -> bool:
+    """Whether a basis tuple has the unit in a slot that the unit-killing
+    ``variant`` quotients out: slots >= 2 for the normalized Hochschild
+    complex, any slot for reduced cyclic variants."""
+    if variant is Variant.NORMALIZED_HOCHSCHILD:
+        tup = tup[1:]
+    return A.unit in tup
+
+
 def degenerate_project(A: AInfty, w: Word, variant: Variant) -> Word:
-    """Kill terms containing the unit in quotient-killed slots: slots >= 2
-    for the normalized Hochschild complex, any slot for reduced cyclic
-    variants."""
+    """Kill the degenerate terms (see ``is_degenerate``)."""
     if variant not in UNIT_KILLING_VARIANTS:
         return w
     if A.unit is None:
         raise ValueError(f"variant {variant.value} requires a unital algebra")
-    e = A.unit
-    out = {}
-    for tup, c in w.items():
-        if variant is Variant.NORMALIZED_HOCHSCHILD:
-            if e in tup[1:]:
-                continue
-        else:
-            if e in tup:
-                continue
-        out[tup] = c
-    return Word(w.module, out)
+    return Word._raw(w.module, {tup: c for tup, c in w.items()
+                                if not is_degenerate(A, tup, variant)})
 
 
 def project(A: AInfty, w: Word, variant: Variant) -> Word:
@@ -217,45 +208,23 @@ def diff_basis(A: AInfty, tup) -> list:
     """Raw Hochschild differential on one basis tuple, as (output tuple,
     scalar) pairs.  Cached on the algebra.
 
-    On x (x) l it is (-1)^{||x||} x (x) mu-hat(l) plus the wrap-around sum
-    over 3-splittings of l:
+    On x (x) l it is (-1)^{||x||} x (x) mu-hat(l), which is
+    ``insertion_sum`` with the first slot kept in front, plus the
+    wrap-around sum over 3-splittings of l:
     (-1)^{||l3||(||x|| + ||l1|| + ||l2||)} mu(l3 (x) x (x) l1) (x) l2.
-    On the weight-0 generator it is the curvature."""
+    On the weight-0 generator it is the curvature.  mu-hat(l) is summed
+    afresh rather than read from ``hat_basis``, so the Hochschild sweeps do
+    not fill the coderivation cache."""
     cached = A._diff_cache.get(tup)
     if cached is not None:
         return cached
-    mod = A.module
-    ctx = mod.ctx
     acc: dict[tuple, dict] = {}
-
-    def add(otup, scalar, sgn):
-        bucket = acc.get(otup)
-        if bucket is None:
-            bucket = acc[otup] = {}
-        for m, c in scalar.terms.items():
-            bucket[m] = bucket.get(m, 0) + (-c if sgn else c)
-
     k = len(tup)
     if k == 0:
         for g, s in A.mu0().items():
-            add((g,), s, 0)
+            add_image(acc, (g,), s, 0)
     else:
-        # sp[i] = ||tup[:i]|| mod 2
-        sp = [0]
-        for g in tup:
-            sp.append((sp[-1] + mod.degree(g) + 1) % 2)
-        for a in range(1, k + 1):        # straight: l2 = tup[a:b]
-            for b in range(a, k + 1):
-                table = A.ops.get(b - a)
-                if table is None:
-                    continue
-                img = table.get(tup[a:b])
-                if img is None:
-                    continue
-                head, tail = tup[:a], tup[b:]
-                for g, s in img.items():
-                    sgn = (sp[a] * (1 + s.degree_parity())) % 2
-                    add(head + (g,) + tail, s, sgn)
+        sp = insertion_sum(A, tup, 1, acc)
         for b in range(1, k + 1):        # wrap: mu(l3 (x) x (x) l1) (x) l2
             for a in range(1, b + 1):    # l1 = tup[1:a], l2 = tup[a:b]
                 table = A.ops.get(k - b + a)
@@ -267,13 +236,8 @@ def diff_basis(A: AInfty, tup) -> list:
                 n3 = (sp[k] + sp[b]) % 2
                 sgn = (n3 * sp[b]) % 2
                 for g, s in img.items():
-                    add((g,) + tup[a:b], s, sgn)
-    out = []
-    for t, b in acc.items():
-        b = {m: c for m, c in b.items() if c}
-        if b:
-            out.append((t, Scalar._raw(ctx, b)))
-    A._diff_cache[tup] = out
+                    add_image(acc, (g,) + tup[a:b], s, sgn)
+    out = A._diff_cache[tup] = bucket_images(A.module.ctx, acc)
     return out
 
 
@@ -281,8 +245,6 @@ def hoch_diff_word(A: AInfty, w: Word, cap: Cap | None = None,
                    extended: bool = False) -> Word:
     """Raw Hochschild differential, prior to any variant projection; the
     operator passes a front coefficient of degree |c| with (-1)^{|c|}."""
-    from .ainfty import combine_basis_images
-
     for tup in w.terms:
         if len(tup) == 0 and not extended:
             raise ValueError("weight-0 chain in a non-extended variant")

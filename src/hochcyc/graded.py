@@ -16,9 +16,8 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .scalars import Cap, Context, Scalar, scalar_mul
+from .scalars import INFINITY, Cap, Context, Scalar, accumulate, scalar_mul
 
 # ---------------------------------------------------------------------------
 # modules, elements, words
@@ -57,10 +56,6 @@ def shifted_parity(module: GradedModule, gens) -> int:
     return sum(module.degree(g) + 1 for g in gens) % 2
 
 
-def unshifted_parity(module: GradedModule, gens) -> int:
-    return sum(module.degree(g) for g in gens) % 2
-
-
 class Element:
     """Finite scalar combination of generators of one module."""
 
@@ -68,18 +63,24 @@ class Element:
 
     def __init__(self, module: GradedModule, coeffs=None):
         self.module = module
-        clean = {}
-        for g, s in (coeffs or {}).items():
+        coeffs = coeffs or {}
+        for g in coeffs:
             if g not in module.basis:
                 raise ValueError(f"unknown generator {g!r}")
-            if s.is_zero():
-                continue
-            clean[g] = clean.get(g, Scalar.zero(module.ctx)) + s
-        self.coeffs = {g: s for g, s in clean.items() if not s.is_zero()}
+        self.coeffs = accumulate({}, coeffs.items())
+
+    @classmethod
+    def _raw(cls, module, coeffs: dict) -> "Element":
+        """Internal fast path: wrap an already-clean coefficient dict (known
+        generators, nonzero Scalars) without re-validation."""
+        el = object.__new__(cls)
+        el.module = module
+        el.coeffs = coeffs
+        return el
 
     @classmethod
     def zero(cls, module):
-        return cls(module)
+        return cls._raw(module, {})
 
     @classmethod
     def generator(cls, module, gen, coeff=1):
@@ -99,13 +100,14 @@ class Element:
         )
 
     def __add__(self, other):
-        out = dict(self.coeffs)
-        for g, s in other.coeffs.items():
-            out[g] = out.get(g, Scalar.zero(self.module.ctx)) + s
-        return Element(self.module, out)
+        if self.module != other.module:
+            raise ValueError("module mismatch")
+        coeffs = accumulate(dict(self.coeffs), other.coeffs.items())
+        return Element._raw(self.module, coeffs)
 
     def __neg__(self):
-        return Element(self.module, {g: -s for g, s in self.coeffs.items()})
+        return Element._raw(self.module,
+                            {g: -s for g, s in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -132,6 +134,11 @@ class Element:
         if len(degs) != 1:
             raise ValueError("degree of a zero or non-homogeneous element")
         return degs.pop()
+
+    def valuation(self):
+        """Least valuation of a coefficient; +inf for zero."""
+        return min((s.valuation() for s in self.coeffs.values()),
+                   default=INFINITY)
 
     def degree_parity(self) -> int:
         if not self.coeffs:
@@ -167,13 +174,8 @@ class Word:
 
     def __init__(self, module: GradedModule, terms=None):
         self.module = module
-        clean = {}
-        for tup, s in (terms or {}).items():
-            tup = tuple(tup)
-            if s.is_zero():
-                continue
-            clean[tup] = clean.get(tup, Scalar.zero(module.ctx)) + s
-        self.terms = {t: s for t, s in clean.items() if not s.is_zero()}
+        self.terms = accumulate(
+            {}, ((tuple(t), s) for t, s in (terms or {}).items()))
 
     @classmethod
     def _raw(cls, module, terms: dict) -> "Word":
@@ -206,13 +208,13 @@ class Word:
         )
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for t, s in other.terms.items():
-            out[t] = out.get(t, Scalar.zero(self.module.ctx)) + s
-        return Word(self.module, out)
+        if self.module != other.module:
+            raise ValueError("module mismatch")
+        return Word._raw(self.module,
+                         accumulate(dict(self.terms), other.terms.items()))
 
     def __neg__(self):
-        return Word(self.module, {t: -s for t, s in self.terms.items()})
+        return Word._raw(self.module, {t: -s for t, s in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -234,9 +236,6 @@ class Word:
 
     def weights(self):
         return sorted({len(t) for t in self.terms})
-
-    def term_degree(self, tup, s: Scalar) -> int:
-        return s.degree() + sum(self.module.degree(g) - 1 for g in tup)
 
     def items(self):
         return self.terms.items()
@@ -264,25 +263,20 @@ def word_from_factors(module, factors, coeff: Scalar | None = None,
     ctx = module.ctx
     shift = 1 if shifted else 0
     terms = {(): coeff if coeff is not None else Scalar.one(ctx)}
+    # distinct (term, generator) pairs extend to distinct tuples, so no two
+    # products land on the same key
     for f in factors:
-        new = {}
         if isinstance(f, str):
-            for tup, c in terms.items():
-                key = tup + (f,)
-                new[key] = new.get(key, Scalar.zero(ctx)) + c
-        else:
-            for tup, c in terms.items():
-                par = sum(module.degree(g) + shift for g in tup) % 2
-                for g, s in f.items():
-                    sgn = (s.degree_parity() * par) % 2
-                    val = scalar_mul(c, s, cap)
-                    if sgn:
-                        val = -val
-                    key = tup + (g,)
-                    new[key] = new.get(key, Scalar.zero(ctx)) + val
-        terms = {t: s for t, s in new.items() if not s.is_zero()}
-        if not terms:
-            break
+            terms = {tup + (f,): c for tup, c in terms.items()}
+            continue
+        new = {}
+        for tup, c in terms.items():
+            par = sum(module.degree(g) + shift for g in tup) % 2
+            for g, s in f.items():
+                val = scalar_mul(c, s, cap)
+                if val:
+                    new[tup + (g,)] = -val if s.degree_parity() * par else val
+        terms = new
     return Word(module, terms)
 
 
@@ -307,12 +301,6 @@ class ChainComplex:
             part = img.scalar_left(s)
             out = out + (-part if sgn else part)
         return out
-
-    def check_d_squared(self):
-        for g in self.module.basis:
-            r = self.d(self.d(Element.generator(self.module, g)))
-            if not r.is_zero():
-                raise ValueError(f"d^2 != 0 on generator {g!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import Cap, Context, Scalar, scalar_mul
@@ -26,18 +26,12 @@ from .graded import (
     GradedModule,
     Word,
     rotate,
+    s_perm,
     shuffle_sign,
-    split_enum,
     word_from_factors,
 )
-from .ainfty import (
-    AInfty,
-    InteriorAlgebra,
-    QFamily,
-    ainfty_to_qfamily,
-)
+from .ainfty import AInfty, QFamily, ainfty_to_qfamily, clean_pair_table
 from .complexes import (
-    CYCLIC_VARIANTS,
     EXTENDED_VARIANTS,
     UNIT_KILLING_VARIANTS,
     ChainElt,
@@ -46,6 +40,7 @@ from .complexes import (
     hoch_diff,
     hoch_diff_word,
     is_canonical_tuple,
+    is_degenerate,
 )
 
 
@@ -54,6 +49,19 @@ def interior_word(module: GradedModule, elements, cap: Cap | None = None) -> Wor
     coefficients commute out past earlier interior slots with unshifted
     Koszul signs."""
     return word_from_factors(module, list(elements), shifted=False, cap=cap)
+
+
+def _map_on_generators(images: dict, el, module: GradedModule,
+                       cap: Cap | None = None) -> Element:
+    """The even linear map sending each generator g to ``images[g]`` (zero
+    when absent), applied to ``el``; coefficients stay in front.  ``el`` is
+    an Element, or a Word whose basis tuples key ``images``."""
+    out = Element.zero(module)
+    for g, s in el.items():
+        img = images.get(g)
+        if img is not None:
+            out = out + img.scalar_left(s, cap)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -78,17 +86,8 @@ class OCFamily:
         self.n = n
         self.name = name
         self.form_degree = form_degree
-        self.ops: dict[tuple[int, int], dict[tuple, Element]] = {}
-        for (k, l), table in ops.items():
-            clean = {}
-            for (btup, itup), el in table.items():
-                btup, itup = tuple(btup), tuple(itup)
-                if len(btup) != k or len(itup) != l:
-                    raise ValueError("slot-count mismatch in p table")
-                if not el.is_zero():
-                    clean[(btup, itup)] = el
-            if clean:
-                self.ops[(k, l)] = clean
+        self.ops: dict[tuple[int, int], dict[tuple, Element]] = \
+            clean_pair_table(ops)
 
     def p(self, btup, itup=()) -> Element:
         btup, itup = tuple(btup), tuple(itup)
@@ -128,14 +127,14 @@ class OCFamily:
             rot, _, s1 = rotate(btup, degs, j)
             yield rot, s1
 
+    def _orbit_keys(self, table) -> set:
+        """The keys of a table closed under rotation of the boundary tuple."""
+        return {(rot, itup) for btup, itup in table
+                for rot, _ in self._rotation_orbit(btup)}
+
     def is_cyclic(self) -> bool:
-        for (k, l), table in self.ops.items():
-            keys = set(table) | {
-                (rot, itup)
-                for (btup, itup) in table
-                for rot, _ in self._rotation_orbit(btup)
-            }
-            for btup, itup in keys:
+        for table in self.ops.values():
+            for btup, itup in self._orbit_keys(table):
                 base = self.p(btup, itup)
                 for rot, s1 in self._rotation_orbit(btup):
                     other = self.p(rot, itup)
@@ -150,12 +149,7 @@ class OCFamily:
         new_ops: dict = {}
         for (k, l), table in self.ops.items():
             out_table: dict = {}
-            keys = {
-                (rot, itup)
-                for (btup, itup) in table
-                for rot, _ in self._rotation_orbit(btup)
-            }
-            for btup, itup in keys:
+            for btup, itup in self._orbit_keys(table):
                 acc = Element.zero(self.target.module)
                 for rot, s1 in self._rotation_orbit(btup):
                     val = self.p(rot, itup)
@@ -277,13 +271,7 @@ class SphereTermProvider:
                 raise ValueError(f"q1 is not a chain map at {g!r}")
 
     def apply1(self, el: Element, cap: Cap | None = None) -> Element:
-        out = Element.zero(self.target.module)
-        for g, s in el.items():
-            img = self.q1.get(g)
-            if img is None:
-                continue
-            out = out + img.scalar_left(s, cap)
-        return out
+        return _map_on_generators(self.q1, el, self.target.module, cap)
 
     def q_empty(self, interior, cap: Cap | None = None) -> Element:
         """q_{empty,l} on a list of interior Elements."""
@@ -293,13 +281,9 @@ class SphereTermProvider:
         if table is None:
             raise ValueError(
                 f"no sphere operation with {len(interior)} interior inputs")
-        out = Element.zero(self.target.module)
-        iword = interior_word(self.target.module, interior, cap)
-        for itup, c in iword.items():
-            el = table.get(itup)
-            if el is not None:
-                out = out + el.scalar_left(c, cap)
-        return out
+        tmod = self.target.module
+        return _map_on_generators(table, interior_word(tmod, interior, cap),
+                                  tmod, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -308,21 +292,30 @@ class SphereTermProvider:
 
 
 def _q_eval(Q: QFamily, btup, interior, cap: Cap | None) -> Element:
-    if interior:
-        imod = Q.interior.module
-        iword = interior_word(imod, interior, cap)
-        out = Element.zero(Q.module)
-        for itup, c in iword.items():
-            el = Q.q(btup, itup)
-            if not el.is_zero():
-                out = out + el.scalar_left(c, cap)
-        return out
-    return Q.q(btup, ())
+    if not interior:
+        return Q.q(btup, ())
+    out = Element.zero(Q.module)
+    for itup, c in interior_word(interior[0].module, interior, cap).items():
+        el = Q.q(btup, itup)
+        if not el.is_zero():
+            out = out + el.scalar_left(c, cap)
+    return out
+
+
+def structure_terms(k: int, l: int):
+    """The composite terms of the structure equation for p_{k,l}: triples
+    (rotation j, boundary arity k2 of q, interior index set J of q), in the
+    order ``structure_rhs`` sums them.  At k = 0 the trivial rotation j = 0
+    is the only one."""
+    for j in range(max(k, 1)):
+        for k2 in range(k + 1):
+            for jsize in range(l + 1):
+                for J in itertools.combinations(range(l), jsize):
+                    yield j, k2, J
 
 
 def structure_rhs(Q: QFamily, p: OCFamily, sphere: SphereTermProvider | None,
-                  alpha, gamma=(), cap: Cap | None = None,
-                  include_d_composites: bool = True):
+                  alpha, gamma=(), cap: Cap | None = None):
     """Right-hand side of the structure equation for d p_{k,l}(alpha; gamma):
 
     p(alpha; d gamma)
@@ -332,10 +325,7 @@ def structure_rhs(Q: QFamily, p: OCFamily, sphere: SphereTermProvider | None,
                   gamma_I )
     + [k=0] (-1)^{|gamma|} q_{empty,l+1}(gamma (x) zeta).
 
-    Returns (Element, term_count).  With ``include_d_composites`` disabled
-    the (k2, |J|) = (1, 0) composites — whose zero-energy part is the plain
-    differential acting on one boundary slot — are skipped, matching the
-    formulation in which those terms are listed separately."""
+    Returns (Element, term_count)."""
     mod = p.module
     tmod = p.target.module
     alpha = tuple(alpha)
@@ -362,29 +352,23 @@ def structure_rhs(Q: QFamily, p: OCFamily, sphere: SphereTermProvider | None,
 
     # composite terms
     degs = [mod.degree(g) for g in alpha]
-    rotations = range(k) if k else range(1)
-    for j in rotations:
-        rot, _, s1 = (rotate(alpha, degs, j) if k else (alpha, 0, 0))
-        for k2 in range(0, k + 1):
-            b1, b2 = rot[:k2], rot[k2:]
-            for jsize in range(0, l + 1):
-                for J in itertools.combinations(range(l), jsize):
-                    if not include_d_composites and (k2, jsize) == (1, 0):
-                        continue
-                    count += 1
-                    I = [i for i in range(l) if i not in J]
-                    gJ = [gamma[i] for i in J]
-                    gI = [gamma[i] for i in I]
-                    gJpar = sum(gpars[i] for i in J) % 2
-                    sh = shuffle_sign(gpars, I, list(J))
-                    sgn = (s1 + gtotal + sh + (n + 1) * (gJpar + 1)) % 2
-                    q_el = _q_eval(Q, b1, gJ, cap)
-                    if q_el.is_zero():
-                        continue
-                    word = word_from_factors(
-                        mod, [q_el] + list(b2), shifted=True, cap=cap)
-                    part = p.eval_word(word, gI, cap)
-                    out = out + (-part if sgn else part)
+    rotations = [rotate(alpha, degs, j) for j in range(max(k, 1))]
+    for j, k2, J in structure_terms(k, l):
+        count += 1
+        rot, _, s1 = rotations[j]
+        I = [i for i in range(l) if i not in J]
+        gJ = [gamma[i] for i in J]
+        gI = [gamma[i] for i in I]
+        gJpar = sum(gpars[i] for i in J) % 2
+        sh = shuffle_sign(gpars, I, list(J))
+        sgn = (s1 + gtotal + sh + (n + 1) * (gJpar + 1)) % 2
+        q_el = _q_eval(Q, rot[:k2], gJ, cap)
+        if q_el.is_zero():
+            continue
+        word = word_from_factors(
+            mod, [q_el] + list(rot[k2:]), shifted=True, cap=cap)
+        part = p.eval_word(word, gI, cap)
+        out = out + (-part if sgn else part)
 
     # sphere term
     if k == 0:
@@ -518,13 +502,9 @@ def chain_map_residual(p, A: AInfty, variant: Variant, cap: Cap,
 
     # stage 2: P vanishes (mod zeta) on chains the variant quotients out
     if variant in UNIT_KILLING_VARIANTS:
-        e = A.unit
         for w in range(1, cap.weight + 1):
             for tup in itertools.product(A.module.basis, repeat=w):
-                killed = (e in tup[1:]
-                          if variant is Variant.NORMALIZED_HOCHSCHILD
-                          else e in tup)
-                if not killed:
+                if not is_degenerate(A, tup, variant):
                     continue
                 val = reduce(p.eval_word(Word.basis_word(A.module, tup),
                                          cap=cap))
@@ -589,20 +569,10 @@ class ToyGeometry:
                     raise ValueError(f"pull is not a chain map at {g!r}")
 
     def push_el(self, el: Element) -> Element:
-        out = Element.zero(self.X.module)
-        for g, s in el.items():
-            img = self.push.get(g)
-            if img is not None:
-                out = out + img.scalar_left(s)
-        return out
+        return _map_on_generators(self.push, el, self.X.module)
 
     def pull_el(self, el: Element) -> Element:
-        out = Element.zero(self.L.module)
-        for g, s in el.items():
-            img = (self.pull or {}).get(g)
-            if img is not None:
-                out = out + img.scalar_left(s)
-        return out
+        return _map_on_generators(self.pull or {}, el, self.L.module)
 
 
 def toy_zero_energy(geom: ToyGeometry, A: AInfty):
@@ -827,13 +797,8 @@ def axiom_suite(p: OCFamily, A: AInfty, geom: ToyGeometry | None = None,
             degs = [tmod.degree(g) for g in itup]
             for perm in itertools.permutations(range(l)):
                 ptup = tuple(itup[i] for i in perm)
-                s = 0
-                for i in range(l):
-                    for j in range(i + 1, l):
-                        if perm[i] > perm[j]:
-                            s += degs[perm[i]] * degs[perm[j]]
                 other = p.p(btup, ptup)
-                want = -other if s % 2 else other
+                want = -other if s_perm(degs, perm) else other
                 if el != want:
                     fails.append({"key": (btup, itup), "perm": perm})
     record("interior_symmetry", not fails, fails)

@@ -171,6 +171,23 @@ def mono_mul(ctx: Context, m1: Monomial, m2: Monomial):
     return ctx.mono_mul(m1, m2)
 
 
+def accumulate(out: dict, items) -> dict:
+    """Add ``(key, value)`` pairs into ``out`` in place and return it.
+
+    A key whose sum becomes zero is removed, so ``out`` only ever holds
+    nonzero values.  Values are ``Fraction``s or ``Scalar``s, or anything
+    else with ``+`` and a truth value that is false exactly at zero."""
+    for key, value in items:
+        old = out.get(key)
+        if old is not None:
+            value = old + value
+        if value:
+            out[key] = value
+        elif old is not None:
+            del out[key]
+    return out
+
+
 def _mono_mul_impl(ctx: Context, m1: Monomial, m2: Monomial):
     beta = tuple(x + y for x, y in zip(m1[0], m2[0]))
     degs = ctx.tvars.degrees
@@ -193,7 +210,7 @@ class Scalar:
 
     def __init__(self, ctx: Context, terms=None):
         self.ctx = ctx
-        clean = {}
+        clean = []
         rank = ctx.pi.rank
         nvars = ctx.tvars.count
         degs = ctx.tvars.degrees
@@ -211,9 +228,8 @@ class Scalar:
                 raise ValueError("negative variable exponent")
             if any(e > 1 for e, d in zip(exps, degs) if d % 2):
                 raise ValueError("odd-degree variable with exponent > 1")
-            key = (beta, exps)
-            clean[key] = clean.get(key, Fraction(0)) + c
-        self.terms = {k: v for k, v in clean.items() if v != 0}
+            clean.append(((beta, exps), c))
+        self.terms = accumulate({}, clean)
 
     # -- constructors -------------------------------------------------------
 
@@ -265,18 +281,8 @@ class Scalar:
     def __add__(self, other: "Scalar") -> "Scalar":
         if self.ctx != other.ctx:
             raise ValueError("context mismatch")
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            v = terms.get(m)
-            if v is None:
-                terms[m] = c
-            else:
-                v = v + c
-                if v:
-                    terms[m] = v
-                else:
-                    del terms[m]
-        return Scalar._raw(self.ctx, terms)
+        return Scalar._raw(self.ctx,
+                           accumulate(dict(self.terms), other.terms.items()))
 
     def __neg__(self) -> "Scalar":
         return Scalar._raw(self.ctx, {m: -c for m, c in self.terms.items()})
@@ -301,10 +307,6 @@ class Scalar:
         if not self.terms:
             return INFINITY
         return min(mono_valuation(self.ctx, m) for m in self.terms)
-
-    def is_homogeneous(self) -> bool:
-        degrees = {mono_degree(self.ctx, m) for m in self.terms}
-        return len(degrees) <= 1
 
     def degree(self) -> int:
         if not self.terms:
@@ -349,10 +351,10 @@ class Scalar:
             sign = 0
             if degs[j] % 2:
                 sign = sum(exps[i] * degs[i] for i in range(j)) % 2
+            # lowering e_j is injective on monomials, so keys never collide
             new = exps[:j] + (e - 1,) + exps[j + 1 :]
-            key = (beta, new)
-            out[key] = out.get(key, Fraction(0)) + c * e * (-1) ** sign
-        return Scalar._raw(self.ctx, {m: c for m, c in out.items() if c})
+            out[(beta, new)] = c * e * (-1) ** sign
+        return Scalar._raw(self.ctx, out)
 
     def __repr__(self):
         return f"Scalar({scalar_to_str(self)})"
@@ -373,18 +375,6 @@ def scalar_mul(a: Scalar, b: Scalar, cap: Cap | None = None) -> Scalar:
             out[mono] = out.get(mono, Fraction(0)) + (-v if sign else v)
     s = Scalar._raw(a.ctx, {m: c for m, c in out.items() if c})
     return s.truncate(cap) if cap is not None else s
-
-
-def valuation(a: Scalar):
-    return a.valuation()
-
-
-def degree(a: Scalar) -> int:
-    return a.degree()
-
-
-def partial_t(a: Scalar, j: int) -> Scalar:
-    return a.partial_t(j)
 
 
 # -- textual form -----------------------------------------------------------
@@ -417,7 +407,6 @@ def scalar_to_str(a: Scalar) -> str:
     return " ".join(pieces)
 
 
-_TERM_SPLIT = re.compile(r"(?<![*^/\[,])\s*([+-])\s*")
 _FACTOR_RE = re.compile(
     r"""^(?:
         (?P<rat>-?\d+(?:/\d+)?)
@@ -483,7 +472,11 @@ def parse_scalar(ctx: Context, text: str) -> Scalar:
             if not m:
                 raise ScalarParseError(f"cannot parse factor {raw!r}")
             if m.group("rat") is not None:
-                coeff *= Fraction(m.group("rat"))
+                try:
+                    coeff *= Fraction(m.group("rat"))
+                except ZeroDivisionError:
+                    raise ScalarParseError(
+                        f"zero denominator in {raw!r}") from None
             elif m.group("beta") is not None:
                 if have_beta:
                     raise ScalarParseError("repeated T factor")
@@ -493,11 +486,19 @@ def parse_scalar(ctx: Context, text: str) -> Scalar:
                     raise ScalarParseError(
                         f"T exponent has {len(entries)} entries, expected {ctx.pi.rank}"
                     )
-                beta = [int(s) for s in entries]
+                try:
+                    beta = [int(s) for s in entries]
+                except ValueError:
+                    raise ScalarParseError(
+                        f"T exponent entries must be integers: {raw!r}"
+                    ) from None
             else:
                 i = int(m.group("var"))
                 if i >= ctx.tvars.count:
                     raise ScalarParseError(f"unknown variable t{i}")
                 exps[i] += int(m.group("exp") or 1)
-        total = total + Scalar.monomial(ctx, coeff, beta, exps)
+        try:
+            total = total + Scalar.monomial(ctx, coeff, beta, exps)
+        except ValueError as exc:
+            raise ScalarParseError(f"{exc}: {chunk!r}") from None
     return total

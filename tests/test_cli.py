@@ -189,6 +189,29 @@ def test_parse_error_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("text,line", [
+    ("BASIS\ne x\nDEGREES\n0 one\n", 4),
+    ("BASIS\ne x\nDEGREES\n0\n", 1),
+    ("BASIS\ne e\nDEGREES\n0 0\n", 1),
+    ("TVARS\n1 x\nBASIS\ne\nDEGREES\n0\n", 2),
+    ("PI\nrank 2\nomega 1\nmaslov 2\nBASIS\ne\nDEGREES\n0\n", 1),
+    ("BASIS\ne\nDEGREES\n0\nMU two\ne e -> e\n", 5),
+    ("BASIS\ne\nDEGREES\n0\nMU 2\ne e -> 1/0 * e\n", 6),
+    ("TVARS\n1\nBASIS\ne\nDEGREES\n0\nMU 2\ne e -> t0^2 * e\n", 8),
+    ("PI\nrank 1\nomega 1\nmaslov 2\nBASIS\ne\nDEGREES\n0\nMU 2\n"
+     "e e -> T^[-] * e\n", 10),
+], ids=["degree", "degree-count", "duplicate-generator", "tvar", "pi-rank",
+        "mu-arity", "zero-denominator", "odd-square", "t-exponent"])
+def test_malformed_instance_exit_2_with_line(tmp_path, capsys, text, line):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    code = main(["check-ainfty", str(path), "--weight", "1"])
+    out = capsys.readouterr()
+    assert code == 2
+    assert json.loads(out.out)["error"].startswith(f"line {line}: ")
+    assert "Traceback" not in out.out + out.err
+
+
 def test_output_file(tmp_path, capsys, instance_path):
     out = tmp_path / "report.json"
     code = main(["dsquare", instance_path, "--weight", "2",

@@ -5,17 +5,21 @@ from fractions import Fraction
 
 import pytest
 
-from hochcyc.scalars import Cap
-from hochcyc.ainfty import builtin_algebras
+from hochcyc.scalars import Cap, mono_degree
+from hochcyc.ainfty import BUILTIN_NAMES, builtin_algebras
 from hochcyc.complexes import Variant
+from hochcyc.complexes import hoch_diff_word
 from hochcyc.homology import (
     Truncation,
+    _decompose,
+    _word_of,
     attained_monomials,
     boundary_matrix,
     chain_basis,
     homology,
     mat_mul,
     matrix_rank,
+    naive_diff_vector,
     naive_oracle,
     nullspace,
     row_reduce,
@@ -101,6 +105,39 @@ def test_engine_matches_oracle(name, energy, variant):
     assert h.dims == o.dims
     assert h.betti == o.betti
     assert h.ranks == o.ranks
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+@pytest.mark.parametrize("variant", [Variant.HOCHSCHILD,
+                                     Variant.EXTENDED_CONNES])
+def test_engine_differential_matches_oracle_per_chain(name, variant):
+    # every chain of the full tensor basis, coordinate by coordinate; the
+    # extended basis adds the weight-0 generator, whose image is the curvature
+    A = builtin_algebras(name)
+    weight = 3 if name == "curved_matrix" else 4
+    cap = Cap(energy=3, weight=weight, var_total=0)
+    extended = variant is Variant.EXTENDED_CONNES
+    monos = attained_monomials(A, cap)
+    mdegs = [mono_degree(A.module.ctx, m) for m in monos]
+    shifts = [A.module.degree(g) - 1 for g in A.module.basis]
+    lo = weight * min(0, *shifts) + min(mdegs)
+    hi = weight * max(0, *shifts) + max(mdegs)
+    trunc = Truncation(cap, lo, hi)
+    checked = 0
+    for d in range(lo, hi + 1):
+        cod = chain_basis(A, variant, d + 1, trunc, canonical=False)
+        index = {bm: i for i, bm in enumerate(cod)}
+        for mono, tup in chain_basis(A, variant, d, trunc, canonical=False):
+            word = hoch_diff_word(A, _word_of(A, mono, tup), cap,
+                                  extended=extended)
+            engine = _decompose(A, word, index, cap, set())
+            oracle = naive_diff_vector(A, mono, tup, index, cap, set(),
+                                       extended)
+            assert engine == oracle, (mono, tup)
+            checked += 1
+    first = 0 if extended else 1
+    assert checked == len(monos) * sum(
+        len(A.module.basis) ** w for w in range(first, weight + 1))
 
 
 def test_known_betti_dual_numbers_hochschild():

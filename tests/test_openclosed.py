@@ -25,6 +25,7 @@ from hochcyc.openclosed import (
     random_target,
     reduce_mod,
     structure_residual,
+    structure_rhs,
     theorem1_rewrite_check,
     theorem5_toy,
     toy_zero_energy,
@@ -86,6 +87,20 @@ def test_zero_energy_structure_equation(n):
         for tup in itertools.product(A.module.basis, repeat=w):
             res = structure_residual(Q, p, sphere, tup, (), CAP)
             assert res.is_zero(), (n, tup)
+
+
+def test_structure_equation_with_interior_inputs():
+    # interior inputs are expanded in their own module; the toy family has no
+    # interior operations, so both sides vanish
+    A, geom = exterior_geometry(0)
+    p, Q, sphere = toy_zero_energy(geom, A)
+    gamma = Element.generator(geom.X.module, "Xa12")
+    for alpha, interior in [(("e",), [gamma]), (("e", "a1"), [gamma, gamma])]:
+        res = structure_residual(Q, p, sphere, alpha, interior, CAP)
+        assert res.is_zero(), (alpha, len(interior))
+        k, l = len(alpha), len(interior)
+        _, count = structure_rhs(Q, p, sphere, alpha, interior, CAP)
+        assert count == k * (k + 1) * 2 ** l + 1
 
 
 @pytest.mark.parametrize("n", [0, 1])
