@@ -23,7 +23,6 @@ from .scalars import (
     Scalar,
     TRIVIAL_CONTEXT,
     accumulate,
-    scalar_mul,
 )
 from .graded import Element, GradedModule, Word, word_from_factors
 
@@ -31,26 +30,19 @@ from .graded import Element, GradedModule, Word, word_from_factors
 class AInfty:
     """A curved A-infinity algebra given by sparse structure constants.
 
-    ``ops[k]`` maps length-k generator tuples to Elements; arity 0 holds the
-    curvature as the value on the empty tuple.  Operations not listed are
-    zero.  Each mu_k raises the total shifted degree by one, equivalently the
-    unshifted degree by ``2 - k``.
+    ``ops`` maps generator tuples to nonzero Elements: a length-k tuple keys
+    a value of mu_k, and the empty tuple keys the curvature.  Operations not
+    listed are zero; ``arities`` holds the key lengths.  Each mu_k raises the
+    total shifted degree by one, equivalently the unshifted degree by
+    ``2 - k``.
     """
 
     def __init__(self, module: GradedModule, ops, unit: str | None = None,
                  name: str = ""):
         self.module = module
-        self.ops: dict[int, dict[tuple, Element]] = {}
-        for k, table in ops.items():
-            clean = {}
-            for tup, el in table.items():
-                tup = tuple(tup)
-                if len(tup) != k:
-                    raise ValueError(f"arity mismatch at {tup!r}")
-                if not el.is_zero():
-                    clean[tup] = el
-            if clean:
-                self.ops[k] = clean
+        self.ops: dict[tuple, Element] = {tuple(t): el for t, el in ops.items()
+                                          if el}
+        self.arities = frozenset(map(len, self.ops))
         self.unit = unit
         self.name = name
         # per-instance caches of the coderivation and Hochschild differential
@@ -63,32 +55,25 @@ class AInfty:
 
     def mu(self, tup) -> Element:
         """mu_k on a basis tuple (k = len(tup))."""
-        tup = tuple(tup)
-        el = self.ops.get(len(tup), {}).get(tup)
-        return el if el is not None else Element.zero(self.module)
+        return self.ops.get(tuple(tup)) or Element.zero(self.module)
 
     def mu0(self) -> Element:
         """The curvature mu_0(1)."""
         return self.mu(())
-
-    def arities(self):
-        return sorted(self.ops)
 
     # -- validation ----------------------------------------------------------
 
     def validate(self):
         """Degree law (+1 on shifted degrees) and valuation guards."""
         mod = self.module
-        for k, table in self.ops.items():
-            for tup, el in table.items():
-                want = sum(mod.degree(g) for g in tup) + 2 - k
-                for g, s in el.items():
-                    if mod.degree(g) + s.degree() != want:
-                        raise ValueError(
-                            f"mu_{k}{tup!r} is not homogeneous of degree {want}"
-                        )
-                if el.valuation() < 0:
-                    raise ValueError(f"mu_{k}{tup!r} has negative valuation")
+        for tup, el in self.ops.items():
+            k = len(tup)
+            want = sum(mod.degree(g) for g in tup) + 2 - k
+            if any(mod.degree(g) + s.degree() != want for g, s in el.items()):
+                raise ValueError(
+                    f"mu_{k}{tup!r} is not homogeneous of degree {want}")
+            if el.valuation() < 0:
+                raise ValueError(f"mu_{k}{tup!r} has negative valuation")
         if self.mu0().valuation() <= 0:
             raise ValueError("curvature must have positive valuation")
         if self.unit is not None and self.unit not in mod.basis:
@@ -122,16 +107,16 @@ def insertion_sum(A: AInfty, tup, start: int, acc: dict) -> list:
     notation); with ``start`` 1 it is the part of the Hochschild
     differential b that keeps the first slot in front."""
     mod = A.module
+    ops, arities = A.ops, A.arities
     sp = [0]
     for g in tup:
         sp.append((sp[-1] + mod.degree(g) + 1) % 2)
     k = len(tup)
     for i in range(start, k + 1):
         for j in range(i, k + 1):
-            table = A.ops.get(j - i)
-            if table is None:
+            if j - i not in arities:
                 continue
-            img = table.get(tup[i:j])
+            img = ops.get(tup[i:j])
             if img is None:
                 continue
             head, tail = tup[:i], tup[j:]
@@ -286,7 +271,7 @@ def unit_check(A: AInfty) -> ResidualReport:
             report.failures.append({"axiom": "mu2(x,e)=(-1)^{|x|}x", "x": x,
                                     "got": repr(right)})
 
-    for k in A.arities():
+    for k in sorted(A.arities):
         if k == 2 or k == 0:
             continue
         for tup in itertools.product(mod.basis, repeat=k):
@@ -304,55 +289,47 @@ def unit_check(A: AInfty) -> ResidualReport:
 # ---------------------------------------------------------------------------
 
 
-def clean_pair_table(ops) -> dict:
-    """Copy of a ``{(k, l): {(btup, itup): Element}}`` operation table with
-    tuple keys of the declared lengths; zero entries and empty arities are
-    dropped."""
-    out = {}
-    for (k, l), table in ops.items():
-        clean = {}
-        for (btup, itup), el in table.items():
-            btup, itup = tuple(btup), tuple(itup)
-            if len(btup) != k or len(itup) != l:
-                raise ValueError(f"slot-count mismatch at {(btup, itup)!r}")
-            if not el.is_zero():
-                clean[(btup, itup)] = el
-        if clean:
-            out[(k, l)] = clean
-    return out
-
-
 class QFamily:
     """Operations q_{k,l} with k boundary and l interior inputs, valued in the
-    boundary module; sparse structure constants on pairs of basis tuples.
+    boundary module.  ``ops`` maps pairs (boundary tuple, interior tuple) of
+    basis tuples to nonzero Elements; k and l are the two tuples' lengths.
 
     The slice q_{*,0} is a curved A-infinity structure."""
 
     def __init__(self, module: GradedModule, ops):
         self.module = module
-        self.ops: dict[tuple[int, int], dict[tuple, Element]] = \
-            clean_pair_table(ops)
+        self.ops: dict[tuple, Element] = {
+            (tuple(b), tuple(i)): el for (b, i), el in ops.items() if el}
 
     def q(self, btup, itup) -> Element:
-        btup, itup = tuple(btup), tuple(itup)
-        el = self.ops.get((len(btup), len(itup)), {}).get((btup, itup))
-        return el if el is not None else Element.zero(self.module)
+        return (self.ops.get((tuple(btup), tuple(itup)))
+                or Element.zero(self.module))
+
+    def eval(self, btup, interior, cap: Cap | None) -> Element:
+        """q on a basis boundary tuple and a list of interior Elements.  The
+        interior inputs expand into basis tuples by ``word_from_factors``
+        with unshifted Koszul signs, and each expansion coefficient
+        multiplies the structure constant from the left."""
+        btup = tuple(btup)
+        if not interior:
+            return self.q(btup, ())
+        out = Element.zero(self.module)
+        iword = word_from_factors(interior[0].module, list(interior),
+                                  shifted=False, cap=cap)
+        for itup, c in iword.items():
+            el = self.ops.get((btup, itup))
+            if el is not None:
+                out = out + el.scalar_left(c, cap)
+        return out
 
     def boundary_slice(self, unit=None, name="q-slice") -> AInfty:
         """The l = 0 part as a curved A-infinity algebra."""
-        ops: dict[int, dict] = {}
-        for (k, l), table in self.ops.items():
-            if l != 0:
-                continue
-            ops[k] = {btup: el for (btup, _), el in table.items()}
-        return AInfty(self.module, ops, unit=unit, name=name)
+        return AInfty(self.module, {b: el for (b, i), el in self.ops.items()
+                                    if not i}, unit=unit, name=name)
 
 
 def ainfty_to_qfamily(A: AInfty) -> QFamily:
-    ops = {}
-    for k, table in A.ops.items():
-        ops[(k, 0)] = {(tup, ()): el for tup, el in table.items()}
-    return QFamily(A.module, ops)
+    return QFamily(A.module, {(tup, ()): el for tup, el in A.ops.items()})
 
 
 def _insertion_patterns(k: int, s: int):
@@ -425,31 +402,10 @@ class DeformedQ:
                         break
                     coeff = Fraction(1, math.factorial(extra))
                     interior = list(itups) + [self.gamma] * extra
-                    out = out + _q_multi(self.Q, bword, interior,
-                                         cap).scale(coeff)
+                    for bt, bc in bword.items():
+                        part = self.Q.eval(bt, interior, cap)
+                        out = out + part.scalar_left(bc.scale(coeff), cap)
         return out.truncate(cap)
-
-
-def _q_multi(Q: QFamily, bword: Word, interior, cap: Cap | None) -> Element:
-    """Multilinear evaluation: boundary inputs a Word (basis tuples with
-    front coefficients), interior inputs a list of Elements (even degrees
-    assumed; interior expansion via unshifted, sign-free multilinearity)."""
-    iterms = [((), Scalar.one(Q.module.ctx))]
-    for el in interior:
-        new = []
-        for itup, c in iterms:
-            for g, s in el.items():
-                new.append((itup + (g,), scalar_mul(c, s, cap)))
-        iterms = new
-    out = Element.zero(Q.module)
-    for btup, bc in bword.items():
-        for itup, ic in iterms:
-            el = Q.q(btup, itup)
-            if el.is_zero():
-                continue
-            coeff = scalar_mul(bc, ic, cap)
-            out = out + el.scalar_left(coeff, cap)
-    return out.truncate(cap)
 
 
 # ---------------------------------------------------------------------------
@@ -460,18 +416,14 @@ def _q_multi(Q: QFamily, bword: Word, interior, cap: Cap | None) -> Element:
 def _mu2_from_products(module: GradedModule, products) -> dict:
     """Binary operation mu_2(x, y) = (-1)^{|x|} x . y from an associative
     product table mapping generator pairs to Elements."""
-    table = {}
-    for (x, y), el in products.items():
-        if el.is_zero():
-            continue
-        table[(x, y)] = -el if module.degree(x) % 2 else el
-    return table
+    return {(x, y): -el if module.degree(x) % 2 else el
+            for (x, y), el in products.items()}
 
 
 def _ground_field() -> AInfty:
     mod = GradedModule("ground_field", ("e",), (0,), TRIVIAL_CONTEXT)
     e = Element.generator(mod, "e")
-    return AInfty(mod, {2: _mu2_from_products(mod, {("e", "e"): e})},
+    return AInfty(mod, _mu2_from_products(mod, {("e", "e"): e}),
                   unit="e", name="ground_field")
 
 
@@ -483,7 +435,7 @@ def _dual_numbers() -> AInfty:
         ("e", "e"): e, ("e", "eps"): eps, ("eps", "e"): eps,
         ("eps", "eps"): Element.zero(mod),
     }
-    return AInfty(mod, {2: _mu2_from_products(mod, prod)},
+    return AInfty(mod, _mu2_from_products(mod, prod),
                   unit="e", name="dual_numbers")
 
 
@@ -512,7 +464,7 @@ def _exterior(r: int) -> AInfty:
             inv = sum(1 for a in s1 for b in s2 if a > b)
             prod[(n1, n2)] = Element.generator(mod, names[merged],
                                                -1 if inv % 2 else 1)
-    return AInfty(mod, {2: _mu2_from_products(mod, prod)},
+    return AInfty(mod, _mu2_from_products(mod, prod),
                   unit="e", name=f"exterior_{r}")
 
 
@@ -548,9 +500,8 @@ def _curved_matrix() -> AInfty:
         ("F",): el([("I", T)]),
         ("G",): el([("I", one)]),
     }
-    mu0 = {(): el([("I", T)])}
-    return AInfty(mod, {0: mu0, 1: mu1, 2: _mu2_from_products(mod, prod)},
-                  unit="I", name="curved_matrix")
+    ops = {(): el([("I", T)]), **mu1, **_mu2_from_products(mod, prod)}
+    return AInfty(mod, ops, unit="I", name="curved_matrix")
 
 
 _EXTERIOR_RE = re.compile(r"exterior\((\d+)\)")

@@ -176,9 +176,8 @@ def parse_instance(path: str) -> AInfty:
         module = GradedModule(path.rsplit("/", 1)[-1], basis, degrees, ctx)
     except ValueError as exc:
         raise InstanceParseError(str(exc), line=basis_line) from None
-    ops: dict[int, dict] = {}
+    ops: dict[tuple, Element] = {}
     for k, lines in mu_sections:
-        table = ops.setdefault(k, {})
         for ln, line in lines:
             if "->" not in line:
                 raise InstanceParseError("expected 'inputs -> outputs'",
@@ -193,8 +192,7 @@ def parse_instance(path: str) -> AInfty:
                     raise InstanceParseError(f"unknown generator {g!r}",
                                              line=ln)
             el = _parse_element_expr(module, right, ln)
-            prev = table.get(inputs, Element.zero(module))
-            table[inputs] = prev + el
+            ops[inputs] = ops.get(inputs, Element.zero(module)) + el
     return AInfty(module, ops, unit=unit, name=module.name)
 
 
@@ -217,12 +215,14 @@ def serialize_instance(A: AInfty) -> str:
     if A.unit is not None:
         out.append("UNIT")
         out.append(A.unit)
-    for k in sorted(A.ops):
-        out.append(f"MU {k}")
-        for tup, el in sorted(A.ops[k].items()):
-            rhs = ", ".join(
-                f"{scalar_to_str(s)} * {g}" for g, s in sorted(el.items()))
-            out.append(" ".join(tup) + " -> " + rhs)
+    k = None
+    for tup in sorted(A.ops, key=lambda t: (len(t), t)):
+        if len(tup) != k:
+            k = len(tup)
+            out.append(f"MU {k}")
+        rhs = ", ".join(f"{scalar_to_str(s)} * {g}"
+                        for g, s in sorted(A.ops[tup].items()))
+        out.append(" ".join(tup) + " -> " + rhs)
     return "\n".join(out) + "\n"
 
 

@@ -180,13 +180,12 @@ def degenerate_project(A: AInfty, w: Word, variant: Variant) -> Word:
 
 
 def project(A: AInfty, w: Word, variant: Variant) -> Word:
-    """Full canonicalization for the variant."""
+    """Full canonicalization for the variant.  One pass of
+    ``connes_canonical`` suffices: it is idempotent, and dropping degenerate
+    terms keeps the remaining terms canonical."""
     if variant in CYCLIC_VARIANTS:
         w = connes_canonical(w)
-    w = degenerate_project(A, w, variant)
-    if variant in CYCLIC_VARIANTS:
-        w = connes_canonical(w)
-    return w
+    return degenerate_project(A, w, variant)
 
 
 def is_canonical_tuple(A: AInfty, tup, variant: Variant) -> bool:
@@ -194,9 +193,14 @@ def is_canonical_tuple(A: AInfty, tup, variant: Variant) -> bool:
     the variant's quotients (weight-0 only in extended variants)."""
     if len(tup) == 0:
         return variant in EXTENDED_VARIANTS
-    w = Word.basis_word(A.module, tup)
-    p = project(A, w, variant)
-    return p.terms == w.terms
+    if variant in UNIT_KILLING_VARIANTS:
+        if A.unit is None:
+            raise ValueError(
+                f"variant {variant.value} requires a unital algebra")
+        if is_degenerate(A, tup, variant):
+            return False
+    return (variant not in CYCLIC_VARIANTS
+            or _canonical_rotation(A.module, tup) == (tup, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +231,9 @@ def diff_basis(A: AInfty, tup) -> list:
         sp = insertion_sum(A, tup, 1, acc)
         for b in range(1, k + 1):        # wrap: mu(l3 (x) x (x) l1) (x) l2
             for a in range(1, b + 1):    # l1 = tup[1:a], l2 = tup[a:b]
-                table = A.ops.get(k - b + a)
-                if table is None:
+                if k - b + a not in A.arities:
                     continue
-                img = table.get(tup[b:] + tup[:a])
+                img = A.ops.get(tup[b:] + tup[:a])
                 if img is None:
                     continue
                 n3 = (sp[k] + sp[b]) % 2

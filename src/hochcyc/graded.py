@@ -112,20 +112,20 @@ class Element:
     def __sub__(self, other):
         return self + (-other)
 
+    def _map(self, f) -> "Element":
+        """Apply ``f`` to every coefficient and drop the zero results."""
+        return Element._raw(self.module, {g: t for g, s in self.coeffs.items()
+                                          if (t := f(s))})
+
     def scale(self, c) -> "Element":
-        return Element(self.module, {g: s.scale(c) for g, s in self.coeffs.items()})
+        return self._map(lambda s: s.scale(c))
 
     def scalar_left(self, s: Scalar, cap: Cap | None = None) -> "Element":
         """Multiply by a scalar on the left (no sign: scalars sit in front)."""
-        return Element(
-            self.module,
-            {g: scalar_mul(s, t, cap) for g, t in self.coeffs.items()},
-        )
+        return self._map(lambda t: scalar_mul(s, t, cap))
 
     def truncate(self, cap: Cap | None) -> "Element":
-        return Element(
-            self.module, {g: s.truncate(cap) for g, s in self.coeffs.items()}
-        )
+        return self._map(lambda s: s.truncate(cap))
 
     def degree(self) -> int:
         degs = {
@@ -343,17 +343,19 @@ def s_perm(degrees, perm) -> int:
 
 def rotate(tup, degrees, j: int):
     """Rotate a tuple by ``j`` (element j comes first); returns the rotated
-    tuple with both sign exponents ``(s_sigma, s_sigma^[1])``."""
+    tuple with both sign exponents ``(s_sigma, s_sigma^[1])``.
+
+    The rotation moves the block ``tup[j:]`` past ``tup[:j]``, so the signs
+    are products of the two blocks' total degrees, unshifted for s_sigma
+    and shifted (one more per slot) for s_sigma^[1]."""
     tup = tuple(tup)
     k = len(tup)
     if k == 0:
         return tup, 0, 0
     j %= k
-    perm = rotation_perm(k, j)
-    rot = tuple(tup[p] for p in perm)
-    s = s_perm(list(degrees), perm)
-    s1 = s_perm([d + 1 for d in degrees], perm)
-    return rot, s, s1
+    head, tail = sum(degrees[:j]), sum(degrees[j:])
+    return (tup[j:] + tup[:j], (head * tail) % 2,
+            ((head + j) * (tail + k - j)) % 2)
 
 
 def shuffle_sign(degrees, I, J) -> int:

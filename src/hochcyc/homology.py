@@ -117,10 +117,9 @@ def attained_monomials(A: AInfty, cap: Cap) -> list[Monomial]:
     attain."""
     ctx = A.module.ctx
     gens: set[Monomial] = set()
-    for table in A.ops.values():
-        for el in table.values():
-            for _, s in el.items():
-                gens.update(s.terms)
+    for el in A.ops.values():
+        for _, s in el.items():
+            gens.update(s.terms)
     start: Monomial = (ctx.zero_beta, ctx.zero_exps)
     seen = {start}
     frontier = [start]
@@ -330,7 +329,7 @@ def naive_diff_vector(A: AInfty, mono: Monomial, tup, index: dict,
     npar = [mod.degree(g) + 1 for g in tup]  # shifted parities, tup-indexed
     nx = npar[0] % 2
     k = len(l)
-    arities = set(A.ops)
+    arities = A.arities
     for a in range(k + 1):          # l1 = l[:a]
         for b in range(a, k + 1):   # l2 = l[a:b], l3 = l[b:]
             l1, l2, l3 = l[:a], l[a:b], l[b:]

@@ -30,7 +30,7 @@ from .graded import (
     shuffle_sign,
     word_from_factors,
 )
-from .ainfty import AInfty, QFamily, ainfty_to_qfamily, clean_pair_table
+from .ainfty import AInfty, QFamily, ainfty_to_qfamily
 from .complexes import (
     EXTENDED_VARIANTS,
     UNIT_KILLING_VARIANTS,
@@ -72,9 +72,10 @@ def _map_on_generators(images: dict, el, module: GradedModule,
 class OCFamily:
     """Sparse open-closed family valued in a target chain complex.
 
-    ``ops[(k, l)]`` maps pairs (boundary tuple, interior tuple) to target
-    Elements.  ``n`` is the ambient-dimension parameter entering all signs.
-    A front scalar coefficient of degree |c| passes the operator with the
+    ``ops`` maps pairs (boundary tuple, interior tuple) of basis tuples to
+    nonzero target Elements; p_{k,l} is read from the keys whose tuples have
+    lengths k and l.  ``n`` is the ambient-dimension parameter entering all
+    signs.  A front scalar coefficient of degree |c| passes the operator with the
     sign (-1)^{|c| (n+1+|interior|)}, so that together with the tensor-slot
     Koszul moves the boundary-linearity sign comes out as
     (-1)^{|a| (n+1 + ||alpha_(<i)|| + |gamma|)}."""
@@ -86,13 +87,12 @@ class OCFamily:
         self.n = n
         self.name = name
         self.form_degree = form_degree
-        self.ops: dict[tuple[int, int], dict[tuple, Element]] = \
-            clean_pair_table(ops)
+        self.ops: dict[tuple, Element] = {
+            (tuple(b), tuple(i)): el for (b, i), el in ops.items() if el}
 
     def p(self, btup, itup=()) -> Element:
-        btup, itup = tuple(btup), tuple(itup)
-        el = self.ops.get((len(btup), len(itup)), {}).get((btup, itup))
-        return el if el is not None else Element.zero(self.target.module)
+        return (self.ops.get((tuple(btup), tuple(itup)))
+                or Element.zero(self.target.module))
 
     # -- evaluation ----------------------------------------------------------
 
@@ -127,38 +127,30 @@ class OCFamily:
             rot, _, s1 = rotate(btup, degs, j)
             yield rot, s1
 
-    def _orbit_keys(self, table) -> set:
-        """The keys of a table closed under rotation of the boundary tuple."""
-        return {(rot, itup) for btup, itup in table
+    def _orbit_keys(self) -> set:
+        """The table's keys closed under rotation of the boundary tuple."""
+        return {(rot, itup) for btup, itup in self.ops
                 for rot, _ in self._rotation_orbit(btup)}
 
     def is_cyclic(self) -> bool:
-        for table in self.ops.values():
-            for btup, itup in self._orbit_keys(table):
-                base = self.p(btup, itup)
-                for rot, s1 in self._rotation_orbit(btup):
-                    other = self.p(rot, itup)
-                    want = -other if s1 else other
-                    if base != want:
-                        return False
+        for btup, itup in self._orbit_keys():
+            base = self.p(btup, itup)
+            for rot, s1 in self._rotation_orbit(btup):
+                other = self.p(rot, itup)
+                if base != (-other if s1 else other):
+                    return False
         return True
 
     def symmetrized(self) -> "OCFamily":
         """Group-average over rotations with the cyclic signs; exact over the
         rationals, and the result satisfies the cyclic-symmetry contract."""
-        new_ops: dict = {}
-        for (k, l), table in self.ops.items():
-            out_table: dict = {}
-            for btup, itup in self._orbit_keys(table):
-                acc = Element.zero(self.target.module)
-                for rot, s1 in self._rotation_orbit(btup):
-                    val = self.p(rot, itup)
-                    acc = acc + (-val if s1 else val)
-                acc = acc.scale(Fraction(1, max(k, 1)))
-                if not acc.is_zero():
-                    out_table[(btup, itup)] = acc
-            if out_table:
-                new_ops[(k, l)] = out_table
+        new_ops = {}
+        for btup, itup in self._orbit_keys():
+            acc = Element.zero(self.target.module)
+            for rot, s1 in self._rotation_orbit(btup):
+                val = self.p(rot, itup)
+                acc = acc + (-val if s1 else val)
+            new_ops[(btup, itup)] = acc.scale(Fraction(1, max(len(btup), 1)))
         return OCFamily(self.module, self.target, self.n, new_ops,
                         form_degree=self.form_degree,
                         name=self.name + "+sym")
@@ -182,16 +174,11 @@ def random_cyclic_p(A: AInfty, target: ChainComplex, n: int,
     ops: dict = {}
     tmod = target.module
     for k in range(1, max_weight + 1):
-        table = {}
         for _ in range(terms_per_weight):
             btup = tuple(rng.choice(A.module.basis) for _ in range(k))
             el = Element.generator(tmod, rng.choice(tmod.basis),
                                    Fraction(rng.randint(-3, 3)))
-            if not el.is_zero():
-                prev = table.get((btup, ()), Element.zero(tmod))
-                table[(btup, ())] = prev + el
-        if table:
-            ops[(k, 0)] = table
+            ops[(btup, ())] = ops.get((btup, ()), Element.zero(tmod)) + el
     raw = OCFamily(A.module, target, n, ops, name="random")
     return raw.symmetrized() if symmetrize else raw
 
@@ -206,7 +193,7 @@ def theorem_rhs_rotations(p: OCFamily, A: AInfty, w: Word,
     """Sum over rotations sigma and 2-splittings of
     (-1)^{s_sigma^[1](alpha)} p(mu(alpha^sigma_(1)) (x) alpha^sigma_(2))."""
     mod = A.module
-    arities = set(A.ops)
+    arities = A.arities
     out = Element.zero(p.target.module)
     for tup, c in w.items():
         k = len(tup)
@@ -291,17 +278,6 @@ class SphereTermProvider:
 # ---------------------------------------------------------------------------
 
 
-def _q_eval(Q: QFamily, btup, interior, cap: Cap | None) -> Element:
-    if not interior:
-        return Q.q(btup, ())
-    out = Element.zero(Q.module)
-    for itup, c in interior_word(interior[0].module, interior, cap).items():
-        el = Q.q(btup, itup)
-        if not el.is_zero():
-            out = out + el.scalar_left(c, cap)
-    return out
-
-
 def structure_terms(k: int, l: int):
     """The composite terms of the structure equation for p_{k,l}: triples
     (rotation j, boundary arity k2 of q, interior index set J of q), in the
@@ -362,7 +338,7 @@ def structure_rhs(Q: QFamily, p: OCFamily, sphere: SphereTermProvider | None,
         gJpar = sum(gpars[i] for i in J) % 2
         sh = shuffle_sign(gpars, I, list(J))
         sgn = (s1 + gtotal + sh + (n + 1) * (gJpar + 1)) % 2
-        q_el = _q_eval(Q, rot[:k2], gJ, cap)
+        q_el = Q.eval(rot[:k2], gJ, cap)
         if q_el.is_zero():
             continue
         word = word_from_factors(
@@ -586,10 +562,8 @@ def toy_zero_energy(geom: ToyGeometry, A: AInfty):
     for g in A.module.basis:
         sgn = ((n + 1) * (A.module.degree(g) + 1)) % 2
         img = geom.push.get(g, Element.zero(geom.X.module))
-        val = -img if sgn else img
-        if not val.is_zero():
-            table[((g,), ())] = val
-    p = OCFamily(A.module, geom.X, n, {(1, 0): table}, name="zero_energy")
+        table[((g,), ())] = -img if sgn else img
+    p = OCFamily(A.module, geom.X, n, table, name="zero_energy")
     Q = ainfty_to_qfamily(A)
     zeta = (geom.push_el(Element.generator(A.module, A.unit))
             if A.unit is not None else Element.zero(geom.X.module))
@@ -643,7 +617,7 @@ def theorem5_toy(n: int):
     })
     q1 = {"H": gen("H2"), "Z": gen("Z2"), "N": gen("N2"), "M": gen("M2")}
     sphere = SphereTermProvider(target, q1, zeta=gen("Z"), eta=gen("H"))
-    p = OCFamily(A.module, target, n, {(0, 0): {((), ()): gen("H2", -1)}},
+    p = OCFamily(A.module, target, n, {((), ()): gen("H2", -1)},
                  name="theorem5_toy")
     return A, p, sphere
 
@@ -711,17 +685,11 @@ def _linearity_fixture():
     tmod = GradedModule("lin_target", ("u", "v", "w"), (0, 1, 2), ctx)
     target = ChainComplex(tmod, {})
     ops = {
-        (2, 0): {
-            (("x", "y"), ()): Element.generator(tmod, "u"),
-            (("y", "x"), ()): Element.generator(tmod, "v"),
-        },
-        (1, 1): {
-            (("x",), ("v",)): Element.generator(tmod, "w"),
-        },
-        (1, 2): {
-            (("x",), ("v", "w")): Element.generator(tmod, "u"),
-            (("x",), ("w", "v")): Element.generator(tmod, "v", 2),
-        },
+        (("x", "y"), ()): Element.generator(tmod, "u"),
+        (("y", "x"), ()): Element.generator(tmod, "v"),
+        (("x",), ("v",)): Element.generator(tmod, "w"),
+        (("x",), ("v", "w")): Element.generator(tmod, "u"),
+        (("x",), ("w", "v")): Element.generator(tmod, "v", 2),
     }
     return ctx, mod, target, ops
 
@@ -790,29 +758,25 @@ def axiom_suite(p: OCFamily, A: AInfty, geom: ToyGeometry | None = None,
 
     # symmetry of interior inputs (on all stored keys with l >= 2)
     fails = []
-    for (k, l), table in p.ops.items():
-        if l < 2:
+    for (btup, itup), el in p.ops.items():
+        if len(itup) < 2:
             continue
-        for (btup, itup), el in table.items():
-            degs = [tmod.degree(g) for g in itup]
-            for perm in itertools.permutations(range(l)):
-                ptup = tuple(itup[i] for i in perm)
-                other = p.p(btup, ptup)
-                want = -other if s_perm(degs, perm) else other
-                if el != want:
-                    fails.append({"key": (btup, itup), "perm": perm})
+        degs = [tmod.degree(g) for g in itup]
+        for perm in itertools.permutations(range(len(itup))):
+            other = p.p(btup, tuple(itup[i] for i in perm))
+            if el != (-other if s_perm(degs, perm) else other):
+                fails.append({"key": (btup, itup), "perm": perm})
     record("interior_symmetry", not fails, fails)
 
     # degree law on degree-2 interior inputs
     fails = []
-    for (k, l), table in p.ops.items():
-        for (btup, itup), el in table.items():
-            if any(tmod.degree(g) != 2 for g in itup):
-                continue
-            want = sum(A.module.degree(g) for g in btup) + n + 1 - k
-            for g, s in el.items():
-                if tmod.degree(g) + s.degree() != want:
-                    fails.append({"key": (btup, itup), "generator": g})
+    for (btup, itup), el in p.ops.items():
+        if any(tmod.degree(g) != 2 for g in itup):
+            continue
+        want = sum(A.module.degree(g) for g in btup) + n + 1 - len(btup)
+        for g, s in el.items():
+            if tmod.degree(g) + s.degree() != want:
+                fails.append({"key": (btup, itup), "generator": g})
     record("degree", not fails, fails)
 
     # unit law: vanishing on unit-containing tuples except weight one
@@ -836,52 +800,43 @@ def axiom_suite(p: OCFamily, A: AInfty, geom: ToyGeometry | None = None,
 
     # energy zero: valuation-0 part is the classical push-forward at (1,0)
     fails = []
-    for (k, l), table in p.ops.items():
-        for (btup, itup), el in table.items():
-            zero_part = _element_zero_energy(el)
-            if (k, l) == (1, 0):
-                if geom is not None:
-                    g = btup[0]
-                    sgn = ((n + 1) * (A.module.degree(g) + 1)) % 2
-                    want = geom.push_el(Element.generator(A.module, g))
-                    want = -want if sgn else want
-                    if zero_part != want:
-                        fails.append({"key": (btup, itup)})
-            elif not zero_part.is_zero():
-                fails.append({"key": (btup, itup)})
+    for (btup, itup), el in p.ops.items():
+        zero_part = _element_zero_energy(el)
+        if len(btup) == 1 and not itup:
+            if geom is not None:
+                g = btup[0]
+                sgn = ((n + 1) * (A.module.degree(g) + 1)) % 2
+                want = geom.push_el(Element.generator(A.module, g))
+                if zero_part != (-want if sgn else want):
+                    fails.append({"key": (btup, itup)})
+        elif not zero_part.is_zero():
+            fails.append({"key": (btup, itup)})
     record("energy_zero", not fails, fails)
 
     # fundamental class: no dependence on the distinguished variable t_0
     fails = []
     if A.module.ctx.tvars.count > 0:
-        for (k, l), table in p.ops.items():
-            for key, el in table.items():
-                for g, s in el.items():
-                    if not s.partial_t(0).is_zero():
-                        fails.append({"key": key, "generator": g})
+        for key, el in p.ops.items():
+            for g, s in el.items():
+                if not s.partial_t(0).is_zero():
+                    fails.append({"key": key, "generator": g})
     record("fundamental_class", not fails, fails)
 
     # interior unit: vanishing whenever the distinguished 1_X fills a slot
-    fails = []
-    if one_X is not None:
-        for (k, l), table in p.ops.items():
-            for (btup, itup), el in table.items():
-                if one_X in itup and not el.is_zero():
-                    fails.append({"key": (btup, itup)})
+    fails = [{"key": key} for key in p.ops
+             if one_X is not None and one_X in key[1]]
     record("interior_unit", not fails, fails)
 
     # top degree: outputs below twice the dimension except the exceptional
     # (1,0) zero-energy part, judged in the declared form grading
     fails = []
     if p.form_degree is not None:
-        for (k, l), table in p.ops.items():
-            for (btup, itup), el in table.items():
-                for g, s in el.items():
-                    exceptional = (k, l) == (1, 0) and s.valuation() == 0
-                    if exceptional:
-                        continue
-                    if p.form_degree[g] >= 2 * n:
-                        fails.append({"key": (btup, itup), "generator": g})
+        for (btup, itup), el in p.ops.items():
+            for g, s in el.items():
+                if len(btup) == 1 and not itup and s.valuation() == 0:
+                    continue  # the exceptional zero-energy part of p_{1,0}
+                if p.form_degree[g] >= 2 * n:
+                    fails.append({"key": (btup, itup), "generator": g})
     record("top_degree", not fails, fails)
 
     # linearity signs, exercised with an odd scalar on a fixture family

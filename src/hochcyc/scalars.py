@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 #: Valuation of the zero scalar.  The paper's infimum runs over a nonempty
@@ -74,10 +74,18 @@ class FormalVarSpec:
 
 @dataclass(frozen=True)
 class Context:
-    """Shared coefficient-ring data: the group Pi and the formal variables."""
+    """Shared coefficient-ring data: the group Pi and the formal variables,
+    with per-instance memo caches of monomial valuation, parity and product
+    that take no part in equality or hashing."""
 
     pi: PiGroup
     tvars: FormalVarSpec
+    _vcache: dict = field(default_factory=dict, init=False, compare=False,
+                          repr=False)
+    _pcache: dict = field(default_factory=dict, init=False, compare=False,
+                          repr=False)
+    _mcache: dict = field(default_factory=dict, init=False, compare=False,
+                          repr=False)
 
     @property
     def zero_beta(self) -> tuple[int, ...]:
@@ -89,44 +97,26 @@ class Context:
 
     def mono_valuation(self, mono) -> Fraction:
         """Valuation of a monomial, memoized per context instance."""
-        try:
-            cache = self._vcache
-        except AttributeError:
-            cache = {}
-            object.__setattr__(self, "_vcache", cache)
-        v = cache.get(mono)
+        v = self._vcache.get(mono)
         if v is None:
-            v = self.pi.area(mono[0]) + sum(mono[1])
-            cache[mono] = v
+            v = self._vcache[mono] = self.pi.area(mono[0]) + sum(mono[1])
         return v
 
     def mono_parity(self, mono) -> int:
         """Degree mod 2 of a monomial, memoized per context instance."""
-        try:
-            cache = self._pcache
-        except AttributeError:
-            cache = {}
-            object.__setattr__(self, "_pcache", cache)
-        p = cache.get(mono)
+        p = self._pcache.get(mono)
         if p is None:
-            p = mono_degree(self, mono) % 2
-            cache[mono] = p
+            p = self._pcache[mono] = mono_degree(self, mono) % 2
         return p
 
     def mono_mul(self, m1, m2):
         """Monomial product with Koszul sign, memoized per context instance;
         None when an odd-degree variable squares."""
-        try:
-            cache = self._mcache
-        except AttributeError:
-            cache = {}
-            object.__setattr__(self, "_mcache", cache)
         key = (m1, m2)
         try:
-            return cache[key]
+            return self._mcache[key]
         except KeyError:
-            out = _mono_mul_impl(self, m1, m2)
-            cache[key] = out
+            out = self._mcache[key] = _mono_mul_impl(self, m1, m2)
             return out
 
 
@@ -274,9 +264,6 @@ class Scalar:
             and self.ctx == other.ctx
             and self.terms == other.terms
         )
-
-    def __hash__(self):
-        return hash((self.ctx, frozenset(self.terms.items())))
 
     def __add__(self, other: "Scalar") -> "Scalar":
         if self.ctx != other.ctx:

@@ -15,11 +15,12 @@ from hochcyc.scalars import (
     mono_degree,
     scalar_mul,
 )
-from hochcyc.graded import Element, GradedModule, Word
+from hochcyc.graded import Element, GradedModule, Word, word_from_factors
 from hochcyc.ainfty import (
     AInfty,
     BUILTIN_NAMES,
     DeformedQ,
+    QFamily,
     _insertion_patterns,
     ainfty_residual,
     ainfty_to_qfamily,
@@ -64,7 +65,7 @@ def test_curved_matrix_curvature():
 
 def test_degree_law_enforced():
     mod = GradedModule("m", ("e", "x"), (0, 1), TRIVIAL_CONTEXT)
-    bad = {2: {("x", "x"): Element.generator(mod, "e")}}
+    bad = {("x", "x"): Element.generator(mod, "e")}
     with pytest.raises(ValueError, match="homogeneous"):
         AInfty(mod, bad)
 
@@ -72,7 +73,7 @@ def test_degree_law_enforced():
 def test_curvature_needs_positive_valuation():
     mod = GradedModule("m", ("e", "x"), (0, 2), TRIVIAL_CONTEXT)
     with pytest.raises(ValueError, match="positive valuation"):
-        AInfty(mod, {0: {(): Element.generator(mod, "x")}})
+        AInfty(mod, {(): Element.generator(mod, "x")})
 
 
 def test_hat_extension_is_coderivation_shape():
@@ -98,7 +99,7 @@ def test_hat_extension_respects_front_coefficient_sign():
     e = Element.generator(mod, "e")
     eps = Element.generator(mod, "eps")
     prod = {("e", "e"): e, ("e", "eps"): eps, ("eps", "e"): -eps}
-    A2 = AInfty(mod, {2: prod}, unit="e")
+    A2 = AInfty(mod, prod, unit="e")
     t = Scalar.monomial(ctx, 1, (), (1,))
     w = Word(mod, {("eps", "e"): t})
     plain = hat_extension(A2, Word.basis_word(mod, ("eps", "e")))
@@ -128,17 +129,17 @@ def _odd_variable_algebra(nvars):
         return Element(mod, coeffs)
 
     ops = {
-        0: {(): el(y=sc((Fraction(1, 2), 1, 0), (Fraction(-2, 3), 2, 0)),
-                   x=sc((Fraction(1, 3), 0, 1)))},
-        1: {("e",): el(x=sc((Fraction(1, 3), 1, 0)),
-                       e=sc((Fraction(2, 3), 0, 1), (Fraction(-1, 2), 1, 1))),
-            ("x",): el(y=sc((Fraction(1, 3), 0, 0), (1, 1, 0)),
-                       x=sc((Fraction(3, 2), 1, 1)))},
-        2: {("e", "e"): el(e=sc((1, 0, 0))),
-            ("e", "x"): el(x=sc((1, 0, 0))),
-            ("x", "e"): el(x=sc((-1, 0, 0))),
-            ("x", "x"): el(y=sc((Fraction(1, 2), 0, 0), (Fraction(-3, 2), 2, 0)),
-                           x=sc((Fraction(5, 3), 0, 1)))},
+        (): el(y=sc((Fraction(1, 2), 1, 0), (Fraction(-2, 3), 2, 0)),
+               x=sc((Fraction(1, 3), 0, 1))),
+        ("e",): el(x=sc((Fraction(1, 3), 1, 0)),
+                   e=sc((Fraction(2, 3), 0, 1), (Fraction(-1, 2), 1, 1))),
+        ("x",): el(y=sc((Fraction(1, 3), 0, 0), (1, 1, 0)),
+                   x=sc((Fraction(3, 2), 1, 1))),
+        ("e", "e"): el(e=sc((1, 0, 0))),
+        ("e", "x"): el(x=sc((1, 0, 0))),
+        ("x", "e"): el(x=sc((-1, 0, 0))),
+        ("x", "x"): el(y=sc((Fraction(1, 2), 0, 0), (Fraction(-3, 2), 2, 0)),
+                       x=sc((Fraction(5, 3), 0, 1))),
     }
     A = AInfty(mod, ops)
     last = nvars - 1
@@ -231,13 +232,52 @@ def test_deformed_q_inserts_b_in_every_gap():
     assert D.apply(("K",)) == expect.truncate(cap)
 
 
+def test_q_eval_expands_interior_inputs_with_koszul_signs():
+    """q on interior Elements is q on the basis tuples of their unshifted
+    tensor expansion, coefficients multiplied from the left.  An odd scalar
+    passing an odd interior generator changes sign.  DeformedQ with b and
+    gamma zero evaluates the same way."""
+    ctx = Context(PiGroup(0, (), ()), FormalVarSpec((1,)))
+    mod = GradedModule("qb", ("x", "y"), (1, 2), ctx)
+    imod = GradedModule("qi", ("u", "v"), (1, 2), ctx)
+    t = Scalar.monomial(ctx, 1, (), (1,))
+
+    def gen(g, c=1):
+        return Element.generator(mod, g, c)
+
+    Q = QFamily(mod, {
+        (("x",), ()): gen("y"),
+        (("x",), ("u",)): gen("x", 3),
+        (("x",), ("v",)): Element(mod, {"y": t}),
+        (("x",), ("u", "v")): gen("x", Fraction(1, 2)),
+        (("x",), ("v", "u")): gen("y", -1),
+    })
+    u = Element.generator(imod, "u")
+    cap = Cap(energy=2, weight=4, var_total=2)
+    cases = [
+        [],
+        [Element(imod, {"u": Scalar.one(ctx), "v": t})],
+        [u, Element(imod, {"v": t})],
+        [Element(imod, {"v": t}), u],
+    ]
+    for interior in cases:
+        want = Element.zero(mod)
+        for itup, c in word_from_factors(imod, interior,
+                                         shifted=False).items():
+            want = want + Q.q(("x",), itup).scalar_left(c, cap)
+        assert Q.eval(("x",), interior, cap) == want
+        D = DeformedQ(Q, Element.zero(mod), Element.zero(imod), cap)
+        assert D.apply(("x",), interior) == want.truncate(cap)
+    # the odd scalar t passes the odd generator u: -(1/2) t x
+    got = Q.eval(("x",), [u, Element(imod, {"v": t})], cap)
+    assert got == Element(mod, {"x": t.scale(Fraction(-1, 2))})
+
+
 def test_boundary_slice_round_trip():
     A = builtin_algebras("exterior(2)")
     Q = ainfty_to_qfamily(A)
     B = Q.boundary_slice(unit="e")
-    assert B.ops.keys() == A.ops.keys()
-    for k in A.ops:
-        assert B.ops[k] == A.ops[k]
+    assert B.ops == A.ops
 
 
 def test_unknown_builtin():

@@ -6,9 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from hochcyc.scalars import Cap, Scalar
-from hochcyc.graded import Word
-from hochcyc.ainfty import BUILTIN_NAMES, builtin_algebras, hat_extension
+from hochcyc.scalars import TRIVIAL_CONTEXT, Cap, Scalar
+from hochcyc.graded import GradedModule, Word
+from hochcyc.ainfty import (
+    BUILTIN_NAMES,
+    AInfty,
+    builtin_algebras,
+    hat_extension,
+)
 from hochcyc.complexes import (
     CYCLIC_VARIANTS,
     UNIT_KILLING_VARIANTS,
@@ -16,6 +21,7 @@ from hochcyc.complexes import (
     Variant,
     connes_canonical,
     connes_preimage,
+    degenerate_project,
     dsquare_sweep,
     extended_dsquare_raw,
     hoch_diff,
@@ -103,6 +109,41 @@ def test_unit_killing_projection():
     w = Word.basis_word(A.module, ("e", "eps", "eps"))
     assert project(A, w, Variant.NORMALIZED_HOCHSCHILD) == w
     assert project(A, w, Variant.REDUCED_CONNES).is_zero()
+
+
+def _project_both_sides(A, w, variant):
+    """The variant projection with the cyclic canonicalisation applied both
+    before and after the degenerate terms are dropped."""
+    if variant in CYCLIC_VARIANTS:
+        w = connes_canonical(w)
+    w = degenerate_project(A, w, variant)
+    if variant in CYCLIC_VARIANTS:
+        w = connes_canonical(w)
+    return w
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_canonical_tuples_are_fixed_by_the_projection(name):
+    """A tuple is canonical exactly when projecting its basis word gives the
+    word back, and one cyclic pass projects like two."""
+    A = builtin_algebras(name)
+    for variant in Variant:
+        for k in range(1, 5):
+            for tup in itertools.product(A.module.basis, repeat=k):
+                w = Word.basis_word(A.module, tup)
+                twice = _project_both_sides(A, w, variant)
+                assert project(A, w, variant) == twice
+                assert is_canonical_tuple(A, tup, variant) == \
+                    (twice.terms == w.terms), (variant, tup)
+
+
+def test_unit_killing_variants_need_a_unit():
+    mod = GradedModule("m", ("x",), (1,), TRIVIAL_CONTEXT)
+    A = AInfty(mod, {})
+    for variant in UNIT_KILLING_VARIANTS:
+        with pytest.raises(ValueError, match="unital"):
+            is_canonical_tuple(A, ("x",), variant)
+    assert is_canonical_tuple(A, ("x",), Variant.CONNES)
 
 
 def test_weight_zero_only_in_extended_variants():

@@ -126,6 +126,21 @@ def test_rotate_composes_stepwise():
     assert cur == tup
 
 
+def test_rotate_signs_match_the_permutation_sign():
+    """The closed-form rotation signs agree with s_perm on the rotation
+    permutation, for every parity vector up to length 8 and every j."""
+    cases = 0
+    for k in range(9):
+        for degs in itertools.product((0, 1), repeat=k):
+            for j in range(max(k, 1)):
+                perm = rotation_perm(k, j)
+                _, s, s1 = rotate(tuple(range(k)), list(degs), j)
+                assert s == s_perm(list(degs), perm)
+                assert s1 == s_perm([d + 1 for d in degs], perm)
+                cases += 1
+    assert cases == 3587
+
+
 def test_shuffle_sign_partition_validation():
     with pytest.raises(ValueError):
         shuffle_sign([1, 1], [0], [0, 1])

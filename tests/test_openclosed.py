@@ -223,8 +223,7 @@ def test_axiom_suite_flags_broken_cyclicity():
     p, Q, sphere = toy_zero_energy(geom, A)
     # corrupt one structure constant
     tmod = p.target.module
-    table = dict(p.ops.get((2, 0), {}))
-    table[(("a1", "a2"), ())] = Element.generator(tmod, "Xe")
-    broken = OCFamily(p.module, p.target, p.n, {**p.ops, (2, 0): table})
+    broken = OCFamily(p.module, p.target, p.n, {
+        **p.ops, (("a1", "a2"), ()): Element.generator(tmod, "Xe")})
     res = axiom_suite(broken, A, geom=geom, zeta=sphere.zeta)
     assert not res["cyclic_symmetry"]["ok"]
