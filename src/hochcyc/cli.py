@@ -70,8 +70,8 @@ class InstanceParseError(ValueError):
 # instance files
 # ---------------------------------------------------------------------------
 
-_SECTION_HEADS = ("PI", "TVARS", "BASIS", "DEGREES", "UNIT", "MU", "Q", "P",
-                  "GEOMETRY")
+_SECTION_HEADS = ("PI", "TVARS", "BASIS", "DEGREES", "UNIT", "MU")
+_PI_FIELDS = ("rank", "omega", "maslov")
 
 
 def _split_sections(text: str):
@@ -132,7 +132,7 @@ def parse_instance(path: str) -> AInfty:
     tvars = FormalVarSpec(())
     basis = None
     degrees = None
-    unit = None
+    unit = unit_line = None
     mu_sections = []
     pi_fields = {}
     pi_line = None
@@ -141,6 +141,9 @@ def parse_instance(path: str) -> AInfty:
             pi_line = head_line
             for ln, line in lines:
                 parts = line.split()
+                if parts[0] not in _PI_FIELDS:
+                    raise InstanceParseError(
+                        f"unknown PI field {parts[0]!r}", line=ln)
                 pi_fields[parts[0]] = parts[1:]
         elif head == "TVARS":
             degs = []
@@ -154,7 +157,12 @@ def parse_instance(path: str) -> AInfty:
             degrees = tuple(d for ln, line in lines
                             for d in _ints(line.split(), ln))
         elif head == "UNIT":
-            unit = lines[0][1].strip() if lines else None
+            names = [(ln, x) for ln, line in lines for x in line.split()]
+            if len(names) != 1:
+                raise InstanceParseError(
+                    "UNIT needs exactly one generator name",
+                    line=names[1][0] if names else head_line)
+            unit_line, unit = names[0]
         elif head == "MU":
             if len(args) != 1:
                 raise InstanceParseError("MU needs an arity argument",
@@ -176,6 +184,9 @@ def parse_instance(path: str) -> AInfty:
         module = GradedModule(path.rsplit("/", 1)[-1], basis, degrees, ctx)
     except ValueError as exc:
         raise InstanceParseError(str(exc), line=basis_line) from None
+    if unit is not None and unit not in basis:
+        raise InstanceParseError(f"unknown unit generator {unit!r}",
+                                 line=unit_line)
     ops: dict[tuple, Element] = {}
     for k, lines in mu_sections:
         for ln, line in lines:
@@ -457,6 +468,13 @@ def run(args) -> tuple[dict, int]:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:  # a malformed cap or degree window is a usage error
+        if hasattr(args, "energy"):
+            cap = _cap(args)
+            if hasattr(args, "dmin"):
+                Truncation(cap, args.dmin, args.dmax)
+    except (ValueError, ZeroDivisionError) as exc:
+        parser.error(str(exc))
     report, code = run(args)
     doc = json.dumps(report, indent=2, default=str)
     if getattr(args, "output", None):

@@ -12,13 +12,14 @@ from __future__ import annotations
 import enum
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import Cap, accumulate
-from .graded import GradedModule, Word, rotate
+from .graded import GradedModule, Word, rotate, rotations
 from .ainfty import (
     AInfty,
+    ResidualReport,
     add_image,
     bucket_images,
     combine_basis_images,
@@ -71,11 +72,6 @@ class ChainElt:
 # ---------------------------------------------------------------------------
 
 
-def _degs(module: GradedModule, tup):
-    # rotate() derives the shifted sign s1 from unshifted degrees itself
-    return [module.degree(g) for g in tup]
-
-
 def t_word(w: Word) -> Word:
     """The cyclic rotation moving the last tensor factor to the front, with
     the Koszul sign on shifted degrees; identity on weights 0 and 1."""
@@ -87,33 +83,23 @@ def t_word(w: Word) -> Word:
         if k <= 1:
             out[tup] = c
             continue
-        rot, _, s1 = rotate(tup, _degs(mod, tup), k - 1)
+        rot, _, s1 = rotate(tup, [mod.degree(g) for g in tup], k - 1)
         out[rot] = -c if s1 else c
     return Word._raw(mod, out)
 
 
 def _canonical_rotation(module: GradedModule, tup):
-    """Signed-lex-minimal rotation of a basis tuple.
+    """Signed-lex-minimal rotation of a basis tuple, compared by basis index.
 
     Returns ``(rotated_tuple, sign_exponent)`` or ``None`` when the minimal
     tuple is reached by rotations of both signs (the class is then zero)."""
-    k = len(tup)
-    if k <= 1:
-        return tup, 0
-    degs = _degs(module, tup)
-    key = None
-    best = None
-    signs = set()
-    for j in range(k):
-        rot, _, s1 = rotate(tup, degs, j)
-        rkey = tuple(module.index(g) for g in rot)
-        if key is None or rkey < key:
-            key, best, signs = rkey, rot, {s1}
-        elif rkey == key:
-            signs.add(s1)
-    if len(signs) == 2:
+    orbit = rotations(module, tup)
+    idx = [module.index(g) for g in tup]  # orbit[j] is the rotation by j
+    j = min(range(len(orbit)), key=lambda j: idx[j:] + idx[:j])
+    best, sign = orbit[j]
+    if any(rot == best and s1 != sign for rot, s1 in orbit):
         return None
-    return best, signs.pop()
+    return best, sign
 
 
 def connes_canonical(w: Word) -> Word:
@@ -268,21 +254,11 @@ def hoch_diff(A: AInfty, c: ChainElt, cap: Cap | None = None) -> ChainElt:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SweepReport:
-    checked: int = 0
-    failures: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def dsquare_sweep(A: AInfty, variant: Variant, cap: Cap) -> SweepReport:
+def dsquare_sweep(A: AInfty, variant: Variant, cap: Cap) -> ResidualReport:
     """d-squared on every canonical basis chain up to the weight cap;
     outputs are energy-capped but never weight-capped, so the vanishing is
     exact, not an artifact of truncation."""
-    report = SweepReport()
+    report = ResidualReport()
     weights = range(0, cap.weight + 1)
     for w in weights:
         for tup in itertools.product(A.module.basis, repeat=w):
@@ -311,11 +287,11 @@ def random_word(A: AInfty, rng: random.Random, max_weight: int,
 
 
 def t_lemma_check(A: AInfty, cap: Cap, trials: int,
-                  seed: int = 0) -> SweepReport:
+                  seed: int = 0) -> ResidualReport:
     """The intertwining identity d_hoch o (1 - t) = (1 - t) o mu-hat on
     random words of weight >= 1."""
     rng = random.Random(seed)
-    report = SweepReport()
+    report = ResidualReport()
     for _ in range(trials):
         w = random_word(A, rng, cap.weight)
         lhs = hoch_diff_word(A, w - t_word(w), cap)

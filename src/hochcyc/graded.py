@@ -358,6 +358,15 @@ def rotate(tup, degrees, j: int):
             ((head + j) * (tail + k - j)) % 2)
 
 
+def rotations(module: GradedModule, tup) -> list:
+    """The signed rotation orbit of a basis tuple: ``(rotation by j,
+    s_sigma^[1])`` for j = 0, ..., k - 1, and the trivial rotation alone at
+    k = 0.  A periodic tuple appears once per j, possibly with both signs."""
+    degs = [module.degree(g) for g in tup]
+    orbit = (rotate(tup, degs, j) for j in range(max(len(tup), 1)))
+    return [(rot, s1) for rot, _, s1 in orbit]
+
+
 def shuffle_sign(degrees, I, J) -> int:
     """Sign exponent of the shuffle reordering the concatenation I o J into
     ascending order; I, J are disjoint 0-based index collections."""

@@ -25,17 +25,16 @@ from .graded import (
     Element,
     GradedModule,
     Word,
-    rotate,
+    rotations,
     s_perm,
     shuffle_sign,
     word_from_factors,
 )
-from .ainfty import AInfty, QFamily, ainfty_to_qfamily
+from .ainfty import AInfty, QFamily, ResidualReport, ainfty_to_qfamily
 from .complexes import (
     EXTENDED_VARIANTS,
     UNIT_KILLING_VARIANTS,
     ChainElt,
-    SweepReport,
     Variant,
     hoch_diff,
     hoch_diff_word,
@@ -62,6 +61,21 @@ def _map_on_generators(images: dict, el, module: GradedModule,
         if img is not None:
             out = out + img.scalar_left(s, cap)
     return out
+
+
+def _check_chain_map(name: str, images: dict, src: ChainComplex,
+                     dst: ChainComplex, shift: int | None = None) -> None:
+    """Raise ValueError unless the map sending each generator g of ``src`` to
+    ``images[g]`` commutes with the differentials and, when ``shift`` is
+    given, raises degrees by ``shift``."""
+    for g in src.module.basis:
+        img = images.get(g, Element.zero(dst.module))
+        if (shift is not None and img
+                and img.degree() != src.module.degree(g) + shift):
+            raise ValueError(f"{name} does not have degree {shift} at {g!r}")
+        d_g = src.d(Element.generator(src.module, g))
+        if dst.d(img) != _map_on_generators(images, d_g, dst.module):
+            raise ValueError(f"{name} is not a chain map at {g!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -99,19 +113,21 @@ class OCFamily:
     def eval_word(self, w: Word, interior=(), cap: Cap | None = None) -> Element:
         tmod = self.target.module
         out = Element.zero(tmod)
-        iword = interior_word(tmod, interior, cap) if interior else None
-        iterms = (list(iword.items()) if iword is not None
-                  else [((), Scalar.one(tmod.ctx))])
+        # no interior inputs: one term without a coefficient, so the boundary
+        # coefficient is used as it is rather than multiplied by one
+        iterms = (list(interior_word(tmod, interior, cap).items())
+                  if interior else [((), None)])
         for btup, bc in w.items():
             bpar = bc.degree_parity()
             for itup, ic in iterms:
-                el = self.p(btup, itup)
-                if el.is_zero():
+                el = self.ops.get((btup, itup))
+                if el is None:
                     continue
-                gpar = (sum(tmod.degree(g) for g in itup)
-                        + ic.degree_parity()) % 2
+                gpar, coeff = sum(tmod.degree(g) for g in itup), bc
+                if ic is not None:
+                    gpar += ic.degree_parity()
+                    coeff = scalar_mul(bc, ic, cap)
                 sgn = (bpar * (self.n + 1 + gpar)) % 2
-                coeff = scalar_mul(bc, ic, cap)
                 part = el.scalar_left(coeff, cap)
                 out = out + (-part if sgn else part)
         return out.truncate(cap)
@@ -121,36 +137,31 @@ class OCFamily:
 
     # -- cyclic symmetry -----------------------------------------------------
 
-    def _rotation_orbit(self, btup):
-        degs = [self.module.degree(g) for g in btup]
-        for j in range(max(len(btup), 1)):
-            rot, _, s1 = rotate(btup, degs, j)
-            yield rot, s1
-
-    def _orbit_keys(self) -> set:
-        """The table's keys closed under rotation of the boundary tuple."""
-        return {(rot, itup) for btup, itup in self.ops
-                for rot, _ in self._rotation_orbit(btup)}
-
     def is_cyclic(self) -> bool:
-        for btup, itup in self._orbit_keys():
-            base = self.p(btup, itup)
-            for rot, s1 in self._rotation_orbit(btup):
-                other = self.p(rot, itup)
-                if base != (-other if s1 else other):
-                    return False
-        return True
+        """Whether p(rot_j alpha; gamma) = (-1)^{s_sigma^[1]} p(alpha; gamma)
+        for every rotation; exactly when averaging leaves the table as it is."""
+        return self.symmetrized().ops == self.ops
 
     def symmetrized(self) -> "OCFamily":
-        """Group-average over rotations with the cyclic signs; exact over the
-        rationals, and the result satisfies the cyclic-symmetry contract."""
+        """Group average over rotations of the boundary tuple, with the cyclic
+        signs; exact over the rationals, and the result is cyclic.
+
+        Each orbit is walked once: the signed average over the orbit of a
+        stored key is written, with the sign s_sigma^[1] of rotation j, at
+        every rotation j.  On a periodic tuple whose stabiliser acts by -1
+        the average is zero, and the constructor drops it."""
         new_ops = {}
-        for btup, itup in self._orbit_keys():
+        for btup, itup in self.ops:
+            if (btup, itup) in new_ops:
+                continue
+            orbit = rotations(self.module, btup)
             acc = Element.zero(self.target.module)
-            for rot, s1 in self._rotation_orbit(btup):
+            for rot, s1 in orbit:
                 val = self.p(rot, itup)
                 acc = acc + (-val if s1 else val)
-            new_ops[(btup, itup)] = acc.scale(Fraction(1, max(len(btup), 1)))
+            avg = acc.scale(Fraction(1, len(orbit)))
+            for rot, s1 in orbit:
+                new_ops[(rot, itup)] = -avg if s1 else avg
         return OCFamily(self.module, self.target, self.n, new_ops,
                         form_degree=self.form_degree,
                         name=self.name + "+sym")
@@ -200,9 +211,7 @@ def theorem_rhs_rotations(p: OCFamily, A: AInfty, w: Word,
         if k == 0:
             raise ValueError("rewrite identity needs weight >= 1")
         csign = c.degree_parity()
-        degs = [mod.degree(g) for g in tup]
-        for j in range(k):
-            rot, _, s1 = rotate(tup, degs, j)
+        for rot, s1 in rotations(mod, tup):
             for m in range(0, k + 1):
                 if m not in arities:
                     continue
@@ -246,16 +255,7 @@ class SphereTermProvider:
         for g, el in self.q1.items():
             if g not in self.target.module.basis:
                 raise ValueError(f"unknown generator {g!r} in q1")
-        self.check_chain_map()
-
-    def check_chain_map(self):
-        for g in self.target.module.basis:
-            lhs = self.target.d(self.apply1(Element.generator(
-                self.target.module, g)))
-            rhs = self.apply1(self.target.d(Element.generator(
-                self.target.module, g)))
-            if lhs != rhs:
-                raise ValueError(f"q1 is not a chain map at {g!r}")
+        _check_chain_map("q1", self.q1, self.target, self.target)
 
     def apply1(self, el: Element, cap: Cap | None = None) -> Element:
         return _map_on_generators(self.q1, el, self.target.module, cap)
@@ -327,11 +327,10 @@ def structure_rhs(Q: QFamily, p: OCFamily, sphere: SphereTermProvider | None,
     count += 1
 
     # composite terms
-    degs = [mod.degree(g) for g in alpha]
-    rotations = [rotate(alpha, degs, j) for j in range(max(k, 1))]
+    orbit = rotations(mod, alpha)
     for j, k2, J in structure_terms(k, l):
         count += 1
-        rot, _, s1 = rotations[j]
+        rot, s1 = orbit[j]
         I = [i for i in range(l) if i not in J]
         gJ = [gamma[i] for i in J]
         gI = [gamma[i] for i in I]
@@ -400,38 +399,22 @@ def reduce_mod(el: Element, zeta: Element) -> Element:
 # ---------------------------------------------------------------------------
 
 
-class ExtendedOC:
-    """The family extended to weight zero: agrees with p at weight >= 1 and
-    sends the weight-zero generator to p_0(1) + q_{empty,1}(eta), for a
-    primitive eta of -zeta."""
+class ExtendedOC(OCFamily):
+    """The family extended to weight zero: the table of ``base`` with the
+    weight-zero value p_0(1) + q_{empty,1}(eta) at ``((), ())``, for a
+    primitive eta of -zeta.  It agrees with ``base`` at weight >= 1."""
 
     def __init__(self, p: OCFamily, sphere: SphereTermProvider):
         if sphere.eta is None:
             raise ValueError("extension requires a primitive eta")
         if sphere.target.d(sphere.eta) != -sphere.zeta:
             raise ValueError("d(eta) != -zeta")
-        self.p = p
+        self.base = p
         self.sphere = sphere
-        self.n = p.n
-        self.module = p.module
-        self.target = p.target
-        self.value_at_one = (p.p((), ())
-                             + sphere.apply1(sphere.eta))
-
-    def eval_word(self, w: Word, interior=(), cap: Cap | None = None) -> Element:
-        out = Element.zero(self.target.module)
-        rest = {}
-        for tup, c in w.items():
-            if len(tup) == 0:
-                sgn = (c.degree_parity() * (self.n + 1)) % 2
-                part = self.value_at_one.scalar_left(c, cap)
-                out = out + (-part if sgn else part)
-            else:
-                rest[tup] = c
-        if rest:
-            out = out + self.p.eval_word(Word(self.module, rest),
-                                         interior, cap)
-        return out.truncate(cap)
+        self.value_at_one = p.p(()) + sphere.apply1(sphere.eta)
+        super().__init__(p.module, p.target, p.n,
+                         {**p.ops, ((), ()): self.value_at_one},
+                         form_degree=p.form_degree, name=p.name)
 
 
 def extended_P(p: OCFamily, sphere: SphereTermProvider) -> ExtendedOC:
@@ -446,7 +429,7 @@ def extended_P(p: OCFamily, sphere: SphereTermProvider) -> ExtendedOC:
 def chain_map_residual(p, A: AInfty, variant: Variant, cap: Cap,
                        Q: QFamily | None = None,
                        sphere: SphereTermProvider | None = None,
-                       quotient_zeta: Element | None = None) -> SweepReport:
+                       quotient_zeta: Element | None = None) -> ResidualReport:
     """d o P - (-1)^{n+1} P o d_hoch on every canonical basis chain of the
     variant up to the weight cap.
 
@@ -454,12 +437,12 @@ def chain_map_residual(p, A: AInfty, variant: Variant, cap: Cap,
     basis tuples, (2) vanishing of P on quotient-killed chains (so that P
     descends), (3) the chain-map residual itself.  With ``quotient_zeta``
     all target comparisons happen modulo the span of zeta."""
-    report = SweepReport()
+    report = ResidualReport()
     if Q is None:
         Q = ainfty_to_qfamily(A)
     extended = variant in EXTENDED_VARIANTS
     n = p.n
-    base = p.p if isinstance(p, ExtendedOC) else p
+    base = p.base if isinstance(p, ExtendedOC) else p
 
     def reduce(el):
         return reduce_mod(el, quotient_zeta) if quotient_zeta is not None else el
@@ -526,29 +509,12 @@ class ToyGeometry:
     pull: dict | None = None  # generator of X -> Element of L
 
     def __post_init__(self):
-        for g in self.L.module.basis:
-            img = self.push.get(g, Element.zero(self.X.module))
-            if not img.is_zero() and img.degree() != self.L.module.degree(g) + self.n:
-                raise ValueError(f"push does not have degree {self.n} at {g!r}")
-            lhs = self.X.d(img)
-            rhs = self.push_el(self.L.d(Element.generator(self.L.module, g)))
-            if lhs != rhs:
-                raise ValueError(f"push is not a chain map at {g!r}")
+        _check_chain_map("push", self.push, self.L, self.X, self.n)
         if self.pull is not None:
-            for g in self.X.module.basis:
-                img = self.pull.get(g, Element.zero(self.L.module))
-                if not img.is_zero() and img.degree() != self.X.module.degree(g):
-                    raise ValueError(f"pull is not degree-preserving at {g!r}")
-                lhs = self.L.d(img)
-                rhs = self.pull_el(self.X.d(Element.generator(self.X.module, g)))
-                if lhs != rhs:
-                    raise ValueError(f"pull is not a chain map at {g!r}")
+            _check_chain_map("pull", self.pull, self.X, self.L, 0)
 
     def push_el(self, el: Element) -> Element:
         return _map_on_generators(self.push, el, self.X.module)
-
-    def pull_el(self, el: Element) -> Element:
-        return _map_on_generators(self.pull or {}, el, self.L.module)
 
 
 def toy_zero_energy(geom: ToyGeometry, A: AInfty):
@@ -585,10 +551,8 @@ def exterior_geometry(n: int) -> tuple[AInfty, ToyGeometry]:
                         tuple(d + n for d in Lmod.degrees), Lmod.ctx)
     X = ChainComplex(Xmod, {})
     push = {g: Element.generator(Xmod, "X" + g) for g in Lmod.basis}
-    pull = {"X" + g: Element.generator(Lmod, g) if n == 0 else
-            Element.zero(Lmod) for g in Lmod.basis}
-    if n != 0:
-        pull = None
+    pull = ({"X" + g: Element.generator(Lmod, g) for g in Lmod.basis}
+            if n == 0 else None)
     return A, ToyGeometry(L, X, push, n, pull)
 
 
@@ -627,16 +591,13 @@ def theorem5_toy(n: int):
 # ---------------------------------------------------------------------------
 
 
-def _scalar_valuation_zero_part(s: Scalar) -> Scalar:
-    from .scalars import mono_valuation
-
-    return Scalar(s.ctx, {m: c for m, c in s.terms.items()
-                          if mono_valuation(s.ctx, m) == 0})
-
-
 def _element_zero_energy(el: Element) -> Element:
-    return Element(el.module,
-                   {g: _scalar_valuation_zero_part(s) for g, s in el.items()})
+    """The valuation-zero part of every coefficient."""
+    ctx = el.module.ctx
+    return Element(el.module, {
+        g: Scalar(ctx, {m: c for m, c in s.terms.items()
+                        if ctx.mono_valuation(m) == 0})
+        for g, s in el.items()})
 
 
 def build_divisor_family(c=Fraction(1), levels: int = 3, jmax: int = 4,

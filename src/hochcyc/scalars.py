@@ -242,7 +242,9 @@ class Scalar:
 
     @classmethod
     def rational(cls, ctx: Context, c) -> "Scalar":
-        return cls(ctx, {(ctx.zero_beta, ctx.zero_exps): Fraction(c)})
+        # the zero monomial always has the context's shape
+        c = Fraction(c)
+        return cls._raw(ctx, {(ctx.zero_beta, ctx.zero_exps): c} if c else {})
 
     @classmethod
     def monomial(cls, ctx: Context, c, beta=None, exps=None) -> "Scalar":

@@ -196,8 +196,15 @@ def test_parse_error_exit_2(tmp_path, capsys):
     ("TVARS\n1\nBASIS\ne\nDEGREES\n0\nMU 2\ne e -> t0^2 * e\n", 8),
     ("PI\nrank 1\nomega 1\nmaslov 2\nBASIS\ne\nDEGREES\n0\nMU 2\n"
      "e e -> T^[-] * e\n", 10),
+    ("BASIS\ne\nDEGREES\n0\nMU 2\ne e -> e\nQ 1\ne -> e\n", 7),
+    ("BASIS\ne\nDEGREES\n0\nUNIT\ne\nP\n", 7),
+    ("PI\nrank 0\nGEOMETRY\nBASIS\ne\nDEGREES\n0\n", 3),
+    ("BASIS\ne x\nDEGREES\n0 1\nUNIT\nu\n", 6),
+    ("BASIS\ne\nDEGREES\n0\nUNIT\n", 5),
 ], ids=["degree", "degree-count", "duplicate-generator", "tvar", "pi-rank",
-        "mu-arity", "zero-denominator", "odd-square", "t-exponent"])
+        "mu-arity", "zero-denominator", "odd-square", "t-exponent",
+        "q-section", "p-section", "geometry-section", "unknown-unit",
+        "empty-unit"])
 def test_malformed_instance_exit_2_with_line(tmp_path, capsys, text, line):
     path = tmp_path / "bad.txt"
     path.write_text(text)
@@ -206,6 +213,19 @@ def test_malformed_instance_exit_2_with_line(tmp_path, capsys, text, line):
     assert code == 2
     assert json.loads(out.out)["error"].startswith(f"line {line}: ")
     assert "Traceback" not in out.out + out.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-ainfty", "dual_numbers", "--energy", "abc"],
+    ["check-ainfty", "dual_numbers", "--weight", "-1"],
+    ["homology", "dual_numbers", "--dmin", "3", "--dmax", "1"],
+], ids=["energy", "weight", "degree-window"])
+def test_malformed_arguments_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "usage:" in err and "Traceback" not in err
 
 
 def test_output_file(tmp_path, capsys, instance_path):

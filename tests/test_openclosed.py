@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from hochcyc.scalars import Cap, Scalar
-from hochcyc.graded import ChainComplex, Element, GradedModule, Word
+from hochcyc.graded import ChainComplex, Element, GradedModule, Word, rotate
 from hochcyc.ainfty import builtin_algebras
 from hochcyc.complexes import Variant, random_word
 from hochcyc.openclosed import (
@@ -71,7 +71,62 @@ def test_symmetrized_family_is_cyclic():
     target = random_target(A.module.ctx, seed=4)
     raw = random_cyclic_p(A, target, 1, max_weight=3, seed=9,
                           symmetrize=False)
+    assert not raw.is_cyclic()
     assert raw.symmetrized().is_cyclic()
+
+
+def _orbit_average_reference(p):
+    """The rotation average computed key by key: for every key of the
+    rotation-closed table, a full walk of its orbit (k walks per orbit)."""
+    mod = p.module
+    keys = {(rotate(b, [mod.degree(g) for g in b], j)[0], i)
+            for b, i in p.ops for j in range(max(len(b), 1))}
+    out = {}
+    for b, i in keys:
+        degs = [mod.degree(g) for g in b]
+        acc = Element.zero(p.target.module)
+        for j in range(max(len(b), 1)):
+            rot, _, s1 = rotate(b, degs, j)
+            val = p.p(rot, i)
+            acc = acc + (-val if s1 else val)
+        avg = acc.scale(Fraction(1, max(len(b), 1)))
+        if avg:
+            out[(b, i)] = avg
+    return out
+
+
+@pytest.mark.parametrize("name", ["exterior(2)", "dual_numbers"])
+def test_symmetrized_matches_per_key_orbit_average(name):
+    A = builtin_algebras(name)
+    target = random_target(A.module.ctx, seed=3)
+    tmod = target.module
+    g = A.module.basis[1]  # of degree 1
+
+    def gen(t, c=1):
+        return Element.generator(tmod, t, c)
+
+    ops = {
+        ((), ()): gen("u0"),
+        (("e", "e"), ()): gen("u1"),       # stabiliser acts by -1
+        ((g, g), ()): gen("u2", 2),        # stabiliser acts by +1
+        ((g, "e", g, "e"), ()): gen("u0", -3),  # stabiliser acts by -1
+        ((g, "e", "e"), ()): gen("u1"),
+        (("e", "e", g), ()): gen("u2", 5),  # same orbit as the key above
+        ((g, "e"), ("u1",)): gen("u0"),
+    }
+    fams = [OCFamily(A.module, target, n, ops) for n in (0, 1)]
+    fams += [random_cyclic_p(A, target, trial % 2, max_weight=5, seed=trial,
+                             symmetrize=False) for trial in range(6)]
+    for p in fams:
+        sym = p.symmetrized()
+        assert sym.ops == _orbit_average_reference(p)
+        assert sym.is_cyclic()
+        assert sym.symmetrized().ops == sym.ops
+    # classes whose stabiliser acts by -1 average to zero
+    sym = fams[0].symmetrized().ops
+    assert (("e", "e"), ()) not in sym
+    assert ((g, "e", g, "e"), ()) not in sym
+    assert sym[((g, g), ())] == gen("u2", 2)
 
 
 # -- structure equation and chain maps on the zero-energy toy ----------------
@@ -164,6 +219,31 @@ def test_theorem5_eta_independence_is_exact(n):
     witness = is_exact(sphere.target, diff)
     assert witness is not None
     assert sphere.target.d(witness) == diff
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_extension_splits_weight_zero_from_the_rest(n):
+    A, p, sphere = theorem5_toy(n)
+    tmod = sphere.target.module
+    ctx = A.module.ctx
+    base = OCFamily(A.module, p.target, n, {
+        ((), ()): Element.generator(tmod, "N2"),
+        (("F",), ()): Element.generator(tmod, "Z2"),
+        (("K", "G"), ()): Element.generator(tmod, "M", 3),
+    })
+    P = extended_P(base, sphere)
+    assert P.base is base
+    c = Scalar.monomial(ctx, Fraction(-2, 3), (1,))
+    rest = (Word.basis_word(A.module, ("F",), 2)
+            + Word.basis_word(A.module, ("K", "G"), -1)
+            + Word.basis_word(A.module, ("I", "I", "F")))
+    w = Word(A.module, {(): c}) + rest
+    zero_part = P.value_at_one.scalar_left(c)
+    if (n + 1) * c.degree_parity() % 2:
+        zero_part = -zero_part
+    assert not zero_part.is_zero()
+    assert not base.eval_word(rest, cap=CAP).is_zero()
+    assert P.eval_word(w, cap=CAP) == zero_part + base.eval_word(rest, cap=CAP)
 
 
 def test_extension_requires_a_primitive():
