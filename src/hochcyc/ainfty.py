@@ -24,7 +24,13 @@ from .scalars import (
     TRIVIAL_CONTEXT,
     accumulate,
 )
-from .graded import Element, GradedModule, Word, word_from_factors
+from .graded import (
+    Element,
+    GradedModule,
+    Word,
+    interior_word,
+    word_from_factors,
+)
 
 
 class AInfty:
@@ -307,16 +313,14 @@ class QFamily:
 
     def eval(self, btup, interior, cap: Cap | None) -> Element:
         """q on a basis boundary tuple and a list of interior Elements.  The
-        interior inputs expand into basis tuples by ``word_from_factors``
-        with unshifted Koszul signs, and each expansion coefficient
-        multiplies the structure constant from the left."""
+        interior inputs expand into basis tuples by ``interior_word``, and
+        each expansion coefficient multiplies the structure constant from
+        the left."""
         btup = tuple(btup)
         if not interior:
             return self.q(btup, ())
         out = Element.zero(self.module)
-        iword = word_from_factors(interior[0].module, list(interior),
-                                  shifted=False, cap=cap)
-        for itup, c in iword.items():
+        for itup, c in interior_word(interior[0].module, interior, cap).items():
             el = self.ops.get((btup, itup))
             if el is not None:
                 out = out + el.scalar_left(c, cap)

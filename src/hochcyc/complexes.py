@@ -189,6 +189,15 @@ def is_canonical_tuple(A: AInfty, tup, variant: Variant) -> bool:
             or _canonical_rotation(A.module, tup) == (tup, 0))
 
 
+def canonical_tuples(A: AInfty, variant: Variant, max_weight: int):
+    """The variant's canonical basis tuples of weight <= ``max_weight``, by
+    weight and then in ``itertools.product`` order of the basis."""
+    for w in range(max_weight + 1):
+        for tup in itertools.product(A.module.basis, repeat=w):
+            if is_canonical_tuple(A, tup, variant):
+                yield tup
+
+
 # ---------------------------------------------------------------------------
 # the Hochschild differential
 # ---------------------------------------------------------------------------
@@ -259,17 +268,13 @@ def dsquare_sweep(A: AInfty, variant: Variant, cap: Cap) -> ResidualReport:
     outputs are energy-capped but never weight-capped, so the vanishing is
     exact, not an artifact of truncation."""
     report = ResidualReport()
-    weights = range(0, cap.weight + 1)
-    for w in weights:
-        for tup in itertools.product(A.module.basis, repeat=w):
-            if not is_canonical_tuple(A, tup, variant):
-                continue
-            chain = ChainElt(Word.basis_word(A.module, tup), variant)
-            res = hoch_diff(A, hoch_diff(A, chain, cap), cap)
-            report.checked += 1
-            if not res.is_zero():
-                report.failures.append({"tuple": tup,
-                                        "residual": repr(res.word)})
+    for tup in canonical_tuples(A, variant, cap.weight):
+        chain = ChainElt(Word.basis_word(A.module, tup), variant)
+        res = hoch_diff(A, hoch_diff(A, chain, cap), cap)
+        report.checked += 1
+        if not res.is_zero():
+            report.failures.append({"tuple": tup,
+                                    "residual": repr(res.word)})
     return report
 
 

@@ -222,21 +222,6 @@ class Word:
     def scale(self, c):
         return Word(self.module, {t: s.scale(c) for t, s in self.terms.items()})
 
-    def truncate(self, cap: Cap | None, weight: bool = False) -> "Word":
-        """Drop monomials beyond the energy/variable cap; optionally also drop
-        whole terms beyond the weight cap."""
-        if cap is None:
-            return self
-        out = {}
-        for tup, s in self.terms.items():
-            if weight and len(tup) > cap.weight:
-                continue
-            out[tup] = s.truncate(cap)
-        return Word(self.module, out)
-
-    def weights(self):
-        return sorted({len(t) for t in self.terms})
-
     def items(self):
         return self.terms.items()
 
@@ -278,6 +263,13 @@ def word_from_factors(module, factors, coeff: Scalar | None = None,
                     new[tup + (g,)] = -val if s.degree_parity() * par else val
         terms = new
     return Word(module, terms)
+
+
+def interior_word(module: GradedModule, elements, cap: Cap | None = None) -> Word:
+    """Expand a list of interior Elements into basis tuples; scalar
+    coefficients commute out past earlier interior slots with unshifted
+    Koszul signs."""
+    return word_from_factors(module, list(elements), shifted=False, cap=cap)
 
 
 class ChainComplex:

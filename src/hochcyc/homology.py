@@ -2,8 +2,11 @@
 
 Two structurally independent paths compute the same Betti numbers:
 
-* the engine path assembles boundary matrices on the canonical quotient basis
-  (signed-minimal rotations, unit slots removed) via the variant differential;
+* the engine path sorts the canonical quotient basis (signed-minimal
+  rotations, unit slots removed) into degrees in one pass, assembles each
+  boundary matrix via the variant differential, and reads the boundary rank,
+  the incoming rank and the cycle space from one row reduction per boundary
+  matrix;
 * the naive oracle assembles the raw differential on the full tensor basis
   and realizes the quotients by explicit spanning sets, computing ranks of
   induced maps from rank differences.
@@ -26,8 +29,8 @@ from .complexes import (
     UNIT_KILLING_VARIANTS,
     ChainElt,
     Variant,
+    canonical_tuples,
     hoch_diff,
-    is_canonical_tuple,
     t_word,
 )
 
@@ -68,10 +71,10 @@ def matrix_rank(rows) -> int:
     return len(row_reduce(rows)[0])
 
 
-def nullspace(rows, ncols: int):
-    """Reduced-echelon kernel basis of the matrix given by rows (each row a
-    linear functional on the ncols-dimensional domain)."""
-    reduced, pivots = row_reduce(rows)
+def nullspace(reduced, pivots, ncols: int):
+    """Kernel basis of a matrix on an ncols-dimensional domain (each row a
+    linear functional), read from its ``row_reduce`` output: one vector per
+    free column."""
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
@@ -140,34 +143,26 @@ def attained_monomials(A: AInfty, cap: Cap) -> list[Monomial]:
     return sorted(seen)
 
 
-def _tuple_degree(module: GradedModule, tup) -> int:
-    return sum(module.degree(g) - 1 for g in tup)
-
-
 def _all_tuples(module: GradedModule, cap: Cap, extended: bool):
     lo = 0 if extended else 1
     for w in range(lo, cap.weight + 1):
         yield from itertools.product(module.basis, repeat=w)
 
 
-def chain_basis(A: AInfty, variant: Variant, degree: int,
-                trunc: Truncation, canonical: bool = True):
-    """Deterministic basis of the degree-``degree`` truncated chain group:
-    pairs (monomial, generator tuple).  With ``canonical`` only the variant's
-    canonical representatives are kept (engine path); otherwise the full
-    tensor basis is enumerated (oracle path)."""
+def chain_basis(A: AInfty, tuples, cap: Cap) -> dict:
+    """Deterministic bases of the truncated chain groups spanned by the
+    generator tuples ``tuples`` and the monomials attained under ``cap``, in
+    one pass: ``{degree: [(monomial, tuple), ...]}``.  The engine passes the
+    variant's canonical tuples, the oracle the full tensor basis."""
     ctx = A.module.ctx
-    monos = attained_monomials(A, trunc.cap)
-    out = []
-    extended = variant in EXTENDED_VARIANTS
-    for tup in _all_tuples(A.module, trunc.cap, extended):
-        if canonical and not is_canonical_tuple(A, tup, variant):
-            continue
-        base = _tuple_degree(A.module, tup)
-        for m in monos:
-            if base + mono_degree(ctx, m) == degree:
-                out.append((m, tup))
-    out.sort(key=lambda bm: (len(bm[1]), bm[1], bm[0]))
+    monos = [(m, mono_degree(ctx, m)) for m in attained_monomials(A, cap)]
+    out: dict[int, list] = {}
+    for tup in tuples:
+        base = sum(A.module.degree(g) - 1 for g in tup)
+        for m, deg in monos:
+            out.setdefault(base + deg, []).append((m, tup))
+    for basis in out.values():
+        basis.sort(key=lambda bm: (len(bm[1]), bm[1], bm[0]))
     return out
 
 
@@ -197,21 +192,20 @@ def _decompose(A: AInfty, w: Word, index: dict, cap: Cap, flags: set):
 # ---------------------------------------------------------------------------
 
 
-def boundary_matrix(A: AInfty, variant: Variant, degree: int,
-                    trunc: Truncation, flags: set | None = None):
-    """Exact matrix of the variant differential from the canonical degree-d
-    basis to the degree-(d+1) basis; returned as (rows, domain, codomain)
-    with rows[i][j] the coefficient of codomain chain i in d(domain chain j)."""
+def boundary_matrix(A: AInfty, variant: Variant, dom, cod, cap: Cap,
+                    flags: set | None = None):
+    """Exact matrix of the variant differential from the canonical basis
+    ``dom`` of one degree to the basis ``cod`` of the next; returned as
+    (rows, domain, codomain) with rows[i][j] the coefficient of codomain
+    chain i in d(domain chain j)."""
     if flags is None:
         flags = set()
-    dom = chain_basis(A, variant, degree, trunc)
-    cod = chain_basis(A, variant, degree + 1, trunc)
     index = {bm: i for i, bm in enumerate(cod)}
     cols = []
     for mono, tup in dom:
         chain = ChainElt(_word_of(A, mono, tup), variant)
-        img = hoch_diff(A, chain, trunc.cap)
-        cols.append(_decompose(A, img.word, index, trunc.cap, flags))
+        img = hoch_diff(A, chain, cap)
+        cols.append(_decompose(A, img.word, index, cap, flags))
     rows = [[cols[j][i] for j in range(len(dom))] for i in range(len(cod))]
     return rows, dom, cod
 
@@ -223,6 +217,7 @@ class HomologyReport:
     dims: dict = field(default_factory=dict)
     betti: dict = field(default_factory=dict)
     ranks: dict = field(default_factory=dict)
+    # degree -> one [(Fraction, (monomial, tuple)), ...] per kernel vector
     representatives: dict = field(default_factory=dict)
     shapes: dict = field(default_factory=dict)
     flags: set = field(default_factory=set)
@@ -244,13 +239,14 @@ def homology(A: AInfty, variant: Variant, trunc: Truncation) -> HomologyReport:
     signal of an inconsistent cap (e.g. a weight cap cutting curvature
     insertions asymmetrically)."""
     report = HomologyReport(variant, trunc)
+    cap = trunc.cap
+    bases = chain_basis(A, canonical_tuples(A, variant, cap.weight), cap)
     mats = {}
-    bases = {}
     for d in range(trunc.d_min - 1, trunc.d_max + 1):
-        rows, dom, cod = boundary_matrix(A, variant, d, trunc, report.flags)
+        rows, dom, cod = boundary_matrix(A, variant, bases.get(d, []),
+                                         bases.get(d + 1, []), cap,
+                                         report.flags)
         mats[d] = rows
-        bases[d] = dom
-        bases[d + 1] = cod
         report.shapes[d] = (len(cod), len(dom))
     for d in range(trunc.d_min - 1, trunc.d_max):
         prod = mat_mul(mats[d + 1], mats[d])
@@ -258,19 +254,18 @@ def homology(A: AInfty, variant: Variant, trunc: Truncation) -> HomologyReport:
             raise ValueError(
                 f"truncated differential does not square to zero at degree {d}"
             )
+    echelon = {d: row_reduce(rows) for d, rows in mats.items()}
     for d in range(trunc.d_min, trunc.d_max + 1):
-        dim = len(bases[d])
-        rk_out = matrix_rank(mats[d])
-        rk_in = matrix_rank(mats[d - 1])
-        report.dims[d] = dim
-        report.ranks[d] = rk_out
-        report.betti[d] = dim - rk_out - rk_in
+        basis = bases.get(d, [])
+        reduced, pivots = echelon[d]
+        report.dims[d] = len(basis)
+        report.ranks[d] = len(pivots)
+        report.betti[d] = len(basis) - len(pivots) - len(echelon[d - 1][1])
         # each row of mats[d] is a linear functional on the domain, so the
         # kernel of the matrix is exactly the cycle space
-        kernel = nullspace(mats[d], dim) if dim else []
         report.representatives[d] = [
-            [(str(c), bases[d][i]) for i, c in enumerate(vec) if c]
-            for vec in kernel
+            [(c, basis[i]) for i, c in enumerate(vec) if c]
+            for vec in nullspace(reduced, pivots, len(basis))
         ]
     return report
 
@@ -385,9 +380,11 @@ def naive_oracle(A: AInfty, variant: Variant, trunc: Truncation) -> HomologyRepo
     ctx = A.module.ctx
     extended = variant in EXTENDED_VARIANTS
     report = HomologyReport(variant, trunc)
+    full = chain_basis(A, _all_tuples(A.module, trunc.cap, extended),
+                       trunc.cap)
     bases = {}
     for d in range(trunc.d_min - 1, trunc.d_max + 2):
-        bases[d] = chain_basis(A, variant, d, trunc, canonical=False)
+        bases[d] = full.get(d, [])
         if len(bases[d]) > ORACLE_DIMENSION_BOUND:
             raise ValueError("oracle dimension bound exceeded")
     indexes = {d: {bm: i for i, bm in enumerate(b)} for d, b in bases.items()}

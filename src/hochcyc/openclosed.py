@@ -25,6 +25,7 @@ from .graded import (
     Element,
     GradedModule,
     Word,
+    interior_word,
     rotations,
     s_perm,
     shuffle_sign,
@@ -36,18 +37,11 @@ from .complexes import (
     UNIT_KILLING_VARIANTS,
     ChainElt,
     Variant,
+    canonical_tuples,
     hoch_diff,
     hoch_diff_word,
-    is_canonical_tuple,
     is_degenerate,
 )
-
-
-def interior_word(module: GradedModule, elements, cap: Cap | None = None) -> Word:
-    """Expand a list of interior Elements into basis tuples; scalar
-    coefficients commute out past earlier interior slots with unshifted
-    Koszul signs."""
-    return word_from_factors(module, list(elements), shifted=False, cap=cap)
 
 
 def _map_on_generators(images: dict, el, module: GradedModule,
@@ -178,14 +172,14 @@ def random_target(ctx: Context, seed: int = 0) -> ChainComplex:
 
 def random_cyclic_p(A: AInfty, target: ChainComplex, n: int,
                     max_weight: int, seed: int = 0,
-                    terms_per_weight: int = 3,
                     symmetrize: bool = True) -> OCFamily:
-    """Arbitrary structure constants, then rotation-averaged with signs."""
+    """Arbitrary structure constants, three random terms per weight, then
+    rotation-averaged with signs."""
     rng = random.Random(seed)
     ops: dict = {}
     tmod = target.module
     for k in range(1, max_weight + 1):
-        for _ in range(terms_per_weight):
+        for _ in range(3):
             btup = tuple(rng.choice(A.module.basis) for _ in range(k))
             el = Element.generator(tmod, rng.choice(tmod.basis),
                                    Fraction(rng.randint(-3, 3)))
@@ -261,13 +255,11 @@ class SphereTermProvider:
         return _map_on_generators(self.q1, el, self.target.module, cap)
 
     def q_empty(self, interior, cap: Cap | None = None) -> Element:
-        """q_{empty,l} on a list of interior Elements."""
+        """q_{empty,l} on a list of interior Elements; zero for an l that
+        ``higher`` has no table for."""
         if len(interior) == 1:
             return self.apply1(interior[0], cap)
-        table = (self.higher or {}).get(len(interior))
-        if table is None:
-            raise ValueError(
-                f"no sphere operation with {len(interior)} interior inputs")
+        table = (self.higher or {}).get(len(interior), {})
         tmod = self.target.module
         return _map_on_generators(table, interior_word(tmod, interior, cap),
                                   tmod, cap)
@@ -474,20 +466,17 @@ def chain_map_residual(p, A: AInfty, variant: Variant, cap: Cap,
                                             "value": repr(val)})
 
     # stage 3: the chain-map law on canonical chains
-    for w in range(0 if extended else 1, cap.weight + 1):
-        for tup in itertools.product(A.module.basis, repeat=w):
-            if not is_canonical_tuple(A, tup, variant):
-                continue
-            chain = ChainElt(Word.basis_word(A.module, tup), variant)
-            img = hoch_diff(A, chain, cap)
-            lhs = p.target.d(p.eval_word(chain.word, cap=cap)).truncate(cap)
-            rhs = p.eval_word(img.word, cap=cap)
-            res = lhs - rhs if (n + 1) % 2 == 0 else lhs + rhs
-            res = reduce(res)
-            report.checked += 1
-            if not res.is_zero():
-                report.failures.append({"stage": "chain-map", "tuple": tup,
-                                        "residual": repr(res)})
+    for tup in canonical_tuples(A, variant, cap.weight):
+        chain = ChainElt(Word.basis_word(A.module, tup), variant)
+        img = hoch_diff(A, chain, cap)
+        lhs = p.target.d(p.eval_word(chain.word, cap=cap)).truncate(cap)
+        rhs = p.eval_word(img.word, cap=cap)
+        res = lhs - rhs if (n + 1) % 2 == 0 else lhs + rhs
+        res = reduce(res)
+        report.checked += 1
+        if not res.is_zero():
+            report.failures.append({"stage": "chain-map", "tuple": tup,
+                                    "residual": repr(res)})
     return report
 
 

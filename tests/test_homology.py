@@ -5,12 +5,19 @@ from fractions import Fraction
 
 import pytest
 
-from hochcyc.scalars import Cap, mono_degree
+from hochcyc.scalars import Cap, Scalar, mono_degree
 from hochcyc.ainfty import BUILTIN_NAMES, builtin_algebras
+from hochcyc.graded import Word
 from hochcyc.complexes import Variant
-from hochcyc.complexes import hoch_diff_word
+from hochcyc.complexes import (
+    ChainElt,
+    canonical_tuples,
+    hoch_diff,
+    hoch_diff_word,
+)
 from hochcyc.homology import (
     Truncation,
+    _all_tuples,
     _decompose,
     _word_of,
     attained_monomials,
@@ -46,7 +53,7 @@ def test_rank_with_fractions():
 
 def test_nullspace_is_exact_kernel():
     rows = _m([[1, 2, 3], [0, 1, 1]])
-    basis = nullspace(rows, 3)
+    basis = nullspace(*row_reduce(rows), 3)
     assert len(basis) == 1
     v = basis[0]
     for r in rows:
@@ -71,8 +78,9 @@ def test_attained_monomials_respects_cap():
 def test_chain_basis_is_deterministic_and_graded():
     A = builtin_algebras("dual_numbers")
     trunc = Truncation(Cap(energy=0, weight=3, var_total=0), -2, 2)
-    b0 = chain_basis(A, Variant.HOCHSCHILD, 0, trunc)
-    assert b0 == chain_basis(A, Variant.HOCHSCHILD, 0, trunc)
+    tuples = tuple(canonical_tuples(A, Variant.HOCHSCHILD, trunc.cap.weight))
+    b0 = chain_basis(A, tuples, trunc.cap)[0]
+    assert b0 == chain_basis(A, tuples, trunc.cap)[0]
     for mono, tup in b0:
         assert sum(A.module.degree(g) - 1 for g in tup) == 0
     # degree 0 at weight <= 3: (eps,), (eps,eps,e) permutations... weight 1
@@ -84,9 +92,13 @@ def test_boundary_matrix_squares_to_zero():
     A = builtin_algebras("exterior(2)")
     trunc = Truncation(Cap(energy=0, weight=3, var_total=0), -2, 2)
     for v in (Variant.HOCHSCHILD, Variant.CONNES):
+        bases = chain_basis(A, canonical_tuples(A, v, trunc.cap.weight),
+                            trunc.cap)
         for d in (-1, 0):
-            m1, dom, mid = boundary_matrix(A, v, d, trunc)
-            m2, mid2, cod = boundary_matrix(A, v, d + 1, trunc)
+            m1, dom, mid = boundary_matrix(A, v, bases[d], bases[d + 1],
+                                           trunc.cap)
+            m2, mid2, cod = boundary_matrix(A, v, bases[d + 1], bases[d + 2],
+                                            trunc.cap)
             assert mid == mid2
             prod = mat_mul(m2, m1)
             assert all(all(x == 0 for x in row) for row in prod)
@@ -105,6 +117,15 @@ def test_engine_matches_oracle(name, energy, variant):
     assert h.dims == o.dims
     assert h.betti == o.betti
     assert h.ranks == o.ranks
+    # one exact representative per cycle-space dimension, each a cycle
+    for d, reps in h.representatives.items():
+        assert len(reps) == h.dims[d] - h.ranks[d]
+        for rep in reps:
+            assert all(type(c) is Fraction for c, _ in rep)
+            w = Word.zero(A.module)
+            for c, (mono, tup) in rep:
+                w = w + Word(A.module, {tup: Scalar(A.module.ctx, {mono: c})})
+            assert hoch_diff(A, ChainElt(w, variant), trunc.cap).is_zero()
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -122,12 +143,12 @@ def test_engine_differential_matches_oracle_per_chain(name, variant):
     shifts = [A.module.degree(g) - 1 for g in A.module.basis]
     lo = weight * min(0, *shifts) + min(mdegs)
     hi = weight * max(0, *shifts) + max(mdegs)
-    trunc = Truncation(cap, lo, hi)
+    bases = chain_basis(A, _all_tuples(A.module, cap, extended), cap)
     checked = 0
     for d in range(lo, hi + 1):
-        cod = chain_basis(A, variant, d + 1, trunc, canonical=False)
+        cod = bases.get(d + 1, [])
         index = {bm: i for i, bm in enumerate(cod)}
-        for mono, tup in chain_basis(A, variant, d, trunc, canonical=False):
+        for mono, tup in bases.get(d, []):
             word = hoch_diff_word(A, _word_of(A, mono, tup), cap,
                                   extended=extended)
             engine = _decompose(A, word, index, cap, set())

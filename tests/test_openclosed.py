@@ -158,6 +158,17 @@ def test_structure_equation_with_interior_inputs():
         assert count == k * (k + 1) * 2 ** l + 1
 
 
+def test_structure_equation_at_weight_zero_with_interior_input():
+    # k = 0 brings in the sphere operation on two interior inputs, which the
+    # zero-energy toy has no table for: it reads as zero
+    A, geom = exterior_geometry(0)
+    p, Q, sphere = toy_zero_energy(geom, A)
+    gamma = [Element.generator(geom.X.module, "Xa12")]
+    cap = Cap(4, 4, 4)
+    assert structure_residual(Q, p, sphere, (), gamma, cap).is_zero()
+    assert structure_rhs(Q, p, sphere, (), gamma, cap)[1] == 4
+
+
 @pytest.mark.parametrize("n", [0, 1])
 @pytest.mark.parametrize("variant", [Variant.HOCHSCHILD,
                                      Variant.NORMALIZED_HOCHSCHILD,
