@@ -2,8 +2,11 @@
 
 Provides the coderivation (hat) extension of the operations to the tensor
 coalgebra, the structure-relation residual mu-hat o mu-hat, strict-unit
-validation, the boundary/interior operation families q_{k,l} with their
-deformation sums, and a small library of built-in algebras.
+validation, and a small library of built-in algebras.  ``OCFamily`` is the
+one table class and evaluator for every operation family with boundary and
+interior inputs: the q_{k,l} (``ainfty_to_qfamily`` and the deformation sums
+of ``DeformedQ``), the open-closed p_{k,l} and the closed-sector q_{empty,l}
+of ``openclosed``.
 """
 
 from __future__ import annotations
@@ -23,12 +26,15 @@ from .scalars import (
     Scalar,
     TRIVIAL_CONTEXT,
     accumulate,
+    scalar_mul,
 )
 from .graded import (
+    ChainComplex,
     Element,
     GradedModule,
     Word,
     interior_word,
+    rotations,
     word_from_factors,
 )
 
@@ -43,14 +49,12 @@ class AInfty:
     ``2 - k``.
     """
 
-    def __init__(self, module: GradedModule, ops, unit: str | None = None,
-                 name: str = ""):
+    def __init__(self, module: GradedModule, ops, unit: str | None = None):
         self.module = module
         self.ops: dict[tuple, Element] = {tuple(t): el for t, el in ops.items()
                                           if el}
         self.arities = frozenset(map(len, self.ops))
         self.unit = unit
-        self.name = name
         # per-instance caches of the coderivation and Hochschild differential
         # on basis tuples (uncapped; truncation happens on combination)
         self._hat_cache: dict[tuple, list] = {}
@@ -291,49 +295,105 @@ def unit_check(A: AInfty) -> ResidualReport:
 
 
 # ---------------------------------------------------------------------------
-# q-families
+# operation families
 # ---------------------------------------------------------------------------
 
 
-class QFamily:
-    """Operations q_{k,l} with k boundary and l interior inputs, valued in the
-    boundary module.  ``ops`` maps pairs (boundary tuple, interior tuple) of
-    basis tuples to nonzero Elements; k and l are the two tuples' lengths.
+class OCFamily:
+    """Sparse family of operations with k boundary and l interior inputs,
+    valued in a target chain complex: the q_{k,l} (target the boundary
+    module, n = 0), the open-closed p_{k,l}, and the closed-sector
+    q_{empty,l}.
 
-    The slice q_{*,0} is a curved A-infinity structure."""
+    ``ops`` maps pairs (boundary tuple, interior tuple) of basis tuples to
+    nonzero target Elements; k and l are the two tuples' lengths.  ``n`` is
+    the ambient-dimension parameter entering all signs.  A front scalar
+    coefficient of degree |c| passes the operator with the sign
+    (-1)^{|c| (n+1+|interior|)}, so that together with the tensor-slot
+    Koszul moves the boundary-linearity sign comes out as
+    (-1)^{|a| (n+1 + ||alpha_(<i)|| + |gamma|)}."""
 
-    def __init__(self, module: GradedModule, ops):
+    def __init__(self, module: GradedModule, target: ChainComplex, n: int,
+                 ops):
         self.module = module
+        self.target = target
+        self.n = n
         self.ops: dict[tuple, Element] = {
             (tuple(b), tuple(i)): el for (b, i), el in ops.items() if el}
 
-    def q(self, btup, itup) -> Element:
+    def p(self, btup, itup=()) -> Element:
         return (self.ops.get((tuple(btup), tuple(itup)))
-                or Element.zero(self.module))
+                or Element.zero(self.target.module))
 
-    def eval(self, btup, interior, cap: Cap | None) -> Element:
-        """q on a basis boundary tuple and a list of interior Elements.  The
-        interior inputs expand into basis tuples by ``interior_word``, and
-        each expansion coefficient multiplies the structure constant from
-        the left."""
-        btup = tuple(btup)
+    # -- evaluation ----------------------------------------------------------
+
+    def eval_word(self, w: Word, interior=(), cap: Cap | None = None) -> Element:
+        """The family on a boundary word and a list of interior Elements.
+        The interior inputs expand into basis tuples by ``interior_word`` in
+        their own module; each expansion coefficient multiplies the boundary
+        coefficient from the right and the table value from the left."""
+        out = Element.zero(self.target.module)
+        # (interior tuple, its total degree parity, coefficient); with no
+        # interior inputs one term without a coefficient, so the boundary
+        # coefficient is used as it is rather than multiplied by one
+        iterms = [((), 0, None)]
+        if interior:
+            imod = interior[0].module
+            iterms = [(t, sum(map(imod.degree, t)) + c.degree_parity(), c)
+                      for t, c in interior_word(imod, interior, cap).items()]
+        for btup, bc in w.items():
+            bpar = bc.degree_parity()
+            for itup, gpar, ic in iterms:
+                el = self.ops.get((btup, itup))
+                if el is None:
+                    continue
+                coeff = bc if ic is None else scalar_mul(bc, ic, cap)
+                sgn = (bpar * (self.n + 1 + gpar)) % 2
+                part = el.scalar_left(coeff, cap)
+                out = out + (-part if sgn else part)
+        return out.truncate(cap)
+
+    def eval_tuple(self, btup, interior=(), cap: Cap | None = None) -> Element:
+        """The family on a basis boundary tuple; without interior inputs a
+        table lookup."""
         if not interior:
-            return self.q(btup, ())
-        out = Element.zero(self.module)
-        for itup, c in interior_word(interior[0].module, interior, cap).items():
-            el = self.ops.get((btup, itup))
-            if el is not None:
-                out = out + el.scalar_left(c, cap)
-        return out
+            return self.p(btup).truncate(cap)
+        return self.eval_word(Word.basis_word(self.module, btup), interior, cap)
 
-    def boundary_slice(self, unit=None, name="q-slice") -> AInfty:
-        """The l = 0 part as a curved A-infinity algebra."""
-        return AInfty(self.module, {b: el for (b, i), el in self.ops.items()
-                                    if not i}, unit=unit, name=name)
+    # -- cyclic symmetry -----------------------------------------------------
+
+    def is_cyclic(self) -> bool:
+        """Whether p(rot_j alpha; gamma) = (-1)^{s_sigma^[1]} p(alpha; gamma)
+        for every rotation; exactly when averaging leaves the table as it is."""
+        return self.symmetrized().ops == self.ops
+
+    def symmetrized(self) -> "OCFamily":
+        """Group average over rotations of the boundary tuple, with the cyclic
+        signs; exact over the rationals, and the result is cyclic.
+
+        Each orbit is walked once: the signed average over the orbit of a
+        stored key is written, with the sign s_sigma^[1] of rotation j, at
+        every rotation j.  On a periodic tuple whose stabiliser acts by -1
+        the average is zero, and the constructor drops it."""
+        new_ops = {}
+        for btup, itup in self.ops:
+            if (btup, itup) in new_ops:
+                continue
+            orbit = rotations(self.module, btup)
+            acc = Element.zero(self.target.module)
+            for rot, s1 in orbit:
+                val = self.p(rot, itup)
+                acc = acc + (-val if s1 else val)
+            avg = acc.scale(Fraction(1, len(orbit)))
+            for rot, s1 in orbit:
+                new_ops[(rot, itup)] = -avg if s1 else avg
+        return OCFamily(self.module, self.target, self.n, new_ops)
 
 
-def ainfty_to_qfamily(A: AInfty) -> QFamily:
-    return QFamily(A.module, {(tup, ()): el for tup, el in A.ops.items()})
+def ainfty_to_qfamily(A: AInfty) -> OCFamily:
+    """The family q with q_{k,0} = mu_k and no interior operations."""
+    return OCFamily(A.module, ChainComplex(A.module, {}), 0,
+                    {(tup, ()): el for tup, el in A.ops.items()})
 
 
 def _insertion_patterns(k: int, s: int):
@@ -357,7 +417,7 @@ class DeformedQ:
     gamma has even degree so interior padding is sign-free as well.
     """
 
-    def __init__(self, Q: QFamily, b: Element, gamma: Element, cap: Cap):
+    def __init__(self, Q: OCFamily, b: Element, gamma: Element, cap: Cap):
         if not b.is_zero():
             if b.degree() != 1:
                 raise ValueError("deformation element b must have degree 1")
@@ -407,7 +467,7 @@ class DeformedQ:
                     coeff = Fraction(1, math.factorial(extra))
                     interior = list(itups) + [self.gamma] * extra
                     for bt, bc in bword.items():
-                        part = self.Q.eval(bt, interior, cap)
+                        part = self.Q.eval_tuple(bt, interior, cap)
                         out = out + part.scalar_left(bc.scale(coeff), cap)
         return out.truncate(cap)
 
@@ -427,8 +487,7 @@ def _mu2_from_products(module: GradedModule, products) -> dict:
 def _ground_field() -> AInfty:
     mod = GradedModule("ground_field", ("e",), (0,), TRIVIAL_CONTEXT)
     e = Element.generator(mod, "e")
-    return AInfty(mod, _mu2_from_products(mod, {("e", "e"): e}),
-                  unit="e", name="ground_field")
+    return AInfty(mod, _mu2_from_products(mod, {("e", "e"): e}), unit="e")
 
 
 def _dual_numbers() -> AInfty:
@@ -439,8 +498,7 @@ def _dual_numbers() -> AInfty:
         ("e", "e"): e, ("e", "eps"): eps, ("eps", "e"): eps,
         ("eps", "eps"): Element.zero(mod),
     }
-    return AInfty(mod, _mu2_from_products(mod, prod),
-                  unit="e", name="dual_numbers")
+    return AInfty(mod, _mu2_from_products(mod, prod), unit="e")
 
 
 def _exterior(r: int) -> AInfty:
@@ -468,8 +526,7 @@ def _exterior(r: int) -> AInfty:
             inv = sum(1 for a in s1 for b in s2 if a > b)
             prod[(n1, n2)] = Element.generator(mod, names[merged],
                                                -1 if inv % 2 else 1)
-    return AInfty(mod, _mu2_from_products(mod, prod),
-                  unit="e", name=f"exterior_{r}")
+    return AInfty(mod, _mu2_from_products(mod, prod), unit="e")
 
 
 def _curved_matrix() -> AInfty:
@@ -505,7 +562,7 @@ def _curved_matrix() -> AInfty:
         ("G",): el([("I", one)]),
     }
     ops = {(): el([("I", T)]), **mu1, **_mu2_from_products(mod, prod)}
-    return AInfty(mod, ops, unit="I", name="curved_matrix")
+    return AInfty(mod, ops, unit="I")
 
 
 _EXTERIOR_RE = re.compile(r"exterior\((\d+)\)")

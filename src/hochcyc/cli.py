@@ -125,8 +125,11 @@ def _ints(tokens, line: int) -> list[int]:
 def parse_instance(path: str) -> AInfty:
     """Parse an algebra-definition file; raises InstanceParseError with line
     information, or ValueError naming the violated structural invariant."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InstanceParseError(f"cannot read {path}: {exc}") from None
     sections = _split_sections(text)
     pi = PiGroup(0, (), ())
     tvars = FormalVarSpec(())
@@ -167,7 +170,10 @@ def parse_instance(path: str) -> AInfty:
             if len(args) != 1:
                 raise InstanceParseError("MU needs an arity argument",
                                          line=head_line)
-            mu_sections.append((_ints(args, head_line)[0], lines))
+            k = _ints(args, head_line)[0]
+            if k < 0:
+                raise InstanceParseError(f"negative arity {k}", line=head_line)
+            mu_sections.append((k, lines))
     if pi_fields:
         try:
             rank = int(" ".join(pi_fields.get("rank", ["0"])))
@@ -204,7 +210,7 @@ def parse_instance(path: str) -> AInfty:
                                              line=ln)
             el = _parse_element_expr(module, right, ln)
             ops[inputs] = ops.get(inputs, Element.zero(module)) + el
-    return AInfty(module, ops, unit=unit, name=module.name)
+    return AInfty(module, ops, unit=unit)
 
 
 def serialize_instance(A: AInfty) -> str:
@@ -455,7 +461,7 @@ def run(args) -> tuple[dict, int]:
     try:
         COMMANDS[args.command](args, report)
         code = 0 if all(c["ok"] for c in report["checks"]) else 1
-    except (InstanceParseError, FileNotFoundError) as exc:
+    except InstanceParseError as exc:
         report["error"] = str(exc)
         code = 2
     except ValueError as exc:

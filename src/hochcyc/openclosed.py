@@ -1,6 +1,9 @@
 """Open-closed operator families: maps p_{k,l} from k boundary inputs
 (algebra elements) and l interior inputs (target-complex elements) to a
-target cochain complex, together with
+target cochain complex.  The p_{k,l}, the q_{k,l} and the closed-sector
+q_{empty,l} of ``SphereTermProvider`` are all ``OCFamily`` tables (the one
+class, defined in ``ainfty``), evaluated by its ``eval_word`` and
+``eval_tuple``.  This module adds
 
 * the structure-equation right-hand side expander,
 * the combinatorial rewrite identity expressing p o d_hoch through rotations,
@@ -9,7 +12,7 @@ target cochain complex, together with
 * a zero-energy (classical push-forward) instantiation and a curved model
   with a nonzero weight-zero part,
 * the axiom suite (symmetries, degree, unit, energy zero, fundamental class,
-  divisor, linearity, interior-unit, top degree).
+  divisor, linearity).
 """
 
 from __future__ import annotations
@@ -19,19 +22,18 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import Cap, Context, Scalar, scalar_mul
+from .scalars import Cap, Context, Scalar
 from .graded import (
     ChainComplex,
     Element,
     GradedModule,
     Word,
-    interior_word,
     rotations,
     s_perm,
     shuffle_sign,
     word_from_factors,
 )
-from .ainfty import AInfty, QFamily, ResidualReport, ainfty_to_qfamily
+from .ainfty import AInfty, OCFamily, ResidualReport, ainfty_to_qfamily
 from .complexes import (
     EXTENDED_VARIANTS,
     UNIT_KILLING_VARIANTS,
@@ -73,92 +75,8 @@ def _check_chain_map(name: str, images: dict, src: ChainComplex,
 
 
 # ---------------------------------------------------------------------------
-# the p-family
+# random p-families
 # ---------------------------------------------------------------------------
-
-
-class OCFamily:
-    """Sparse open-closed family valued in a target chain complex.
-
-    ``ops`` maps pairs (boundary tuple, interior tuple) of basis tuples to
-    nonzero target Elements; p_{k,l} is read from the keys whose tuples have
-    lengths k and l.  ``n`` is the ambient-dimension parameter entering all
-    signs.  A front scalar coefficient of degree |c| passes the operator with the
-    sign (-1)^{|c| (n+1+|interior|)}, so that together with the tensor-slot
-    Koszul moves the boundary-linearity sign comes out as
-    (-1)^{|a| (n+1 + ||alpha_(<i)|| + |gamma|)}."""
-
-    def __init__(self, module: GradedModule, target: ChainComplex, n: int,
-                 ops, form_degree=None, name: str = ""):
-        self.module = module
-        self.target = target
-        self.n = n
-        self.name = name
-        self.form_degree = form_degree
-        self.ops: dict[tuple, Element] = {
-            (tuple(b), tuple(i)): el for (b, i), el in ops.items() if el}
-
-    def p(self, btup, itup=()) -> Element:
-        return (self.ops.get((tuple(btup), tuple(itup)))
-                or Element.zero(self.target.module))
-
-    # -- evaluation ----------------------------------------------------------
-
-    def eval_word(self, w: Word, interior=(), cap: Cap | None = None) -> Element:
-        tmod = self.target.module
-        out = Element.zero(tmod)
-        # no interior inputs: one term without a coefficient, so the boundary
-        # coefficient is used as it is rather than multiplied by one
-        iterms = (list(interior_word(tmod, interior, cap).items())
-                  if interior else [((), None)])
-        for btup, bc in w.items():
-            bpar = bc.degree_parity()
-            for itup, ic in iterms:
-                el = self.ops.get((btup, itup))
-                if el is None:
-                    continue
-                gpar, coeff = sum(tmod.degree(g) for g in itup), bc
-                if ic is not None:
-                    gpar += ic.degree_parity()
-                    coeff = scalar_mul(bc, ic, cap)
-                sgn = (bpar * (self.n + 1 + gpar)) % 2
-                part = el.scalar_left(coeff, cap)
-                out = out + (-part if sgn else part)
-        return out.truncate(cap)
-
-    def eval_tuple(self, btup, interior=(), cap: Cap | None = None) -> Element:
-        return self.eval_word(Word.basis_word(self.module, btup), interior, cap)
-
-    # -- cyclic symmetry -----------------------------------------------------
-
-    def is_cyclic(self) -> bool:
-        """Whether p(rot_j alpha; gamma) = (-1)^{s_sigma^[1]} p(alpha; gamma)
-        for every rotation; exactly when averaging leaves the table as it is."""
-        return self.symmetrized().ops == self.ops
-
-    def symmetrized(self) -> "OCFamily":
-        """Group average over rotations of the boundary tuple, with the cyclic
-        signs; exact over the rationals, and the result is cyclic.
-
-        Each orbit is walked once: the signed average over the orbit of a
-        stored key is written, with the sign s_sigma^[1] of rotation j, at
-        every rotation j.  On a periodic tuple whose stabiliser acts by -1
-        the average is zero, and the constructor drops it."""
-        new_ops = {}
-        for btup, itup in self.ops:
-            if (btup, itup) in new_ops:
-                continue
-            orbit = rotations(self.module, btup)
-            acc = Element.zero(self.target.module)
-            for rot, s1 in orbit:
-                val = self.p(rot, itup)
-                acc = acc + (-val if s1 else val)
-            avg = acc.scale(Fraction(1, len(orbit)))
-            for rot, s1 in orbit:
-                new_ops[(rot, itup)] = -avg if s1 else avg
-        return OCFamily(self.module, self.target, self.n, new_ops,
-                        form_degree=self.form_degree,
-                        name=self.name + "+sym")
 
 
 def random_target(ctx: Context, seed: int = 0) -> ChainComplex:
@@ -184,7 +102,7 @@ def random_cyclic_p(A: AInfty, target: ChainComplex, n: int,
             el = Element.generator(tmod, rng.choice(tmod.basis),
                                    Fraction(rng.randint(-3, 3)))
             ops[(btup, ())] = ops.get((btup, ()), Element.zero(tmod)) + el
-    raw = OCFamily(A.module, target, n, ops, name="random")
+    raw = OCFamily(A.module, target, n, ops)
     return raw.symmetrized() if symmetrize else raw
 
 
@@ -237,32 +155,26 @@ def theorem1_rewrite_check(p: OCFamily, A: AInfty, w: Word,
 class SphereTermProvider:
     """The closed-sector operations q_{empty,l} on the target complex, the
     distinguished class zeta (the push-forward of the unit), and optionally a
-    primitive eta with d(eta) = -zeta."""
+    primitive eta with d(eta) = -zeta.  q_{empty,1} is given by its values
+    ``q1`` on generators and held as the ``OCFamily`` ``family`` with no
+    boundary inputs; q_{empty,l} is zero for every other l."""
 
     target: ChainComplex
     q1: dict  # generator of target -> Element of target
     zeta: Element
     eta: Element | None = None
-    higher: dict | None = None  # l -> {tuple of target gens: Element}
 
     def __post_init__(self):
-        for g, el in self.q1.items():
+        for g in self.q1:
             if g not in self.target.module.basis:
                 raise ValueError(f"unknown generator {g!r} in q1")
         _check_chain_map("q1", self.q1, self.target, self.target)
-
-    def apply1(self, el: Element, cap: Cap | None = None) -> Element:
-        return _map_on_generators(self.q1, el, self.target.module, cap)
+        self.family = OCFamily(self.target.module, self.target, 0,
+                               {((), (g,)): el for g, el in self.q1.items()})
 
     def q_empty(self, interior, cap: Cap | None = None) -> Element:
-        """q_{empty,l} on a list of interior Elements; zero for an l that
-        ``higher`` has no table for."""
-        if len(interior) == 1:
-            return self.apply1(interior[0], cap)
-        table = (self.higher or {}).get(len(interior), {})
-        tmod = self.target.module
-        return _map_on_generators(table, interior_word(tmod, interior, cap),
-                                  tmod, cap)
+        """q_{empty,l} on a list of interior Elements."""
+        return self.family.eval_tuple((), interior, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +194,7 @@ def structure_terms(k: int, l: int):
                     yield j, k2, J
 
 
-def structure_rhs(Q: QFamily, p: OCFamily, sphere: SphereTermProvider | None,
+def structure_rhs(Q: OCFamily, p: OCFamily, sphere: SphereTermProvider | None,
                   alpha, gamma=(), cap: Cap | None = None):
     """Right-hand side of the structure equation for d p_{k,l}(alpha; gamma):
 
@@ -329,7 +241,7 @@ def structure_rhs(Q: QFamily, p: OCFamily, sphere: SphereTermProvider | None,
         gJpar = sum(gpars[i] for i in J) % 2
         sh = shuffle_sign(gpars, I, list(J))
         sgn = (s1 + gtotal + sh + (n + 1) * (gJpar + 1)) % 2
-        q_el = Q.eval(rot[:k2], gJ, cap)
+        q_el = Q.eval_tuple(rot[:k2], gJ, cap)
         if q_el.is_zero():
             continue
         word = word_from_factors(
@@ -348,7 +260,7 @@ def structure_rhs(Q: QFamily, p: OCFamily, sphere: SphereTermProvider | None,
     return out.truncate(cap), count
 
 
-def structure_residual(Q: QFamily, p: OCFamily,
+def structure_residual(Q: OCFamily, p: OCFamily,
                        sphere: SphereTermProvider | None, alpha, gamma=(),
                        cap: Cap | None = None) -> Element:
     """d p(alpha; gamma) minus the structure-equation right-hand side."""
@@ -402,11 +314,9 @@ class ExtendedOC(OCFamily):
         if sphere.target.d(sphere.eta) != -sphere.zeta:
             raise ValueError("d(eta) != -zeta")
         self.base = p
-        self.sphere = sphere
-        self.value_at_one = p.p(()) + sphere.apply1(sphere.eta)
+        self.value_at_one = p.p(()) + sphere.q_empty([sphere.eta])
         super().__init__(p.module, p.target, p.n,
-                         {**p.ops, ((), ()): self.value_at_one},
-                         form_degree=p.form_degree, name=p.name)
+                         {**p.ops, ((), ()): self.value_at_one})
 
 
 def extended_P(p: OCFamily, sphere: SphereTermProvider) -> ExtendedOC:
@@ -419,7 +329,7 @@ def extended_P(p: OCFamily, sphere: SphereTermProvider) -> ExtendedOC:
 
 
 def chain_map_residual(p, A: AInfty, variant: Variant, cap: Cap,
-                       Q: QFamily | None = None,
+                       Q: OCFamily | None = None,
                        sphere: SphereTermProvider | None = None,
                        quotient_zeta: Element | None = None) -> ResidualReport:
     """d o P - (-1)^{n+1} P o d_hoch on every canonical basis chain of the
@@ -488,19 +398,16 @@ def chain_map_residual(p, A: AInfty, variant: Variant, cap: Cap,
 @dataclass
 class ToyGeometry:
     """Finite stand-in for an inclusion of spaces: source complex L, ambient
-    complex X, a degree-n push-forward chain map, an optional
-    degree-preserving pull-back chain map, and the codimension parameter n."""
+    complex X, a degree-n push-forward chain map, and the codimension
+    parameter n."""
 
     L: ChainComplex
     X: ChainComplex
     push: dict  # generator of L -> Element of X
     n: int
-    pull: dict | None = None  # generator of X -> Element of L
 
     def __post_init__(self):
         _check_chain_map("push", self.push, self.L, self.X, self.n)
-        if self.pull is not None:
-            _check_chain_map("pull", self.pull, self.X, self.L, 0)
 
     def push_el(self, el: Element) -> Element:
         return _map_on_generators(self.push, el, self.X.module)
@@ -518,7 +425,7 @@ def toy_zero_energy(geom: ToyGeometry, A: AInfty):
         sgn = ((n + 1) * (A.module.degree(g) + 1)) % 2
         img = geom.push.get(g, Element.zero(geom.X.module))
         table[((g,), ())] = -img if sgn else img
-    p = OCFamily(A.module, geom.X, n, table, name="zero_energy")
+    p = OCFamily(A.module, geom.X, n, table)
     Q = ainfty_to_qfamily(A)
     zeta = (geom.push_el(Element.generator(A.module, A.unit))
             if A.unit is not None else Element.zero(geom.X.module))
@@ -540,9 +447,7 @@ def exterior_geometry(n: int) -> tuple[AInfty, ToyGeometry]:
                         tuple(d + n for d in Lmod.degrees), Lmod.ctx)
     X = ChainComplex(Xmod, {})
     push = {g: Element.generator(Xmod, "X" + g) for g in Lmod.basis}
-    pull = ({"X" + g: Element.generator(Lmod, g) for g in Lmod.basis}
-            if n == 0 else None)
-    return A, ToyGeometry(L, X, push, n, pull)
+    return A, ToyGeometry(L, X, push, n)
 
 
 def theorem5_toy(n: int):
@@ -570,8 +475,7 @@ def theorem5_toy(n: int):
     })
     q1 = {"H": gen("H2"), "Z": gen("Z2"), "N": gen("N2"), "M": gen("M2")}
     sphere = SphereTermProvider(target, q1, zeta=gen("Z"), eta=gen("H"))
-    p = OCFamily(A.module, target, n, {((), ()): gen("H2", -1)},
-                 name="theorem5_toy")
+    p = OCFamily(A.module, target, n, {((), ()): gen("H2", -1)})
     return A, p, sphere
 
 
@@ -692,7 +596,7 @@ def _check_interior_linearity(n: int) -> tuple[bool, list]:
 
 
 def axiom_suite(p: OCFamily, A: AInfty, geom: ToyGeometry | None = None,
-                zeta: Element | None = None, one_X: str | None = None) -> dict:
+                zeta: Element | None = None) -> dict:
     """Check the declared contracts of an open-closed family, plus the
     synthetic divisor pass/fail pair and the linearity-sign fixtures.
     Returns a mapping check-name -> {ok, failures}."""
@@ -772,23 +676,6 @@ def axiom_suite(p: OCFamily, A: AInfty, geom: ToyGeometry | None = None,
                     fails.append({"key": key, "generator": g})
     record("fundamental_class", not fails, fails)
 
-    # interior unit: vanishing whenever the distinguished 1_X fills a slot
-    fails = [{"key": key} for key in p.ops
-             if one_X is not None and one_X in key[1]]
-    record("interior_unit", not fails, fails)
-
-    # top degree: outputs below twice the dimension except the exceptional
-    # (1,0) zero-energy part, judged in the declared form grading
-    fails = []
-    if p.form_degree is not None:
-        for (btup, itup), el in p.ops.items():
-            for g, s in el.items():
-                if len(btup) == 1 and not itup and s.valuation() == 0:
-                    continue  # the exceptional zero-energy part of p_{1,0}
-                if p.form_degree[g] >= 2 * n:
-                    fails.append({"key": (btup, itup), "generator": g})
-    record("top_degree", not fails, fails)
-
     # linearity signs, exercised with an odd scalar on a fixture family
     ok, fails = _check_boundary_linearity(n)
     record("boundary_linearity", ok, fails)
@@ -811,8 +698,9 @@ def axiom_suite(p: OCFamily, A: AInfty, geom: ToyGeometry | None = None,
 
 def is_exact(complex_: ChainComplex, el: Element):
     """Whether el = d(x) is solvable with rational coefficients on the
-    generators; returns a witness Element or None.  Sufficient for targets
-    whose differential has rational structure constants."""
+    generators; returns a witness Element or None.  Only rational
+    coefficients are handled: ValueError when el or the image under d of a
+    generator one degree lower has any other coefficient."""
     from .homology import row_reduce
 
     mod = complex_.module
@@ -830,14 +718,13 @@ def is_exact(complex_: ChainComplex, el: Element):
         for h, s in element.items():
             terms = list(s.terms.items())
             if len(terms) != 1 or any(terms[0][0][0]) or any(terms[0][0][1]):
-                return None  # non-rational coefficient
+                raise ValueError("is_exact handles rational coefficients "
+                                 f"only; the coefficient of {h!r} is {s!r}")
             vec[tindex[h]] = terms[0][1]
         return vec
 
     bvec = coords(el)
     cols = [coords(img) for img in images]
-    if bvec is None or any(c is None for c in cols):
-        return None
     # rows of the augmented system: one per target generator
     aug = [[cols[j][i] for j in range(len(cols))] + [bvec[i]]
            for i in range(len(targets))]

@@ -1,6 +1,7 @@
 """Curved A-infinity structures: validation, the hat extension, the
 structure-relation residual, units, and the q-family deformation sums."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -15,12 +16,18 @@ from hochcyc.scalars import (
     mono_degree,
     scalar_mul,
 )
-from hochcyc.graded import Element, GradedModule, Word, word_from_factors
+from hochcyc.graded import (
+    ChainComplex,
+    Element,
+    GradedModule,
+    Word,
+    word_from_factors,
+)
 from hochcyc.ainfty import (
     AInfty,
     BUILTIN_NAMES,
     DeformedQ,
-    QFamily,
+    OCFamily,
     _insertion_patterns,
     ainfty_residual,
     ainfty_to_qfamily,
@@ -245,7 +252,7 @@ def test_q_eval_expands_interior_inputs_with_koszul_signs():
     def gen(g, c=1):
         return Element.generator(mod, g, c)
 
-    Q = QFamily(mod, {
+    Q = OCFamily(mod, ChainComplex(mod, {}), 0, {
         (("x",), ()): gen("y"),
         (("x",), ("u",)): gen("x", 3),
         (("x",), ("v",)): Element(mod, {"y": t}),
@@ -264,20 +271,30 @@ def test_q_eval_expands_interior_inputs_with_koszul_signs():
         want = Element.zero(mod)
         for itup, c in word_from_factors(imod, interior,
                                          shifted=False).items():
-            want = want + Q.q(("x",), itup).scalar_left(c, cap)
-        assert Q.eval(("x",), interior, cap) == want
+            want = want + Q.p(("x",), itup).scalar_left(c, cap)
+        assert Q.eval_tuple(("x",), interior, cap) == want
         D = DeformedQ(Q, Element.zero(mod), Element.zero(imod), cap)
         assert D.apply(("x",), interior) == want.truncate(cap)
     # the odd scalar t passes the odd generator u: -(1/2) t x
-    got = Q.eval(("x",), [u, Element(imod, {"v": t})], cap)
+    got = Q.eval_tuple(("x",), [u, Element(imod, {"v": t})], cap)
     assert got == Element(mod, {"x": t.scale(Fraction(-1, 2))})
 
 
 def test_boundary_slice_round_trip():
     A = builtin_algebras("exterior(2)")
     Q = ainfty_to_qfamily(A)
-    B = Q.boundary_slice(unit="e")
-    assert B.ops == A.ops
+    assert {b: el for (b, i), el in Q.ops.items() if not i} == A.ops
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_q_family_without_interior_inputs_is_mu(name):
+    # eval_tuple with no interior inputs is the table lookup, truncated
+    A = builtin_algebras(name)
+    Q = ainfty_to_qfamily(A)
+    cap = Cap(energy=0, weight=3, var_total=0)
+    for w in range(4):
+        for tup in itertools.product(A.module.basis, repeat=w):
+            assert Q.eval_tuple(tup, (), cap) == A.mu(tup).truncate(cap)
 
 
 def test_unknown_builtin():

@@ -178,6 +178,20 @@ def test_missing_file_exit_2(capsys):
     assert "error" in doc
 
 
+@pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+def test_unreadable_instance_exit_2(tmp_path, capsys, kind):
+    path = tmp_path / "instance"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"BASIS\n\xff\xfe\nDEGREES\n0\n")
+    code = main(["check-ainfty", str(path)])
+    out = capsys.readouterr()
+    assert code == 2
+    assert json.loads(out.out)["error"].startswith("cannot read ")
+    assert "Traceback" not in out.out + out.err
+
+
 def test_parse_error_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("garbage before sections\n")
@@ -201,10 +215,11 @@ def test_parse_error_exit_2(tmp_path, capsys):
     ("PI\nrank 0\nGEOMETRY\nBASIS\ne\nDEGREES\n0\n", 3),
     ("BASIS\ne x\nDEGREES\n0 1\nUNIT\nu\n", 6),
     ("BASIS\ne\nDEGREES\n0\nUNIT\n", 5),
+    ("BASIS\ne\nDEGREES\n0\nMU -1\n", 5),
 ], ids=["degree", "degree-count", "duplicate-generator", "tvar", "pi-rank",
         "mu-arity", "zero-denominator", "odd-square", "t-exponent",
         "q-section", "p-section", "geometry-section", "unknown-unit",
-        "empty-unit"])
+        "empty-unit", "negative-arity"])
 def test_malformed_instance_exit_2_with_line(tmp_path, capsys, text, line):
     path = tmp_path / "bad.txt"
     path.write_text(text)

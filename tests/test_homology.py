@@ -173,24 +173,6 @@ def test_known_betti_dual_numbers_hochschild():
     assert [h.betti[d] for d in range(0, 4)] == [6, 0, 0, 0]
 
 
-def test_kernel_representatives_are_cycles():
-    from hochcyc.complexes import ChainElt, hoch_diff
-    from hochcyc.graded import Word
-    from hochcyc.scalars import Scalar
-
-    A = builtin_algebras("exterior(2)")
-    trunc = Truncation(Cap(energy=0, weight=3, var_total=0), -1, 1)
-    h = homology(A, Variant.CONNES, trunc)
-    for d, reps in h.representatives.items():
-        for rep in reps:
-            w = Word.zero(A.module)
-            for coeff, (mono, tup) in rep:
-                s = Scalar(A.module.ctx, {mono: Fraction(coeff)})
-                w = w + Word(A.module, {tup: s})
-            img = hoch_diff(A, ChainElt(w, Variant.CONNES), trunc.cap)
-            assert img.is_zero()
-
-
 def test_inconsistent_cap_raises():
     # a tight weight cap cuts the curvature insertion asymmetrically and the
     # truncated differential stops squaring to zero; homology must refuse

@@ -264,6 +264,27 @@ def test_extension_requires_a_primitive():
         ExtendedOC(p, bad)
 
 
+def test_sphere_operations_are_one_family():
+    # q_{empty,1} is q1 on generators, coefficients in front and truncated;
+    # with two interior inputs there is no table entry and q_{empty,2} = 0
+    A, p, sphere = theorem5_toy(0)
+    tmod = sphere.target.module
+    ctx = A.module.ctx
+    T = Scalar.monomial(ctx, 1, (1,), ())
+    T2 = Scalar.monomial(ctx, Fraction(1, 2), (2,), ())
+    x = Element(tmod, {"Z": T, "N": T2})
+    cap = Cap(energy=1, weight=2, var_total=0)
+    want = Element.zero(tmod)
+    for g, s in x.items():
+        want = want + sphere.q1[g].scalar_left(s)
+    want = want.truncate(cap)
+    assert want == Element(tmod, {"Z2": T})
+    assert sphere.q_empty([x], cap) == want
+    assert sphere.q_empty([x], None) == (Element(tmod, {"Z2": T})
+                                         + Element(tmod, {"N2": T2}))
+    assert sphere.q_empty([x, x], cap).is_zero()
+
+
 # -- quotient and exactness helpers ------------------------------------------
 
 
@@ -285,6 +306,16 @@ def test_is_exact_detects_nonexact():
     z2 = Element.generator(tmod, "Z2")
     w = is_exact(sphere.target, z2)
     assert w is not None and sphere.target.d(w) == z2
+
+
+def test_is_exact_rejects_non_rational_coefficients():
+    # T Z = d(-T H) is exact, but only rational systems are solved
+    A, p, sphere = theorem5_toy(0)
+    T = Scalar.monomial(A.module.ctx, 1, (1,), ())
+    tz = Element(sphere.target.module, {"Z": T})
+    assert sphere.target.d(Element(sphere.target.module, {"H": -T})) == tz
+    with pytest.raises(ValueError, match="rational coefficients only"):
+        is_exact(sphere.target, tz)
 
 
 # -- axioms ------------------------------------------------------------------
