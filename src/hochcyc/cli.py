@@ -316,7 +316,8 @@ def cmd_homology(args, report):
         entry = h.summary()
         if args.oracle:
             o = naive_oracle(A, v, trunc)
-            agree = h.betti == o.betti and h.dims == o.dims
+            agree = (h.betti == o.betti and h.dims == o.dims
+                     and h.ranks == o.ranks)
             entry["oracle_betti"] = {str(d): b
                                      for d, b in sorted(o.betti.items())}
             _add_check(report, f"oracle:{v.value}", agree)

@@ -4,19 +4,24 @@ Two structurally independent paths compute the same Betti numbers:
 
 * the engine path sorts the canonical quotient basis (signed-minimal
   rotations, unit slots removed) into degrees in one pass, assembles each
-  boundary matrix via the variant differential, and reads the boundary rank,
-  the incoming rank and the cycle space from one row reduction per boundary
-  matrix;
+  boundary matrix via the variant differential, checks d^2 = 0 on the
+  truncation, and reads the boundary rank, the incoming rank and the cycle
+  space from one Gauss-Jordan elimination per boundary matrix;
 * the naive oracle assembles the raw differential on the full tensor basis
   and realizes the quotients by explicit spanning sets, computing ranks of
-  induced maps from rank differences.
+  induced maps from rank differences with fraction-free Bareiss elimination
+  on integer rows.
 
-All arithmetic is exact over the rationals.
+The boundary matrices are mostly zeros, so the kernels skip them: the d^2
+product accumulates over nonzero entries only, and Gauss-Jordan updates each
+row only at the nonzero columns of the pivot row.  All arithmetic is exact
+over the rationals (over the integers in Bareiss).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -41,8 +46,11 @@ from .complexes import (
 
 
 def row_reduce(rows):
-    """In-place-free Gaussian elimination; returns (reduced rows, pivot
-    columns).  Entries are Fractions; elimination is exact."""
+    """Gauss-Jordan elimination over the rationals; returns (reduced rows,
+    pivot columns).  The input is not modified.  Each pivot row is normalised
+    and its nonzero (column, value) pairs listed once; every other row is
+    then updated in place at those columns only, so zero entries cost
+    nothing."""
     rows = [list(r) for r in rows]
     if not rows:
         return [], []
@@ -54,12 +62,17 @@ def row_reduce(rows):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        prow = rows[r]
+        inv = Fraction(1) / prow[c]
+        # columns before c are zero in every row from r on
+        nonzero = [(j, x * inv) for j, x in enumerate(prow[c:], c) if x]
+        for j, x in nonzero:
+            prow[j] = x
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                for j, x in nonzero:
+                    row[j] -= f * x
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -67,8 +80,55 @@ def row_reduce(rows):
     return rows[:r], pivots
 
 
+def bareiss(rows):
+    """Fraction-free (Bareiss) row echelon form of a rational matrix, after
+    clearing each row's denominators: returns (integer rows, pivot columns).
+    Every entry stays a minor of the cleared matrix, so each division by the
+    previous pivot is exact; a row with a zero in the pivot column is still
+    scaled by pivot/previous (the identity when the two are equal).  Zero
+    rows are dropped, since they stay zero.  The oracle's elimination: it
+    shares no code with ``row_reduce``."""
+    m = []
+    for row in rows:
+        if any(row):
+            den = math.lcm(*(x.denominator for x in row))
+            m.append([x.numerator * (den // x.denominator) for x in row])
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        p = m[r][c]
+        tail = m[r][c + 1:]
+        below = []
+        for row in m[r + 1:]:
+            f = row[c]
+            if f:
+                row[c] = 0
+                row[c + 1:] = [(p * x - f * y) // prev
+                               for x, y in zip(row[c + 1:], tail)]
+                if not any(row):  # a zero row stays zero: drop it
+                    continue
+            elif p != prev:
+                row[c + 1:] = [p * x // prev for x in row[c + 1:]]
+            below.append(row)
+        m[r + 1:] = below
+        prev = p
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
+
+
 def matrix_rank(rows) -> int:
-    return len(row_reduce(rows)[0])
+    return len(bareiss(rows)[1])
 
 
 def nullspace(reduced, pivots, ncols: int):
@@ -88,14 +148,22 @@ def nullspace(reduced, pivots, ncols: int):
 
 
 def mat_mul(a, b):
+    """Exact dense product ``a @ b`` of Fraction matrices.  The nonzero
+    entries of each row of ``b`` are indexed once; each row of ``a`` is then
+    accumulated over its nonzero entries only."""
     if not a or not b:
         return []
     n = len(b[0])
-    return [
-        [sum((ra[k] * b[k][j] for k in range(len(b))), Fraction(0))
-         for j in range(n)]
-        for ra in a
-    ]
+    b_nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for ra in a:
+        acc = [Fraction(0)] * n
+        for x, b_row in zip(ra, b_nonzero):
+            if x:
+                for j, y in b_row:
+                    acc[j] += x * y
+        out.append(acc)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +296,7 @@ class HomologyReport:
             "window": [self.trunc.d_min, self.trunc.d_max],
             "dims": {str(d): v for d, v in sorted(self.dims.items())},
             "betti": {str(d): v for d, v in sorted(self.betti.items())},
+            "ranks": {str(d): v for d, v in sorted(self.ranks.items())},
             "flags": sorted(self.flags),
         }
 
@@ -250,9 +319,14 @@ def homology(A: AInfty, variant: Variant, trunc: Truncation) -> HomologyReport:
         report.shapes[d] = (len(cod), len(dom))
     for d in range(trunc.d_min - 1, trunc.d_max):
         prod = mat_mul(mats[d + 1], mats[d])
-        if any(any(x for x in row) for row in prod):
+        witness = next(((i, j) for i, row in enumerate(prod)
+                        for j, x in enumerate(row) if x), None)
+        if witness is not None:
+            i, j = witness
             raise ValueError(
-                f"truncated differential does not square to zero at degree {d}"
+                f"truncated differential does not square to zero at degree "
+                f"{d}: d^2 of {bases[d][j]!r} has coefficient {prod[i][j]} "
+                f"on {bases[d + 2][i]!r}"
             )
     echelon = {d: row_reduce(rows) for d, rows in mats.items()}
     for d in range(trunc.d_min, trunc.d_max + 1):

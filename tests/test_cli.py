@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from hochcyc import cli
 from hochcyc.ainfty import BUILTIN_NAMES
 from hochcyc.cli import (
     InstanceParseError,
@@ -128,6 +129,26 @@ def test_homology_command_with_oracle():
     assert code == 0
     entry = report["betti"]["hochschild"]
     assert "betti" in entry and "oracle_betti" in entry
+
+
+def test_homology_oracle_check_compares_ranks(monkeypatch):
+    oracle = cli.naive_oracle
+
+    def one_rank_off(A, variant, trunc):
+        report = oracle(A, variant, trunc)
+        report.ranks[trunc.d_min] += 1
+        return report
+
+    monkeypatch.setattr(cli, "naive_oracle", one_rank_off)
+    report, code = _run(["homology", "dual_numbers", "--oracle",
+                         "--variant", "hochschild", "--weight", "3",
+                         "--dmin", "-1", "--dmax", "1"])
+    assert code == 1
+    entry = report["betti"]["hochschild"]
+    assert entry["betti"] == entry["oracle_betti"]
+    assert "ranks" in entry
+    assert [c["name"] for c in report["checks"] if not c["ok"]] == [
+        "oracle:hochschild"]
 
 
 def test_homology_inconsistent_cap_exit_1():
