@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .scalars import (
@@ -32,6 +31,7 @@ from .graded import (
     ChainComplex,
     Element,
     GradedModule,
+    ResidualReport,
     Word,
     interior_word,
     rotations,
@@ -159,14 +159,10 @@ def combine_basis_images(module, w: Word, image_of, cap: Cap | None) -> Word:
     Exact and fraction-free: the word's coefficients are scaled to integers
     over one common denominator and the images' coefficients over another, so
     products and sums are plain integer arithmetic.  Each surviving output
-    term becomes one reduced ``Fraction`` at the end.  A product monomial is
-    kept when its valuation is at most ``cap.energy`` and its variable total
-    at most ``cap.var_total``; this is decided once per distinct monomial."""
+    term becomes one reduced ``Fraction`` at the end.  Whether ``cap``
+    admits a product monomial is decided once per distinct monomial."""
     ctx = module.ctx
     mul = ctx.mono_mul
-    val_of = ctx.mono_valuation
-    energy = cap.energy if cap is not None else None
-    var_total = cap.var_total if cap is not None else None
     gathered = []
     den_in = den_img = 1
     for tup, c in w.items():
@@ -203,9 +199,8 @@ def combine_basis_images(module, w: Word, image_of, cap: Cap | None) -> Word:
                     mono, sign = hit
                     keep = admitted.get(mono)
                     if keep is None:
-                        keep = admitted[mono] = energy is None or (
-                            val_of(mono) <= energy
-                            and sum(mono[1]) <= var_total)
+                        keep = admitted[mono] = (cap is None
+                                                 or cap.admits(ctx, mono))
                     if not keep:
                         continue
                     v = n1 * n2
@@ -228,16 +223,6 @@ def hat_extension(A: AInfty, w: Word, cap: Cap | None = None) -> Word:
     degree |c|."""
     return combine_basis_images(A.module, w, lambda tup: hat_basis(A, tup),
                                 cap)
-
-
-@dataclass
-class ResidualReport:
-    checked: int = 0
-    failures: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
 
 def ainfty_residual(A: AInfty, cap: Cap) -> ResidualReport:

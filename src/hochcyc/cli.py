@@ -23,6 +23,7 @@ occurred, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -391,6 +392,18 @@ COMMANDS = {
 }
 
 
+def _at_least(least: int):
+    """An argparse type: an integer no smaller than ``least``, so that a
+    count cannot silently check nothing."""
+    def count(text):
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {least}, got {value}")
+        return value
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hochcyc",
@@ -422,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("t-lemma", help="intertwining of d with 1 - t")
     p.add_argument("instance")
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_at_least(1), default=200)
     add_cap(p); add_common(p)
 
     p = sub.add_parser("homology", help="Betti numbers on a truncation")
@@ -437,8 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand-structure",
                        help="enumerate structure-equation terms")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
+    p.add_argument("--k", type=_at_least(0), required=True)
+    p.add_argument("--l", type=_at_least(0), required=True)
     add_common(p)
 
     p = sub.add_parser("verify-theorems",
@@ -449,8 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("sign-lemmas", help="rotation/splitting sign identities")
-    p.add_argument("--k", type=int, default=6)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--k", type=_at_least(0), default=6)
+    p.add_argument("--trials", type=_at_least(0), default=100)
     add_common(p)
 
     return parser
@@ -482,10 +495,18 @@ def main(argv=None) -> int:
                 Truncation(cap, args.dmin, args.dmax)
     except (ValueError, ZeroDivisionError) as exc:
         parser.error(str(exc))
-    report, code = run(args)
-    doc = json.dumps(report, indent=2, default=str)
+    # open the report file first, so an unwritable path is a usage error
+    # before any work is done
+    out = contextlib.nullcontext()
     if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
+        try:
+            out = open(args.output, "w", encoding="utf-8")
+        except OSError as exc:
+            parser.error(f"cannot write {args.output}: {exc.strerror}")
+    with out as fh:
+        report, code = run(args)
+        doc = json.dumps(report, indent=2, default=str)
+        if fh is not None:
             fh.write(doc + "\n")
     print(doc)
     return code

@@ -16,10 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import Cap, accumulate
-from .graded import GradedModule, Word, rotate, rotations
+from .graded import GradedModule, ResidualReport, Word, rotate, rotations
 from .ainfty import (
     AInfty,
-    ResidualReport,
     add_image,
     bucket_images,
     combine_basis_images,
@@ -278,13 +277,12 @@ def dsquare_sweep(A: AInfty, variant: Variant, cap: Cap) -> ResidualReport:
     return report
 
 
-def random_word(A: AInfty, rng: random.Random, max_weight: int,
-                min_weight: int = 1, terms: int = 2) -> Word:
-    """A small random linear combination of basis words, for property
-    sweeps."""
+def random_word(A: AInfty, rng: random.Random, max_weight: int) -> Word:
+    """A random combination of two basis words of weight 1 to
+    ``max_weight``, for property sweeps."""
     out = Word.zero(A.module)
-    for _ in range(terms):
-        k = rng.randint(min_weight, max_weight)
+    for _ in range(2):
+        k = rng.randint(1, max_weight)
         tup = tuple(rng.choice(A.module.basis) for _ in range(k))
         coeff = rng.choice((-2, -1, 1, 2, 3))
         out = out + Word.basis_word(A.module, tup, coeff)

@@ -1,14 +1,20 @@
-"""Graded modules, shifted tensor words, splitting/rotation combinatorics,
-and the sign calculus (eps, eps', eps'', eps_p, s_sigma, s_sigma^[1], shuffle
-signs).
+"""Graded modules, elements and shifted tensor words, rotation and shuffle
+combinatorics, and the sign calculus (eps, eps', eps'', eps_p, s_sigma,
+s_sigma^[1], shuffle signs).
+
+``Element`` (a combination of generators) and ``Word`` (a combination of
+generator tuples) share one linear-combination core, ``LinearCombination``:
+a module and a dict of nonzero Scalar coefficients, with sums, negation,
+scaling and equality defined once.  Verification sweeps report through one
+``ResidualReport``.
 
 Degrees are stored unshifted; the shift is a view.  All sign functions return
 exponents mod 2, never +-1 scalars, so that sign chases compose in the
 exponent.  Note on the shift: the sign calculus only consumes parities, and
 ``|x| + 1`` and ``|x| - 1`` agree mod 2.  For *absolute* degree bookkeeping
 (the differential raising chain degree by exactly one, the unit sitting in
-shifted degree -1) the consistent choice is ``shifted = |x| - 1``, which is
-what :func:`shifted_degree` returns.
+shifted degree -1) the consistent choice is that a generator of degree |x|
+has shifted degree |x| - 1.
 """
 
 from __future__ import annotations
@@ -18,6 +24,20 @@ import random
 from dataclasses import dataclass, field
 
 from .scalars import INFINITY, Cap, Context, Scalar, accumulate, scalar_mul
+
+
+@dataclass
+class ResidualReport:
+    """Outcome of a verification sweep: how many cases were checked and a
+    witness for each one that failed."""
+
+    checked: int = 0
+    failures: list = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
 
 # ---------------------------------------------------------------------------
 # modules, elements, words
@@ -46,79 +66,83 @@ class GradedModule:
         return self.degrees[self.basis.index(gen)]
 
 
-def shifted_degree(module: GradedModule, gen: str) -> int:
-    """Degree of a generator viewed in the shifted module."""
-    return module.degree(gen) - 1
+class LinearCombination:
+    """Finite sum of basis keys with nonzero Scalar coefficients over one
+    module: the shared core of ``Element`` (generator keys) and ``Word``
+    (tuple keys).  Sums and comparisons need two operands of the same class
+    and module, so an Element and a Word never mix."""
 
-
-def shifted_parity(module: GradedModule, gens) -> int:
-    """Parity of the total shifted degree of a list of generators."""
-    return sum(module.degree(g) + 1 for g in gens) % 2
-
-
-class Element:
-    """Finite scalar combination of generators of one module."""
-
-    __slots__ = ("module", "coeffs")
-
-    def __init__(self, module: GradedModule, coeffs=None):
-        self.module = module
-        coeffs = coeffs or {}
-        for g in coeffs:
-            if g not in module.basis:
-                raise ValueError(f"unknown generator {g!r}")
-        self.coeffs = accumulate({}, coeffs.items())
+    __slots__ = ("module", "terms")
 
     @classmethod
-    def _raw(cls, module, coeffs: dict) -> "Element":
-        """Internal fast path: wrap an already-clean coefficient dict (known
-        generators, nonzero Scalars) without re-validation."""
-        el = object.__new__(cls)
-        el.module = module
-        el.coeffs = coeffs
-        return el
+    def _raw(cls, module, terms: dict):
+        """Internal fast path: wrap an already-clean term dict (valid keys,
+        nonzero Scalars) without re-validation."""
+        out = object.__new__(cls)
+        out.module = module
+        out.terms = terms
+        return out
 
     @classmethod
     def zero(cls, module):
         return cls._raw(module, {})
 
-    @classmethod
-    def generator(cls, module, gen, coeff=1):
-        return cls(module, {gen: Scalar.rational(module.ctx, coeff)})
-
     def is_zero(self):
-        return not self.coeffs
+        return not self.terms
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.terms)
 
     def __eq__(self, other):
         return (
-            isinstance(other, Element)
+            type(other) is type(self)
             and self.module == other.module
-            and self.coeffs == other.coeffs
+            and self.terms == other.terms
         )
 
     def __add__(self, other):
+        if type(other) is not type(self):
+            raise ValueError(f"cannot add {type(other).__name__} to "
+                             f"{type(self).__name__}")
         if self.module != other.module:
             raise ValueError("module mismatch")
-        coeffs = accumulate(dict(self.coeffs), other.coeffs.items())
-        return Element._raw(self.module, coeffs)
+        return self._raw(self.module,
+                         accumulate(dict(self.terms), other.terms.items()))
 
     def __neg__(self):
-        return Element._raw(self.module,
-                            {g: -s for g, s in self.coeffs.items()})
+        return self._raw(self.module, {k: -s for k, s in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
-    def _map(self, f) -> "Element":
+    def _map(self, f):
         """Apply ``f`` to every coefficient and drop the zero results."""
-        return Element._raw(self.module, {g: t for g, s in self.coeffs.items()
-                                          if (t := f(s))})
+        return self._raw(self.module, {k: t for k, s in self.terms.items()
+                                       if (t := f(s))})
 
-    def scale(self, c) -> "Element":
+    def scale(self, c):
         return self._map(lambda s: s.scale(c))
+
+    def items(self):
+        return self.terms.items()
+
+
+class Element(LinearCombination):
+    """Finite scalar combination of generators of one module."""
+
+    __slots__ = ()
+
+    def __init__(self, module: GradedModule, terms=None):
+        self.module = module
+        terms = terms or {}
+        for g in terms:
+            if g not in module.basis:
+                raise ValueError(f"unknown generator {g!r}")
+        self.terms = accumulate({}, terms.items())
+
+    @classmethod
+    def generator(cls, module, gen, coeff=1):
+        return cls(module, {gen: Scalar.rational(module.ctx, coeff)})
 
     def scalar_left(self, s: Scalar, cap: Cap | None = None) -> "Element":
         """Multiply by a scalar on the left (no sign: scalars sit in front)."""
@@ -129,7 +153,7 @@ class Element:
 
     def degree(self) -> int:
         degs = {
-            self.module.degree(g) + s.degree() for g, s in self.coeffs.items()
+            self.module.degree(g) + s.degree() for g, s in self.terms.items()
         }
         if len(degs) != 1:
             raise ValueError("degree of a zero or non-homogeneous element")
@@ -137,31 +161,28 @@ class Element:
 
     def valuation(self):
         """Least valuation of a coefficient; +inf for zero."""
-        return min((s.valuation() for s in self.coeffs.values()),
+        return min((s.valuation() for s in self.terms.values()),
                    default=INFINITY)
 
     def degree_parity(self) -> int:
-        if not self.coeffs:
+        if not self.terms:
             return 0
         pars = {
             (self.module.degree(g) + s.degree_parity()) % 2
-            for g, s in self.coeffs.items()
+            for g, s in self.terms.items()
         }
         if len(pars) != 1:
             raise ValueError("parity of a non-homogeneous element")
         return pars.pop()
 
-    def items(self):
-        return self.coeffs.items()
-
     def __repr__(self):
-        if not self.coeffs:
+        if not self.terms:
             return "Element(0)"
-        body = " + ".join(f"({s!r})*{g}" for g, s in sorted(self.coeffs.items()))
+        body = " + ".join(f"({s!r})*{g}" for g, s in sorted(self.terms.items()))
         return f"Element({body})"
 
 
-class Word:
+class Word(LinearCombination):
     """Element of the (shifted) tensor algebra: finite sum of basis tensors.
 
     Terms map generator tuples to scalars; the empty tuple is the weight-zero
@@ -170,7 +191,7 @@ class Word:
     coefficient is produced in the middle of a tensor and moved out.
     """
 
-    __slots__ = ("module", "terms")
+    __slots__ = ()
 
     def __init__(self, module: GradedModule, terms=None):
         self.module = module
@@ -178,52 +199,8 @@ class Word:
             {}, ((tuple(t), s) for t, s in (terms or {}).items()))
 
     @classmethod
-    def _raw(cls, module, terms: dict) -> "Word":
-        """Internal fast path: wrap an already-clean term dict (tuple keys,
-        nonzero Scalars) without re-accumulation."""
-        w = object.__new__(cls)
-        w.module = module
-        w.terms = terms
-        return w
-
-    @classmethod
-    def zero(cls, module):
-        return cls._raw(module, {})
-
-    @classmethod
     def basis_word(cls, module, tup, coeff=1):
         return cls(module, {tuple(tup): Scalar.rational(module.ctx, coeff)})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Word)
-            and self.module == other.module
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other):
-        if self.module != other.module:
-            raise ValueError("module mismatch")
-        return Word._raw(self.module,
-                         accumulate(dict(self.terms), other.terms.items()))
-
-    def __neg__(self):
-        return Word._raw(self.module, {t: -s for t, s in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        return Word(self.module, {t: s.scale(c) for t, s in self.terms.items()})
-
-    def items(self):
-        return self.terms.items()
 
     def __repr__(self):
         if not self.terms:
@@ -296,22 +273,8 @@ class ChainComplex:
 
 
 # ---------------------------------------------------------------------------
-# splittings and rotations
+# rotations and shuffles
 # ---------------------------------------------------------------------------
-
-
-def split_enum(tup, r: int):
-    """All splittings of a tuple into ``r`` consecutive, possibly empty blocks,
-    in lexicographic order of the cut positions."""
-    if r < 1:
-        raise ValueError("need at least one block")
-    tup = tuple(tup)
-    k = len(tup)
-    out = []
-    for cuts in itertools.combinations_with_replacement(range(k + 1), r - 1):
-        bounds = (0,) + cuts + (k,)
-        out.append(tuple(tup[bounds[i]: bounds[i + 1]] for i in range(r)))
-    return out
 
 
 def rotation_perm(k: int, j: int):
@@ -407,20 +370,12 @@ def eps_p(degrees, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SignLemmaReport:
-    checked: int = 0
-    failures: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def record(self, name, data, lhs, rhs):
-        self.checked += 1
-        if lhs % 2 != rhs % 2:
-            self.failures.append({"identity": name, "input": data,
-                                  "lhs": lhs % 2, "rhs": rhs % 2})
+def _record(report: ResidualReport, name, data, lhs, rhs) -> None:
+    """Count one sign congruence lhs = rhs (mod 2), keeping it on failure."""
+    report.checked += 1
+    if lhs % 2 != rhs % 2:
+        report.failures.append({"identity": name, "input": data,
+                                "lhs": lhs % 2, "rhs": rhs % 2})
 
 
 def _check_rotation_identity(report, degrees, n):
@@ -436,10 +391,10 @@ def _check_rotation_identity(report, degrees, n):
         # the paper's convention sums (|a_{sigma(i)}| - |a_{sigma(j)}|) over
         # inversions j < i with sigma(j) > sigma(i); mod 2 the orientation of
         # the difference is immaterial
-        report.record("rotation-eps_p", (tuple(degrees), j),
-                      eps_p(rot, n) - eps_p(degrees, n), rhs)
-        report.record("rotation-eps", (tuple(degrees), j),
-                      eps(rot) - eps(degrees), rhs)
+        _record(report, "rotation-eps_p", (tuple(degrees), j),
+                eps_p(rot, n) - eps_p(degrees, n), rhs)
+        _record(report, "rotation-eps", (tuple(degrees), j),
+                eps(rot) - eps(degrees), rhs)
 
 
 def _check_splitting_identities(report, degrees, gamma_j, n):
@@ -447,13 +402,13 @@ def _check_splitting_identities(report, degrees, gamma_j, n):
     total = sum(degrees) % 2
     for k2 in range(0, k + 1):
         k1 = k + 1 - k2
-        report.record(
-            "split-eps'", (k, k2),
+        _record(
+            report, "split-eps'", (k, k2),
             eps_prime(k1) + eps_prime(k2),
             eps_prime(k) + k + k1 * k2,
         )
-        report.record(
-            "split-eps_p'", (k, k2, n),
+        _record(
+            report, "split-eps_p'", (k, k2, n),
             eps_p_prime(k1, n) + eps_prime(k2),
             eps_p_prime(k, n) + k + k1 * k2 + k2 * n + n,
         )
@@ -465,39 +420,39 @@ def _check_splitting_identities(report, degrees, gamma_j, n):
             d1 = sum(a1) % 2
             d2 = sum(a2) % 2
             d3 = sum(a3) % 2
-            report.record(
-                "split-eps''", (tuple(degrees), i, k2, gamma_j),
+            _record(
+                report, "split-eps''", (tuple(degrees), i, k2, gamma_j),
                 eps_dprime(merged) + eps_dprime(a2),
                 eps_dprime(degrees) + i * k2 + k2 * d3 + total + d1
                 + i * gamma_j,
             )
-            report.record(
-                "split-eps", (tuple(degrees), i, k2, gamma_j),
+            _record(
+                report, "split-eps", (tuple(degrees), i, k2, gamma_j),
                 eps(merged) + eps(a2),
                 eps(degrees) + total + k + d1 + i * gamma_j + k2 * d3
                 + k1 * k2 + i * k2,
             )
-            report.record(
-                "split-eps_p''", (tuple(degrees), i, k2, gamma_j, n),
+            _record(
+                report, "split-eps_p''", (tuple(degrees), i, k2, gamma_j, n),
                 eps_p_dprime(merged, n) + eps_dprime(a2),
                 eps_p_dprime(degrees, n) + (i + n) * k2 + k2 * d3 + total
                 + d1 + (i + n) * gamma_j,
             )
-            report.record(
-                "split-eps_p", (tuple(degrees), i, k2, gamma_j, n),
+            _record(
+                report, "split-eps_p", (tuple(degrees), i, k2, gamma_j, n),
                 eps_p(merged, n) + eps(a2),
                 eps_p(degrees, n) + total + k + d1 + (i + n) * gamma_j
                 + k2 * d3 + k1 * k2 + i * k2 + n,
             )
 
 
-def lemma_sign_suite(k: int, n: int, trials: int = 0, seed: int = 0) -> SignLemmaReport:
+def lemma_sign_suite(k: int, n: int, trials: int = 0, seed: int = 0) -> ResidualReport:
     """Exhaustively check the rotation and splitting sign congruences for all
     parity vectors up to length ``k``, plus optional random degree draws from
     {-2, ..., 3} (the identities only see parities; the range is recorded for
     reproducibility)."""
 
-    report = SignLemmaReport()
+    report = ResidualReport()
     for length in range(0, k + 1):
         for parities in itertools.product((0, 1), repeat=length):
             _check_rotation_identity(report, list(parities), n)

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .scalars import Cap, Monomial, Scalar, mono_degree, mono_mul, mono_valuation
+from .scalars import Cap, Monomial, Scalar, mono_degree
 from .graded import GradedModule, Word
 from .ainfty import AInfty
 from .complexes import (
@@ -197,15 +197,11 @@ def attained_monomials(A: AInfty, cap: Cap) -> list[Monomial]:
     while frontier:
         m = frontier.pop()
         for g in gens:
-            prod = mono_mul(ctx, m, g)
+            prod = ctx.mono_mul(m, g)
             if prod is None:
                 continue
             nm, _ = prod
-            if mono_valuation(ctx, nm) > cap.energy:
-                continue
-            if sum(nm[1]) > cap.var_total:
-                continue
-            if nm not in seen:
+            if nm not in seen and cap.admits(ctx, nm):
                 seen.add(nm)
                 frontier.append(nm)
     return sorted(seen)
@@ -366,7 +362,7 @@ def naive_diff_vector(A: AInfty, mono: Monomial, tup, index: dict,
         if len(out_tup) > cap.weight:
             flags.add("weight-cap")
             return
-        if mono_valuation(ctx, out_mono) > cap.energy:
+        if ctx.mono_valuation(out_mono) > cap.energy:
             return
         if sum(out_mono[1]) > cap.var_total:
             return
@@ -379,7 +375,7 @@ def naive_diff_vector(A: AInfty, mono: Monomial, tup, index: dict,
         # scalar coefficients of el commute to the front past the prefix
         for g, s in el.items():
             for smono, c in s.terms.items():
-                prod = mono_mul(ctx, mono, smono)
+                prod = ctx.mono_mul(mono, smono)
                 if prod is None:
                     continue
                 out_mono, internal = prod

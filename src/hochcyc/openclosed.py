@@ -18,22 +18,24 @@ class, defined in ``ainfty``), evaluated by its ``eval_word`` and
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import Cap, Context, Scalar
+from .scalars import Cap, Context, FormalVarSpec, PiGroup, Scalar
 from .graded import (
     ChainComplex,
     Element,
     GradedModule,
+    ResidualReport,
     Word,
     rotations,
     s_perm,
     shuffle_sign,
     word_from_factors,
 )
-from .ainfty import AInfty, OCFamily, ResidualReport, ainfty_to_qfamily
+from .ainfty import AInfty, OCFamily, ainfty_to_qfamily, builtin_algebras
 from .complexes import (
     EXTENDED_VARIANTS,
     UNIT_KILLING_VARIANTS,
@@ -44,6 +46,7 @@ from .complexes import (
     hoch_diff_word,
     is_degenerate,
 )
+from .homology import row_reduce
 
 
 def _map_on_generators(images: dict, el, module: GradedModule,
@@ -281,8 +284,8 @@ def reduce_mod(el: Element, zeta: Element) -> Element:
     if zeta.is_zero() or el.is_zero():
         return el
     lead = None
-    for g in sorted(zeta.coeffs):
-        s = zeta.coeffs[g]
+    for g in sorted(zeta.terms):
+        s = zeta.terms[g]
         terms = list(s.terms.items())
         if len(terms) == 1:
             (beta, exps), c = terms[0]
@@ -292,7 +295,7 @@ def reduce_mod(el: Element, zeta: Element) -> Element:
     if lead is None:
         raise ValueError("zeta has no rational leading coefficient")
     g0, c0 = lead
-    s = el.coeffs.get(g0)
+    s = el.terms.get(g0)
     if s is None:
         return el
     return el - zeta.scalar_left(s.scale(Fraction(1) / c0))
@@ -437,8 +440,6 @@ def exterior_geometry(n: int) -> tuple[AInfty, ToyGeometry]:
     """Four-generator exterior algebra with zero differential, together with
     the degree-n shifted copy as the ambient complex and the shift as the
     push-forward."""
-    from .ainfty import builtin_algebras
-
     A = builtin_algebras("exterior(2)")
     Lmod = A.module
     L = ChainComplex(Lmod, {})
@@ -458,8 +459,6 @@ def theorem5_toy(n: int):
     Returns (A, p, sphere).  The target basis: H, Z = -dH, their images H2,
     Z2 under the sphere operation, and a second exact pair N, M = dN with
     images N2, M2 used to vary the primitive eta."""
-    from .ainfty import builtin_algebras
-
     A = builtin_algebras("curved_matrix")
     ctx = A.module.ctx
     names = ("H", "Z", "H2", "Z2", "N", "M", "N2", "M2")
@@ -493,22 +492,18 @@ def _element_zero_energy(el: Element) -> Element:
         for g, s in el.items()})
 
 
-def build_divisor_family(c=Fraction(1), levels: int = 3, jmax: int = 4,
-                         good: bool = True):
-    """A synthetic area-graded family of scalars s_m = T^m sum_j (c m)^j
-    t_1^j / j!, which satisfies the divisor identity
-    d/dt_1 s_m = (c m) s_m up to the variable cap; with ``good`` disabled
-    the factorials are dropped and the identity fails."""
-    import math
-
-    from .scalars import FormalVarSpec, PiGroup
-
+def build_divisor_family(good: bool = True):
+    """A synthetic area-graded family of scalars s_m = T^m sum_j m^j
+    t_1^j / j! for m = 0, ..., 3 and j = 0, ..., 4, which satisfies the
+    divisor identity d/dt_1 s_m = m s_m below the top t_1-power (check it
+    with ``divisor_check`` at ``jmax=4``); with ``good`` disabled the
+    factorials are dropped and the identity fails."""
     ctx = Context(PiGroup(1, (Fraction(1),), (0,)), FormalVarSpec((0, 0)))
     fam = {}
-    for m in range(levels + 1):
+    for m in range(4):
         s = Scalar.zero(ctx)
-        for j in range(jmax + 1):
-            coeff = Fraction(c * m) ** j
+        for j in range(5):
+            coeff = Fraction(m) ** j
             if good:
                 coeff /= math.factorial(j)
             s = s + Scalar.monomial(ctx, coeff, (m,), (0, j))
@@ -532,8 +527,6 @@ def divisor_check(fam: dict, pairing, jmax: int) -> tuple[bool, list]:
 def _linearity_fixture():
     """A tiny family over a coefficient ring with an odd formal variable, to
     exercise the linearity signs with genuinely odd scalars."""
-    from .scalars import FormalVarSpec, PiGroup
-
     ctx = Context(PiGroup(0, (), ()), FormalVarSpec((1,)))
     mod = GradedModule("lin_boundary", ("x", "y"), (1, 2), ctx)
     tmod = GradedModule("lin_target", ("u", "v", "w"), (0, 1, 2), ctx)
@@ -585,7 +578,7 @@ def _check_interior_linearity(n: int) -> tuple[bool, list]:
         base = p.eval_word(word, gamma)
         gamma_a = list(gamma)
         gamma_a[i] = Element(target.module,
-                             {next(iter(gamma[i].coeffs)): a})
+                             {next(iter(gamma[i].terms)): a})
         got = p.eval_word(word, gamma_a)
         prefix = sum(el.degree() for el in gamma[:i]) % 2
         want = base.scalar_left(a)
@@ -684,10 +677,9 @@ def axiom_suite(p: OCFamily, A: AInfty, geom: ToyGeometry | None = None,
 
     # divisor pass/fail pair on the synthetic area-graded family
     _, good_fam = build_divisor_family(good=True)
-    c = Fraction(1)
-    ok_good, f_good = divisor_check(good_fam, lambda m: c * m, jmax=4)
+    ok_good, f_good = divisor_check(good_fam, Fraction, jmax=4)
     _, bad_fam = build_divisor_family(good=False)
-    ok_bad, f_bad = divisor_check(bad_fam, lambda m: c * m, jmax=4)
+    ok_bad, f_bad = divisor_check(bad_fam, Fraction, jmax=4)
     record("divisor_pass", ok_good, f_good)
     record("divisor_fail_control", not ok_bad,
            [] if not ok_bad else [{"note": "corrupted family passed"}])
@@ -701,8 +693,6 @@ def is_exact(complex_: ChainComplex, el: Element):
     generators; returns a witness Element or None.  Only rational
     coefficients are handled: ValueError when el or the image under d of a
     generator one degree lower has any other coefficient."""
-    from .homology import row_reduce
-
     mod = complex_.module
     if el.is_zero():
         return Element.zero(mod)
@@ -710,7 +700,7 @@ def is_exact(complex_: ChainComplex, el: Element):
     sources = [g for g in mod.basis if mod.degree(g) == deg]
     images = [complex_.d(Element.generator(mod, g)) for g in sources]
     targets = sorted({h for img in images for h, _ in img.items()}
-                     | set(el.coeffs))
+                     | set(el.terms))
     tindex = {h: i for i, h in enumerate(targets)}
 
     def coords(element):

@@ -15,8 +15,11 @@ Everything is exact rational arithmetic; no floats.  Coefficients are stored
 as reduced ``Fraction`` values.  The operator kernel
 (``ainfty.combine_basis_images``) accumulates them as integers over a common
 denominator and turns each output term back into one reduced ``Fraction``.
-Monomials above a cap are silently dropped by the arithmetic, so downstream
-identities are exact up to the cap, which callers record in their reports.
+Monomial valuation, parity and product are ``Context`` methods, memoized per
+context.  A ``Cap`` decides in one place, ``Cap.admits``, which monomials a
+truncated computation keeps; the others are silently dropped by the
+arithmetic, so downstream identities are exact up to the cap, which callers
+record in their reports.
 """
 
 from __future__ import annotations
@@ -110,8 +113,14 @@ class Context:
         return p
 
     def mono_mul(self, m1, m2):
-        """Monomial product with Koszul sign, memoized per context instance;
-        None when an odd-degree variable squares."""
+        """Product of two monomials in canonical (ascending-index) order,
+        memoized per context instance.
+
+        Returns ``(monomial, sign_exponent)`` or ``None`` when an odd-degree
+        variable squares.  The sign exponent counts, mod 2, the
+        transpositions of odd-degree variables needed to merge the second
+        factor into the first.
+        """
         key = (m1, m2)
         try:
             return self._mcache[key]
@@ -133,14 +142,16 @@ class Cap:
         if self.energy < 0 or self.weight < 0 or self.var_total < 0:
             raise ValueError("cap components must be nonnegative")
 
+    def admits(self, ctx: Context, mono) -> bool:
+        """Whether a monomial survives the cap: valuation at most ``energy``
+        and variable total at most ``var_total``."""
+        return (ctx.mono_valuation(mono) <= self.energy
+                and sum(mono[1]) <= self.var_total)
+
 
 #: Context with trivial Pi and no formal variables; scalars are then plain
 #: rationals.
 TRIVIAL_CONTEXT = Context(PiGroup(0, (), ()), FormalVarSpec(()))
-
-
-def mono_valuation(ctx: Context, mono: Monomial) -> Fraction:
-    return ctx.mono_valuation(mono)
 
 
 def mono_degree(ctx: Context, mono: Monomial) -> int:
@@ -148,17 +159,6 @@ def mono_degree(ctx: Context, mono: Monomial) -> int:
     return ctx.pi.index(beta) + sum(
         e * d for e, d in zip(exps, ctx.tvars.degrees)
     )
-
-
-def mono_mul(ctx: Context, m1: Monomial, m2: Monomial):
-    """Product of two monomials in canonical (ascending-index) order,
-    memoized on the context.
-
-    Returns ``(monomial, sign_exponent)`` or ``None`` when an odd-degree
-    variable squares.  The sign exponent counts, mod 2, the transpositions of
-    odd-degree variables needed to merge the second factor into the first.
-    """
-    return ctx.mono_mul(m1, m2)
 
 
 def accumulate(out: dict, items) -> dict:
@@ -295,7 +295,7 @@ class Scalar:
         """min over monomials of omega(beta) + sum(e_i); +inf for zero."""
         if not self.terms:
             return INFINITY
-        return min(mono_valuation(self.ctx, m) for m in self.terms)
+        return min(map(self.ctx.mono_valuation, self.terms))
 
     def degree(self) -> int:
         if not self.terms:
@@ -319,13 +319,8 @@ class Scalar:
         if cap is None:
             return self
         ctx = self.ctx
-        kept = {
-            m: c
-            for m, c in self.terms.items()
-            if ctx.mono_valuation(m) <= cap.energy
-            and sum(m[1]) <= cap.var_total
-        }
-        return Scalar._raw(ctx, kept)
+        return Scalar._raw(ctx, {m: c for m, c in self.terms.items()
+                                 if cap.admits(ctx, m)})
 
     def partial_t(self, j: int) -> "Scalar":
         """Formal graded partial derivative with respect to t_j."""
@@ -356,14 +351,14 @@ def scalar_mul(a: Scalar, b: Scalar, cap: Cap | None = None) -> Scalar:
     out = {}
     for m1, c1 in a.terms.items():
         for m2, c2 in b.terms.items():
-            hit = mono_mul(a.ctx, m1, m2)
+            hit = a.ctx.mono_mul(m1, m2)
             if hit is None:
                 continue
             mono, sign = hit
             v = c1 * c2
             out[mono] = out.get(mono, Fraction(0)) + (-v if sign else v)
     s = Scalar._raw(a.ctx, {m: c for m, c in out.items() if c})
-    return s.truncate(cap) if cap is not None else s
+    return s.truncate(cap)
 
 
 # -- textual form -----------------------------------------------------------

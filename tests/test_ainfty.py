@@ -65,9 +65,9 @@ def test_exterior_sizes():
 def test_curved_matrix_curvature():
     A = builtin_algebras("curved_matrix")
     mu0 = A.mu0()
-    assert list(mu0.coeffs) == ["I"]
-    assert mu0.coeffs["I"].valuation() == 1
-    assert mu0.coeffs["I"].degree() == 2
+    assert list(mu0.terms) == ["I"]
+    assert mu0.terms["I"].valuation() == 1
+    assert mu0.terms["I"].degree() == 2
 
 
 def test_degree_law_enforced():

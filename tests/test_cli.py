@@ -54,7 +54,7 @@ def test_parse_instance(instance_path):
     A = parse_instance(instance_path)
     assert A.module.basis == ("e", "x")
     assert A.unit == "e"
-    assert A.mu(("x",)).coeffs["e"].valuation() == 1
+    assert A.mu(("x",)).terms["e"].valuation() == 1
 
 
 def test_serialize_round_trip(instance_path, tmp_path):
@@ -66,8 +66,8 @@ def test_serialize_round_trip(instance_path, tmp_path):
     assert B.module.basis == A.module.basis
     assert B.module.degrees == A.module.degrees
     assert B.unit == A.unit
-    assert {t: e.coeffs for t, e in B.ops.items()} == \
-        {t: e.coeffs for t, e in A.ops.items()}
+    assert {t: e.terms for t, e in B.ops.items()} == \
+        {t: e.terms for t, e in A.ops.items()}
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -76,8 +76,8 @@ def test_builtin_round_trip(name, tmp_path):
     path = tmp_path / "b.txt"
     path.write_text(serialize_instance(A))
     B = parse_instance(str(path))
-    assert {t: e.coeffs for t, e in B.ops.items()} == \
-        {t: e.coeffs for t, e in A.ops.items()}
+    assert {t: e.terms for t, e in B.ops.items()} == \
+        {t: e.terms for t, e in A.ops.items()}
 
 
 def test_parse_rejects_bad_degree_law(tmp_path):
@@ -255,13 +255,35 @@ def test_malformed_instance_exit_2_with_line(tmp_path, capsys, text, line):
     ["check-ainfty", "dual_numbers", "--energy", "abc"],
     ["check-ainfty", "dual_numbers", "--weight", "-1"],
     ["homology", "dual_numbers", "--dmin", "3", "--dmax", "1"],
-], ids=["energy", "weight", "degree-window"])
+    ["t-lemma", "dual_numbers", "--trials", "-5"],
+    ["t-lemma", "dual_numbers", "--trials", "0"],
+    ["sign-lemmas", "--k", "-2", "--trials", "-1"],
+    ["sign-lemmas", "--trials", "-1"],
+    ["expand-structure", "--k", "-1", "--l", "1"],
+    ["expand-structure", "--k", "1", "--l", "-1"],
+], ids=["energy", "weight", "degree-window", "negative-trials",
+        "zero-trials", "negative-sign-lemma-k", "negative-sign-lemma-trials",
+        "negative-k", "negative-l"])
 def test_malformed_arguments_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     err = capsys.readouterr().err
     assert exc.value.code == 2
     assert "usage:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_unwritable_output_exit_2_before_running(tmp_path, capsys,
+                                                 monkeypatch, where):
+    target = tmp_path if where == "directory" else tmp_path / "no" / "r.json"
+    monkeypatch.setitem(cli.COMMANDS, "axioms", None)  # must not be run
+    with pytest.raises(SystemExit) as exc:
+        main(["axioms", "--output", str(target)])
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == ""
+    assert "usage:" in out.err and "cannot write" in out.err
+    assert "Traceback" not in out.err
 
 
 def test_output_file(tmp_path, capsys, instance_path):

@@ -25,10 +25,7 @@ from hochcyc.graded import (
     rotate,
     rotation_perm,
     s_perm,
-    shifted_degree,
-    shifted_parity,
     shuffle_sign,
-    split_enum,
     word_from_factors,
 )
 
@@ -43,13 +40,6 @@ def odd_ctx():
     return Context(PiGroup(0, (), ()), FormalVarSpec((1,)))
 
 
-def test_shift_is_minus_one_absolute_plus_one_parity(mod):
-    assert shifted_degree(mod, "a") == -1
-    assert shifted_parity(mod, ("a",)) == 1
-    assert shifted_parity(mod, ("a", "b")) == 1
-    assert shifted_parity(mod, ("b", "c")) == 1
-
-
 def test_element_degree_and_arithmetic(mod):
     x = Element.generator(mod, "b", 2)
     y = Element.generator(mod, "b", -2)
@@ -57,6 +47,21 @@ def test_element_degree_and_arithmetic(mod):
     assert (x + y).is_zero()
     with pytest.raises(ValueError):
         (x + Element.generator(mod, "a")).degree()
+
+
+def test_elements_and_words_do_not_mix(mod):
+    # same module and the same generator, but an Element is keyed by a name
+    # and a Word by a tuple: no sum, and never equal
+    x = Element.generator(mod, "a")
+    w = Word.basis_word(mod, ("a",))
+    with pytest.raises(ValueError, match="cannot add Word to Element"):
+        x + w
+    with pytest.raises(ValueError, match="cannot add Element to Word"):
+        w + x
+    with pytest.raises(ValueError):
+        w - x
+    assert x != w and w != x
+    assert (x + x).terms == {"a": Scalar.rational(TRIVIAL_CONTEXT, 2)}
 
 
 def test_word_from_factors_moves_odd_scalar_with_shifted_sign(odd_ctx):
@@ -92,13 +97,6 @@ def test_chain_complex_differential_is_odd(mod, odd_ctx):
     t = Scalar.monomial(odd_ctx, 1, (), (1,))
     el = Element(omod, {"x": t})
     assert cx.d(el) == Element(omod, {"y": -t})
-
-
-def test_split_enum_counts(mod):
-    tup = ("a", "b", "c")
-    assert len(split_enum(tup, 3)) == 10  # C(3+2, 2)
-    assert all(l1 + l2 + l3 == tup for l1, l2, l3 in split_enum(tup, 3))
-    assert split_enum((), 2) == [((), ())]
 
 
 def test_rotation_perm_and_signs():

@@ -15,7 +15,6 @@ from hochcyc.scalars import (
     PiGroup,
     Scalar,
     ScalarParseError,
-    mono_mul,
     parse_scalar,
     scalar_mul,
     scalar_to_str,
@@ -77,7 +76,7 @@ def test_mono_mul_koszul_sign(ctx):
     # merging t2 into a monomial already containing t1 crosses one odd var
     m1 = ((0, 0), (0, 0, 1))
     m2 = ((0, 0), (0, 1, 0))
-    mono, sign = mono_mul(ctx, m1, m2)
+    mono, sign = ctx.mono_mul(m1, m2)
     assert mono == ((0, 0), (0, 1, 1))
     assert sign == 1
 
