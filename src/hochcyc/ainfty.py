@@ -33,7 +33,6 @@ from .graded import (
     GradedModule,
     ResidualReport,
     Word,
-    interior_word,
     rotations,
     word_from_factors,
 )
@@ -74,20 +73,25 @@ class AInfty:
     # -- validation ----------------------------------------------------------
 
     def validate(self):
-        """Degree law (+1 on shifted degrees) and valuation guards."""
-        mod = self.module
+        """``check_operation`` on every operation; the unit is a generator."""
         for tup, el in self.ops.items():
-            k = len(tup)
-            want = sum(mod.degree(g) for g in tup) + 2 - k
-            if any(mod.degree(g) + s.degree() != want for g, s in el.items()):
-                raise ValueError(
-                    f"mu_{k}{tup!r} is not homogeneous of degree {want}")
-            if el.valuation() < 0:
-                raise ValueError(f"mu_{k}{tup!r} has negative valuation")
-        if self.mu0().valuation() <= 0:
-            raise ValueError("curvature must have positive valuation")
-        if self.unit is not None and self.unit not in mod.basis:
+            check_operation(self.module, tup, el)
+        if self.unit is not None and self.unit not in self.module.basis:
             raise ValueError(f"unit {self.unit!r} is not a generator")
+
+
+def check_operation(module: GradedModule, tup, el: Element) -> None:
+    """Raise ValueError unless ``el`` = mu_k(tup) obeys the degree law (+1 on
+    shifted degrees) and has no negative valuation, and a curvature (k = 0)
+    has positive valuation."""
+    k = len(tup)
+    want = sum(module.degree(g) for g in tup) + 2 - k
+    if any(module.degree(g) + s.degree() != want for g, s in el.items()):
+        raise ValueError(f"mu_{k}{tup!r} is not homogeneous of degree {want}")
+    if el.valuation() < 0:
+        raise ValueError(f"mu_{k}{tup!r} has negative valuation")
+    if k == 0 and el.valuation() <= 0:
+        raise ValueError("curvature must have positive valuation")
 
 
 # ---------------------------------------------------------------------------
@@ -313,10 +317,11 @@ class OCFamily:
     # -- evaluation ----------------------------------------------------------
 
     def eval_word(self, w: Word, interior=(), cap: Cap | None = None) -> Element:
-        """The family on a boundary word and a list of interior Elements.
-        The interior inputs expand into basis tuples by ``interior_word`` in
-        their own module; each expansion coefficient multiplies the boundary
-        coefficient from the right and the table value from the left."""
+        """The family on a boundary word and a list of interior Elements: the
+        one place where a coefficient passes the family.  The interior inputs
+        expand by ``word_from_factors`` (unshifted) in their own module; each
+        expansion coefficient multiplies the boundary coefficient from the
+        right and the table value from the left."""
         out = Element.zero(self.target.module)
         # (interior tuple, its total degree parity, coefficient); with no
         # interior inputs one term without a coefficient, so the boundary
@@ -324,8 +329,9 @@ class OCFamily:
         iterms = [((), 0, None)]
         if interior:
             imod = interior[0].module
+            iword = word_from_factors(imod, interior, shifted=False, cap=cap)
             iterms = [(t, sum(map(imod.degree, t)) + c.degree_parity(), c)
-                      for t, c in interior_word(imod, interior, cap).items()]
+                      for t, c in iword.items()]
         for btup, bc in w.items():
             bpar = bc.degree_parity()
             for itup, gpar, ic in iterms:
@@ -334,9 +340,10 @@ class OCFamily:
                     continue
                 coeff = bc if ic is None else scalar_mul(bc, ic, cap)
                 sgn = (bpar * (self.n + 1 + gpar)) % 2
+                # each product is capped, so their sum is
                 part = el.scalar_left(coeff, cap)
                 out = out + (-part if sgn else part)
-        return out.truncate(cap)
+        return out
 
     def eval_tuple(self, btup, interior=(), cap: Cap | None = None) -> Element:
         """The family on a basis boundary tuple; without interior inputs a
@@ -398,63 +405,49 @@ class DeformedQ:
     valuation) inserted into all gaps between boundary inputs, interior slots
     padded with copies of gamma weighted by 1/(t-l)!.
 
-    Since |b| = 1 its shifted degree is even and no insertion signs occur;
-    gamma has even degree so interior padding is sign-free as well.
+    b (|b| = 1) and gamma (degree 2) add no slot signs.  Each inserted word
+    goes through ``OCFamily.eval_word``, so its front coefficients pass q
+    with their signs: for q = ``ainfty_to_qfamily(A)``, q^b_0 is the
+    weight-one part of mu-hat(sum_s b^{(x) s}).
     """
 
     def __init__(self, Q: OCFamily, b: Element, gamma: Element, cap: Cap):
-        if not b.is_zero():
-            if b.degree() != 1:
-                raise ValueError("deformation element b must have degree 1")
-            if b.valuation() <= 0:
-                raise ValueError("b must have positive valuation")
-        if not gamma.is_zero():
-            if gamma.degree() != 2:
-                raise ValueError("interior deformation must have degree 2")
-            if gamma.valuation() <= 0:
-                raise ValueError("gamma must have positive valuation")
+        for name, el, deg in (("b", b, 1), ("gamma", gamma, 2)):
+            if el and el.degree() != deg:
+                raise ValueError(f"{name} must have degree {deg}")
+            if el and el.valuation() <= 0:
+                raise ValueError(f"{name} must have positive valuation")
         self.Q = Q
         self.b = b
         self.gamma = gamma
         self.cap = cap
-        self.b_val = b.valuation()
-        self.g_val = gamma.valuation()
 
-    def _max_insert(self, val) -> int:
-        if val == INFINITY:
-            return 0
-        return int(math.floor(Fraction(self.cap.energy) / val))
+    def _max_insert(self, el: Element) -> int:
+        """The most copies of ``el`` whose product the energy cap admits."""
+        val = el.valuation()
+        return 0 if val == INFINITY else math.floor(self.cap.energy / val)
 
     def apply(self, btup, itups=()) -> Element:
         """Evaluate q^{b,gamma}_{k,l} on basis boundary inputs and Element
         interior inputs."""
         btup = tuple(btup)
         k = len(btup)
-        l = len(itups)
         cap = self.cap
-        out = Element.zero(self.Q.module)
-        s_max = self._max_insert(self.b_val)
-        t_extra_max = self._max_insert(self.g_val)
+        out = Element.zero(self.Q.target.module)
+        s_max = self._max_insert(self.b)
+        t_extra_max = self._max_insert(self.gamma)
         for s in range(0, s_max + 1):
-            if s and self.b.is_zero():
-                break
             for pattern in _insertion_patterns(k, s):
-                factors = []
-                for i in range(k):
-                    factors.extend([self.b] * pattern[i])
-                    factors.append(btup[i])
-                factors.extend([self.b] * pattern[k])
+                factors = [self.b] * pattern[0]
+                for g, m in zip(btup, pattern[1:]):
+                    factors += [g] + [self.b] * m
                 bword = word_from_factors(self.Q.module, factors,
                                           shifted=True, cap=cap)
                 for extra in range(0, t_extra_max + 1):
-                    if extra and self.gamma.is_zero():
-                        break
-                    coeff = Fraction(1, math.factorial(extra))
                     interior = list(itups) + [self.gamma] * extra
-                    for bt, bc in bword.items():
-                        part = self.Q.eval_tuple(bt, interior, cap)
-                        out = out + part.scalar_left(bc.scale(coeff), cap)
-        return out.truncate(cap)
+                    part = self.Q.eval_word(bword, interior, cap)
+                    out = out + part.scale(Fraction(1, math.factorial(extra)))
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,7 @@ from .ainfty import (
     BUILTIN_NAMES,
     ainfty_residual,
     builtin_algebras,
+    check_operation,
     unit_check,
 )
 from .complexes import Variant, dsquare_sweep, t_lemma_check
@@ -124,8 +125,10 @@ def _ints(tokens, line: int) -> list[int]:
 
 
 def parse_instance(path: str) -> AInfty:
-    """Parse an algebra-definition file; raises InstanceParseError with line
-    information, or ValueError naming the violated structural invariant."""
+    """Parse an algebra-definition file.  Every malformed file raises
+    InstanceParseError (a ValueError) with the line number where one
+    applies; an operation that breaks the degree law or the valuation guards
+    of ``check_operation`` is reported at the first line of its key."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -195,6 +198,7 @@ def parse_instance(path: str) -> AInfty:
         raise InstanceParseError(f"unknown unit generator {unit!r}",
                                  line=unit_line)
     ops: dict[tuple, Element] = {}
+    first_line: dict[tuple, int] = {}
     for k, lines in mu_sections:
         for ln, line in lines:
             if "->" not in line:
@@ -211,6 +215,13 @@ def parse_instance(path: str) -> AInfty:
                                              line=ln)
             el = _parse_element_expr(module, right, ln)
             ops[inputs] = ops.get(inputs, Element.zero(module)) + el
+            first_line.setdefault(inputs, ln)
+    for inputs, el in ops.items():
+        try:
+            check_operation(module, inputs, el)
+        except ValueError as exc:
+            raise InstanceParseError(str(exc),
+                                     line=first_line[inputs]) from None
     return AInfty(module, ops, unit=unit)
 
 

@@ -182,6 +182,18 @@ class Element(LinearCombination):
         return f"Element({body})"
 
 
+def _basis_tuple(module: GradedModule, tup) -> tuple:
+    """``tup`` as a tuple of generator names of ``module``; ValueError for an
+    unknown name, or for a str, which would split into one-letter names."""
+    if isinstance(tup, str):
+        raise ValueError(f"expected a tuple of generator names, got {tup!r}")
+    tup = tuple(tup)
+    for g in tup:
+        if g not in module.basis:
+            raise ValueError(f"unknown generator {g!r}")
+    return tup
+
+
 class Word(LinearCombination):
     """Element of the (shifted) tensor algebra: finite sum of basis tensors.
 
@@ -195,12 +207,13 @@ class Word(LinearCombination):
 
     def __init__(self, module: GradedModule, terms=None):
         self.module = module
-        self.terms = accumulate(
-            {}, ((tuple(t), s) for t, s in (terms or {}).items()))
+        self.terms = accumulate({}, ((_basis_tuple(module, t), s)
+                                     for t, s in (terms or {}).items()))
 
     @classmethod
     def basis_word(cls, module, tup, coeff=1):
-        return cls(module, {tuple(tup): Scalar.rational(module.ctx, coeff)})
+        s = Scalar.rational(module.ctx, coeff)
+        return cls._raw(module, {_basis_tuple(module, tup): s} if s else {})
 
     def __repr__(self):
         if not self.terms:
@@ -212,8 +225,8 @@ class Word(LinearCombination):
         return f"Word({body})"
 
 
-def word_from_factors(module, factors, coeff: Scalar | None = None,
-                      shifted: bool = True, cap: Cap | None = None) -> Word:
+def word_from_factors(module, factors, shifted: bool = True,
+                      cap: Cap | None = None) -> Word:
     """Tensor together generators and elements, commuting every scalar that
     appears in the middle out to the front with the appropriate Koszul sign.
 
@@ -224,9 +237,9 @@ def word_from_factors(module, factors, coeff: Scalar | None = None,
 
     ctx = module.ctx
     shift = 1 if shifted else 0
-    terms = {(): coeff if coeff is not None else Scalar.one(ctx)}
+    terms = {(): Scalar.one(ctx)}
     # distinct (term, generator) pairs extend to distinct tuples, so no two
-    # products land on the same key
+    # products land on the same key, and every value is nonzero
     for f in factors:
         if isinstance(f, str):
             terms = {tup + (f,): c for tup, c in terms.items()}
@@ -239,14 +252,20 @@ def word_from_factors(module, factors, coeff: Scalar | None = None,
                 if val:
                     new[tup + (g,)] = -val if s.degree_parity() * par else val
         terms = new
-    return Word(module, terms)
+    return Word._raw(module, terms)
 
 
-def interior_word(module: GradedModule, elements, cap: Cap | None = None) -> Word:
-    """Expand a list of interior Elements into basis tuples; scalar
-    coefficients commute out past earlier interior slots with unshifted
-    Koszul signs."""
-    return word_from_factors(module, list(elements), shifted=False, cap=cap)
+def map_on_generators(images: dict, el: Element, module: GradedModule,
+                      odd: bool) -> Element:
+    """The linear map sending each generator g to ``images[g]`` (zero when
+    absent), applied to ``el``; coefficients stay in front.  An ``odd`` map
+    passes a coefficient of degree |c| with the sign (-1)^{|c|}."""
+    out = Element.zero(module)
+    for g, s in el.items():
+        if g in images:
+            part = images[g].scalar_left(s)
+            out = out + (-part if odd and s.degree_parity() else part)
+    return out
 
 
 class ChainComplex:
@@ -261,15 +280,7 @@ class ChainComplex:
 
     def d(self, el: Element) -> Element:
         """Differential on an element; odd operator, scalars pass with a sign."""
-        out = Element.zero(self.module)
-        for g, s in el.items():
-            img = self.diff.get(g)
-            if img is None:
-                continue
-            sgn = s.degree_parity()
-            part = img.scalar_left(s)
-            out = out + (-part if sgn else part)
-        return out
+        return map_on_generators(self.diff, el, self.module, odd=True)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from .graded import (
     GradedModule,
     ResidualReport,
     Word,
+    map_on_generators,
     rotations,
     s_perm,
     shuffle_sign,
@@ -49,19 +50,6 @@ from .complexes import (
 from .homology import row_reduce
 
 
-def _map_on_generators(images: dict, el, module: GradedModule,
-                       cap: Cap | None = None) -> Element:
-    """The even linear map sending each generator g to ``images[g]`` (zero
-    when absent), applied to ``el``; coefficients stay in front.  ``el`` is
-    an Element, or a Word whose basis tuples key ``images``."""
-    out = Element.zero(module)
-    for g, s in el.items():
-        img = images.get(g)
-        if img is not None:
-            out = out + img.scalar_left(s, cap)
-    return out
-
-
 def _check_chain_map(name: str, images: dict, src: ChainComplex,
                      dst: ChainComplex, shift: int | None = None) -> None:
     """Raise ValueError unless the map sending each generator g of ``src`` to
@@ -73,7 +61,8 @@ def _check_chain_map(name: str, images: dict, src: ChainComplex,
                 and img.degree() != src.module.degree(g) + shift):
             raise ValueError(f"{name} does not have degree {shift} at {g!r}")
         d_g = src.d(Element.generator(src.module, g))
-        if dst.d(img) != _map_on_generators(images, d_g, dst.module):
+        if dst.d(img) != map_on_generators(images, d_g, dst.module,
+                                           odd=False):
             raise ValueError(f"{name} is not a chain map at {g!r}")
 
 
@@ -117,27 +106,19 @@ def random_cyclic_p(A: AInfty, target: ChainComplex, n: int,
 def theorem_rhs_rotations(p: OCFamily, A: AInfty, w: Word,
                           cap: Cap | None = None) -> Element:
     """Sum over rotations sigma and 2-splittings of
-    (-1)^{s_sigma^[1](alpha)} p(mu(alpha^sigma_(1)) (x) alpha^sigma_(2))."""
-    mod = A.module
-    arities = A.arities
+    (-1)^{s_sigma^[1](alpha)} p(mu(alpha^sigma_(1)) (x) alpha^sigma_(2)), a
+    front coefficient c of ``w`` passing p with (-1)^{|c| n}.  Read from the
+    structure equation: on a basis tuple alpha of weight >= 1 the sum is
+    (-1)^{n+1} times ``structure_rhs(ainfty_to_qfamily(A), p, None, alpha)``,
+    which has only composite terms there."""
+    Q = ainfty_to_qfamily(A)
     out = Element.zero(p.target.module)
     for tup, c in w.items():
-        k = len(tup)
-        if k == 0:
+        if not tup:
             raise ValueError("rewrite identity needs weight >= 1")
-        csign = c.degree_parity()
-        for rot, s1 in rotations(mod, tup):
-            for m in range(0, k + 1):
-                if m not in arities:
-                    continue
-                el = A.mu(rot[:m])
-                if el.is_zero():
-                    continue
-                sgn = (csign + s1) % 2
-                word = word_from_factors(
-                    mod, [el] + list(rot[m:]),
-                    coeff=(-c if sgn else c), shifted=True, cap=cap)
-                out = out + p.eval_word(word, cap=cap)
+        part = structure_rhs(Q, p, None, tup, (), cap)[0].scalar_left(c, cap)
+        sgn = (c.degree_parity() * p.n + p.n + 1) % 2
+        out = out + (-part if sgn else part)
     return out
 
 
@@ -190,11 +171,9 @@ def structure_terms(k: int, l: int):
     (rotation j, boundary arity k2 of q, interior index set J of q), in the
     order ``structure_rhs`` sums them.  At k = 0 the trivial rotation j = 0
     is the only one."""
-    for j in range(max(k, 1)):
-        for k2 in range(k + 1):
-            for jsize in range(l + 1):
-                for J in itertools.combinations(range(l), jsize):
-                    yield j, k2, J
+    subsets = [J for size in range(l + 1)
+               for J in itertools.combinations(range(l), size)]
+    return itertools.product(range(max(k, 1)), range(k + 1), subsets)
 
 
 def structure_rhs(Q: OCFamily, p: OCFamily, sphere: SphereTermProvider | None,
@@ -220,7 +199,6 @@ def structure_rhs(Q: OCFamily, p: OCFamily, sphere: SphereTermProvider | None,
 
     gpars = [g.degree_parity() for g in gamma]
     gtotal = sum(gpars) % 2
-    aword = Word.basis_word(mod, alpha)
 
     # interior-differential term p(alpha; d gamma)
     for j in range(l):
@@ -229,24 +207,26 @@ def structure_rhs(Q: OCFamily, p: OCFamily, sphere: SphereTermProvider | None,
         if dg.is_zero():
             continue
         glist = gamma[:j] + [dg] + gamma[j + 1:]
-        part = p.eval_word(aword, glist, cap)
+        part = p.eval_tuple(alpha, glist, cap)
         out = out + (-part if sgn else part)
     count += 1
 
     # composite terms
     orbit = rotations(mod, alpha)
+    qkeys = {b for b, _ in Q.ops}  # boundary tuples where q has a value
     for j, k2, J in structure_terms(k, l):
         count += 1
         rot, s1 = orbit[j]
+        if rot[:k2] not in qkeys:
+            continue
+        q_el = Q.eval_tuple(rot[:k2], [gamma[i] for i in J], cap)
+        if q_el.is_zero():
+            continue
         I = [i for i in range(l) if i not in J]
-        gJ = [gamma[i] for i in J]
         gI = [gamma[i] for i in I]
         gJpar = sum(gpars[i] for i in J) % 2
         sh = shuffle_sign(gpars, I, list(J))
         sgn = (s1 + gtotal + sh + (n + 1) * (gJpar + 1)) % 2
-        q_el = Q.eval_tuple(rot[:k2], gJ, cap)
-        if q_el.is_zero():
-            continue
         word = word_from_factors(
             mod, [q_el] + list(rot[k2:]), shifted=True, cap=cap)
         part = p.eval_word(word, gI, cap)
@@ -260,7 +240,7 @@ def structure_rhs(Q: OCFamily, p: OCFamily, sphere: SphereTermProvider | None,
         part = sphere.q_empty(gamma + [sphere.zeta], cap)
         out = out + (-part if gtotal else part)
 
-    return out.truncate(cap), count
+    return out, count
 
 
 def structure_residual(Q: OCFamily, p: OCFamily,
@@ -413,7 +393,7 @@ class ToyGeometry:
         _check_chain_map("push", self.push, self.L, self.X, self.n)
 
     def push_el(self, el: Element) -> Element:
-        return _map_on_generators(self.push, el, self.X.module)
+        return map_on_generators(self.push, el, self.X.module, odd=False)
 
 
 def toy_zero_energy(geom: ToyGeometry, A: AInfty):

@@ -239,6 +239,28 @@ def test_deformed_q_inserts_b_in_every_gap():
     assert D.apply(("K",)) == expect.truncate(cap)
 
 
+@pytest.mark.parametrize("coeff", ["t1", "T"])
+def test_deformed_curvature_is_weight_one_part_of_mu_hat_exp_b(coeff):
+    """q^b_0 = sum_s mu_s(b, ..., b), the weight-one part of mu-hat(e^b):
+    with the odd coefficient t1 each front coefficient passes mu_s with
+    (-1)^{|c|}, as in the hat extension."""
+    A, _ = _odd_variable_algebra(2)
+    mod, ctx = A.module, A.module.ctx
+    cap = Cap(2, 4, 2)
+    if coeff == "t1":
+        b = Element(mod, {"e": Scalar.monomial(ctx, 1, (0,), (0, 1))})
+    else:
+        b = Element(mod, {"x": Scalar.monomial(ctx, 1, (1,), (0, 0))})
+    D = DeformedQ(ainfty_to_qfamily(A), b, Element.zero(mod), cap)
+    exp_b = Word.zero(mod)
+    for s in range(int(Fraction(cap.energy) / b.valuation()) + 1):
+        exp_b = exp_b + word_from_factors(mod, [b] * s, cap=cap)
+    image = hat_extension(A, exp_b, cap)
+    want = Element(mod, {t[0]: c for t, c in image.items() if len(t) == 1})
+    assert not want.is_zero()
+    assert D.apply(()) == want
+
+
 def test_q_eval_expands_interior_inputs_with_koszul_signs():
     """q on interior Elements is q on the basis tuples of their unshifted
     tensor expansion, coefficients multiplied from the left.  An odd scalar

@@ -237,10 +237,14 @@ def test_parse_error_exit_2(tmp_path, capsys):
     ("BASIS\ne x\nDEGREES\n0 1\nUNIT\nu\n", 6),
     ("BASIS\ne\nDEGREES\n0\nUNIT\n", 5),
     ("BASIS\ne\nDEGREES\n0\nMU -1\n", 5),
+    ("BASIS\ne x\nDEGREES\n0 1\nMU 2\ne x -> x\ne e -> 1 * x\n"
+     "e e -> 1 * e\n", 7),
+    ("BASIS\ne y\nDEGREES\n0 2\nMU 0\n-> 1 * y\n", 6),
 ], ids=["degree", "degree-count", "duplicate-generator", "tvar", "pi-rank",
         "mu-arity", "zero-denominator", "odd-square", "t-exponent",
         "q-section", "p-section", "geometry-section", "unknown-unit",
-        "empty-unit", "negative-arity"])
+        "empty-unit", "negative-arity", "mu-degree-law",
+        "curvature-valuation"])
 def test_malformed_instance_exit_2_with_line(tmp_path, capsys, text, line):
     path = tmp_path / "bad.txt"
     path.write_text(text)

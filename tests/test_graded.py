@@ -22,12 +22,14 @@ from hochcyc.graded import (
     eps_p,
     eps_prime,
     lemma_sign_suite,
+    map_on_generators,
     rotate,
     rotation_perm,
     s_perm,
     shuffle_sign,
     word_from_factors,
 )
+from hochcyc.ainfty import builtin_algebras
 
 
 @pytest.fixture
@@ -62,6 +64,33 @@ def test_elements_and_words_do_not_mix(mod):
         w - x
     assert x != w and w != x
     assert (x + x).terms == {"a": Scalar.rational(TRIVIAL_CONTEXT, 2)}
+
+
+def test_words_reject_unknown_generators_and_strings():
+    A = builtin_algebras("dual_numbers")
+    one = Scalar.one(A.module.ctx)
+    for make in (lambda: Word.basis_word(A.module, ("zz", "e")),
+                 lambda: Word(A.module, {("e", "zz"): one})):
+        with pytest.raises(ValueError, match="unknown generator 'zz'"):
+            make()
+    # a string would otherwise split into the one-letter names e, p, s
+    for make in (lambda: Word.basis_word(A.module, "eps"),
+                 lambda: Word(A.module, {"eps": one})):
+        with pytest.raises(ValueError, match="got .eps."):
+            make()
+    assert Word.basis_word(A.module, ["eps", "e"]) == \
+        Word(A.module, {("eps", "e"): one})
+    assert Word.basis_word(A.module, (), 0).is_zero()
+
+
+def test_map_on_generators_even_and_odd(odd_ctx):
+    mod = GradedModule("m", ("x", "y"), (1, 2), odd_ctx)
+    t = Scalar.monomial(odd_ctx, 1, (), (1,))  # odd scalar
+    images = {"x": Element.generator(mod, "y", 3)}
+    el = Element(mod, {"x": t, "y": Scalar.one(odd_ctx)})
+    even = map_on_generators(images, el, mod, odd=False)
+    assert even == Element(mod, {"y": t.scale(3)})
+    assert map_on_generators(images, el, mod, odd=True) == -even
 
 
 def test_word_from_factors_moves_odd_scalar_with_shifted_sign(odd_ctx):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from hochcyc.scalars import Cap, Scalar
+from hochcyc.scalars import Cap, Scalar, scalar_mul
 from hochcyc.graded import ChainComplex, Element, GradedModule, Word, rotate
 from hochcyc.ainfty import builtin_algebras
 from hochcyc.complexes import Variant, random_word
@@ -28,8 +28,10 @@ from hochcyc.openclosed import (
     structure_rhs,
     theorem1_rewrite_check,
     theorem5_toy,
+    theorem_rhs_rotations,
     toy_zero_energy,
 )
+from test_ainfty import _odd_variable_algebra
 
 CAP = Cap(energy=4, weight=4, var_total=4)
 
@@ -64,6 +66,27 @@ def test_rewrite_identity_fails_without_symmetry():
             found = True
             break
     assert found, "no counterexample among unsymmetrized families"
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_rotation_rewrite_is_linear_over_odd_scalars(n):
+    """theorem_rhs_rotations(c alpha) = (-1)^{|c| n} c theorem_rhs_rotations(
+    alpha) for the odd scalar c = t0, on words with odd and even
+    coefficients."""
+    A, w = _odd_variable_algebra(2)
+    ctx = A.module.ctx
+    c = Scalar.monomial(ctx, 1, (0,), (1, 0))
+    alpha = Word(A.module, {t: s for t, s in w.items() if t})
+    c_alpha = Word(A.module, {t: scalar_mul(c, s) for t, s in alpha.items()})
+    assert any(s.degree_parity() for _, s in alpha.items())
+    cap = Cap(2, 4, 2)
+    target = random_target(ctx, seed=5)
+    for seed in range(4):
+        p = random_cyclic_p(A, target, n, max_weight=3, seed=seed)
+        want = theorem_rhs_rotations(p, A, alpha, cap).scalar_left(c, cap)
+        assert not want.is_zero()
+        got = theorem_rhs_rotations(p, A, c_alpha, cap)
+        assert got == (-want if n else want), (n, seed)
 
 
 def test_symmetrized_family_is_cyclic():
