@@ -2,9 +2,12 @@
 
 Provides the coderivation (hat) extension of the operations to the tensor
 coalgebra, the structure-relation residual mu-hat o mu-hat, strict-unit
-validation, and a small library of built-in algebras.  ``OCFamily`` is the
-one table class and evaluator for every operation family with boundary and
-interior inputs: the q_{k,l} (``ainfty_to_qfamily`` and the deformation sums
+validation, and a small library of built-in algebras.  Operator images on
+basis tuples are exact integers over the algebra's one denominator, and
+``apply_images`` is the one integer kernel that applies them, for mu-hat
+here and for the Hochschild differential of ``complexes``.  ``OCFamily`` is
+the one table class and evaluator for every operation family with boundary
+and interior inputs: the q_{k,l} (``AInfty.qfamily`` and the deformation sums
 of ``DeformedQ``), the open-closed p_{k,l} and the closed-sector q_{empty,l}
 of ``openclosed``.
 """
@@ -24,7 +27,6 @@ from .scalars import (
     PiGroup,
     Scalar,
     TRIVIAL_CONTEXT,
-    accumulate,
     scalar_mul,
 )
 from .graded import (
@@ -46,6 +48,16 @@ class AInfty:
     listed are zero; ``arities`` holds the key lengths.  Each mu_k raises the
     total shifted degree by one, equivalently the unshifted degree by
     ``2 - k``.
+
+    The operations are compiled once, at construction, into exact integers:
+    ``den`` is the least common multiple of the denominators of every
+    coefficient, and ``table`` maps each key of ``ops`` to a list of
+    ``(output generator, coefficient parity, ((monomial, numerator), ...))``
+    with the coefficient equal to numerator / ``den``.  The operator images
+    (``hat_basis``, ``complexes.diff_basis``) are built from ``table`` and
+    cached as integers over ``den``; since both derive from ``ops``, it is
+    never mutated after construction.  ``qfamily`` is the family q with
+    q_{k,0} = mu_k and no interior operations, also built once.
     """
 
     def __init__(self, module: GradedModule, ops, unit: str | None = None):
@@ -54,11 +66,23 @@ class AInfty:
                                           if el}
         self.arities = frozenset(map(len, self.ops))
         self.unit = unit
-        # per-instance caches of the coderivation and Hochschild differential
-        # on basis tuples (uncapped; truncation happens on combination)
+        self.validate()
+        self.den = den = math.lcm(*(q.denominator for el in self.ops.values()
+                                    for s in el.terms.values()
+                                    for q in s.terms.values()))
+        self.table: dict[tuple, list] = {
+            tup: [(g, s.degree_parity(),
+                   tuple((m, q.numerator * (den // q.denominator))
+                         for m, q in s.terms.items()))
+                  for g, s in el.items()]
+            for tup, el in self.ops.items()}
+        self.qfamily = OCFamily(module, ChainComplex(module, {}), 0,
+                                {(t, ()): el for t, el in self.ops.items()})
+        # per-instance caches of the integer images of the coderivation and
+        # the Hochschild differential on basis tuples (uncapped; truncation
+        # happens in the kernel)
         self._hat_cache: dict[tuple, list] = {}
         self._diff_cache: dict[tuple, list] = {}
-        self.validate()
 
     # -- structure lookup ----------------------------------------------------
 
@@ -80,18 +104,32 @@ class AInfty:
             raise ValueError(f"unit {self.unit!r} is not a generator")
 
 
+class OperationError(ValueError):
+    """An operation that ``check_operation`` rejects; ``key`` is its input
+    tuple."""
+
+    def __init__(self, key: tuple, message: str):
+        super().__init__(message)
+        self.key = key
+
+
 def check_operation(module: GradedModule, tup, el: Element) -> None:
-    """Raise ValueError unless ``el`` = mu_k(tup) obeys the degree law (+1 on
-    shifted degrees) and has no negative valuation, and a curvature (k = 0)
-    has positive valuation."""
+    """Raise ``OperationError`` unless ``el`` = mu_k(tup) obeys the degree
+    law (+1 on shifted degrees) and has no negative valuation, and a
+    curvature (k = 0) has positive valuation."""
     k = len(tup)
     want = sum(module.degree(g) for g in tup) + 2 - k
-    if any(module.degree(g) + s.degree() != want for g, s in el.items()):
-        raise ValueError(f"mu_{k}{tup!r} is not homogeneous of degree {want}")
+    try:
+        degrees = [module.degree(g) + s.degree() for g, s in el.items()]
+    except ValueError as exc:  # a non-homogeneous coefficient
+        raise OperationError(tup, str(exc)) from None
+    if any(d != want for d in degrees):
+        raise OperationError(
+            tup, f"mu_{k}{tup!r} is not homogeneous of degree {want}")
     if el.valuation() < 0:
-        raise ValueError(f"mu_{k}{tup!r} has negative valuation")
+        raise OperationError(tup, f"mu_{k}{tup!r} has negative valuation")
     if k == 0 and el.valuation() <= 0:
-        raise ValueError("curvature must have positive valuation")
+        raise OperationError(tup, "curvature must have positive valuation")
 
 
 # ---------------------------------------------------------------------------
@@ -99,12 +137,19 @@ def check_operation(module: GradedModule, tup, el: Element) -> None:
 # ---------------------------------------------------------------------------
 
 
-def add_image(acc: dict, otup, s: Scalar, sign: int) -> None:
-    """Add (-1)^sign s into the monomial bucket of the output tuple otup."""
-    terms = s.terms.items()
-    if sign:
-        terms = [(m, -c) for m, c in terms]
-    accumulate(acc.setdefault(otup, {}), terms)
+def add_image(acc: dict, otup, nums, sign) -> None:
+    """Add (-1)^sign times the integer coefficient ``nums``, pairs
+    (monomial, numerator), into the monomial bucket of the output tuple
+    otup.  Buckets may keep zeros; ``int_images`` drops them."""
+    bucket = acc.get(otup)
+    if bucket is None:
+        acc[otup] = {m: -n for m, n in nums} if sign else dict(nums)
+    elif sign:
+        for m, n in nums:
+            bucket[m] = bucket.get(m, 0) - n
+    else:
+        for m, n in nums:
+            bucket[m] = bucket.get(m, 0) + n
 
 
 def insertion_sum(A: AInfty, tup, start: int, acc: dict) -> list:
@@ -114,105 +159,111 @@ def insertion_sum(A: AInfty, tup, start: int, acc: dict) -> list:
     long, (-1)^{||l1||} l1 (x) mu(l2) (x) l3, with the coefficient of
     mu(l2) commuted to the front past l1.  Together the two signs are
     sp[i] * (1 + |c|), where i = len(l1) and c is the coefficient.  ``acc``
-    maps output tuples to monomial buckets (see ``add_image``).  Returns the
-    prefix parities sp, sp[i] = ||tup[:i]|| mod 2.
+    maps output tuples to monomial buckets of numerators over ``A.den``
+    (see ``add_image``), read from ``A.table``.  Returns the prefix
+    parities sp, sp[i] = ||tup[:i]|| mod 2.
 
     With ``start`` 0 this is the coderivation mu-hat (b' in Loday's
     notation); with ``start`` 1 it is the part of the Hochschild
     differential b that keeps the first slot in front."""
     mod = A.module
-    ops, arities = A.ops, A.arities
+    table, arities = A.table, sorted(A.arities)
     sp = [0]
     for g in tup:
         sp.append((sp[-1] + mod.degree(g) + 1) % 2)
     k = len(tup)
     for i in range(start, k + 1):
-        for j in range(i, k + 1):
-            if j - i not in arities:
-                continue
-            img = ops.get(tup[i:j])
+        head, flip = tup[:i], sp[i]
+        for arity in arities:
+            j = i + arity
+            if j > k:
+                break
+            img = table.get(tup[i:j])
             if img is None:
                 continue
-            head, tail = tup[:i], tup[j:]
-            for g, s in img.items():
-                add_image(acc, head + (g,) + tail, s,
-                          (sp[i] * (1 + s.degree_parity())) % 2)
+            tail = tup[j:]
+            for g, par, nums in img:
+                add_image(acc, head + (g,) + tail, nums, flip and not par)
     return sp
 
 
-def bucket_images(ctx: Context, acc: dict) -> list:
-    """The nonzero buckets of ``acc`` as (output tuple, Scalar) pairs."""
-    return [(t, Scalar._raw(ctx, b)) for t, b in acc.items() if b]
+def int_images(acc: dict) -> list:
+    """The nonzero terms of ``acc`` as (output tuple, ((monomial,
+    numerator), ...)) pairs: the cached form of an operator image."""
+    out = []
+    for t, b in acc.items():
+        if 0 in b.values():
+            b = {m: n for m, n in b.items() if n}
+        if b:
+            out.append((t, tuple(b.items())))
+    return out
 
 
 def hat_basis(A: AInfty, tup) -> list:
-    """The coderivation on one basis tuple, as (output tuple, scalar) pairs:
-    ``insertion_sum`` over all 3-splittings.  Cached on the algebra."""
+    """The coderivation on one basis tuple: ``insertion_sum`` over all
+    3-splittings, as (output tuple, ((monomial, numerator), ...)) pairs
+    with integer numerators over ``A.den``.  Cached on the algebra."""
     cached = A._hat_cache.get(tup)
     if cached is None:
         acc: dict[tuple, dict] = {}
         insertion_sum(A, tup, 0, acc)
-        cached = A._hat_cache[tup] = bucket_images(A.module.ctx, acc)
+        cached = A._hat_cache[tup] = int_images(acc)
     return cached
 
 
-def combine_basis_images(module, w: Word, image_of, cap: Cap | None) -> Word:
-    """Apply an odd operator given by per-tuple images to a word: multiply
-    front coefficients, pass the operator with (-1)^{|c|}, cap-filter.
+def apply_images(A: AInfty, iword: dict, image_of, cap: Cap | None) -> dict:
+    """The operator kernel: the odd operator with per-tuple integer images
+    ``image_of(A, tup)`` (over ``A.den``) applied to an integer word
+    ``{tup: {monomial: numerator}}``, as an integer word over the input's
+    denominator times ``A.den``.  Output buckets may hold zeros.
 
-    Exact and fraction-free: the word's coefficients are scaled to integers
-    over one common denominator and the images' coefficients over another, so
-    products and sums are plain integer arithmetic.  Each surviving output
-    term becomes one reduced ``Fraction`` at the end.  Whether ``cap``
-    admits a product monomial is decided once per distinct monomial."""
-    ctx = module.ctx
+    A front monomial m passes the operator with (-1)^{|m|}, the sign
+    (-1)^{|c|} of a front coefficient c extended linearly.  This is the one
+    place where front coefficients and images multiply and where the cap
+    filters; each pair of monomials is multiplied and tested against
+    ``cap`` once per call."""
+    ctx = A.module.ctx
     mul = ctx.mono_mul
-    gathered = []
-    den_in = den_img = 1
-    for tup, c in w.items():
-        # (-1)^{|c|} for passing the operator is folded into the numerators
-        sgn = -1 if c.degree_parity() else 1
-        images = image_of(tup)
-        if not images:
-            continue
-        for q in c.terms.values():
-            d = q.denominator
-            if den_in % d:
-                den_in = math.lcm(den_in, d)
-        for _, s in images:
-            for q in s.terms.values():
-                d = q.denominator
-                if den_img % d:
-                    den_img = math.lcm(den_img, d)
-        gathered.append((c, sgn, images))
-    admitted: dict = {}
+    parity = ctx.mono_parity
+    # per front monomial m1: {m2: (product monomial, sign exponent)}, or
+    # False where the product vanishes or the cap drops it
+    rows: dict = {}
     acc: dict[tuple, dict] = {}
-    for c, sgn, images in gathered:
-        cterms = [(m1, sgn * q.numerator * (den_in // q.denominator))
-                  for m1, q in c.terms.items()]
-        for otup, s in images:
+    for tup, terms in iword.items():
+        cterms = []
+        for m1, n1 in terms.items():
+            if n1:
+                row = rows.get(m1)
+                if row is None:
+                    row = rows[m1] = {}
+                cterms.append((m1, row, -n1 if parity(m1) else n1))
+        if not cterms:
+            continue
+        for otup, nums in image_of(A, tup):
             bucket = acc.get(otup)
             if bucket is None:
                 bucket = acc[otup] = {}
-            for m2, q2 in s.terms.items():
-                n2 = q2.numerator * (den_img // q2.denominator)
-                for m1, n1 in cterms:
-                    hit = mul(m1, m2)
+            for m2, n2 in nums:
+                for m1, row, n1 in cterms:
+                    hit = row.get(m2)
                     if hit is None:
+                        hit = mul(m1, m2)
+                        if hit is None or not (cap is None
+                                               or cap.admits(ctx, hit[0])):
+                            hit = False
+                        row[m2] = hit
+                    if not hit:
                         continue
                     mono, sign = hit
-                    keep = admitted.get(mono)
-                    if keep is None:
-                        keep = admitted[mono] = (cap is None
-                                                 or cap.admits(ctx, mono))
-                    if not keep:
-                        continue
-                    v = n1 * n2
-                    if sign:
-                        v = -v
-                    old = bucket.get(mono)
-                    bucket[mono] = v if old is None else old + v
-    den = den_in * den_img
+                    v = -n1 * n2 if sign else n1 * n2
+                    bucket[mono] = bucket.get(mono, 0) + v
+    return acc
+
+
+def int_word_to_word(module: GradedModule, acc: dict, den: int) -> Word:
+    """An integer word over ``den`` as a Word: one reduced Fraction per
+    nonzero output term."""
+    ctx = module.ctx
     out = {}
     for t, b in acc.items():
         b = {m: Fraction(n, den) for m, n in b.items() if n}
@@ -221,24 +272,52 @@ def combine_basis_images(module, w: Word, image_of, cap: Cap | None) -> Word:
     return Word._raw(module, out)
 
 
+def combine_basis_images(A: AInfty, w: Word, image_of,
+                         cap: Cap | None) -> Word:
+    """Apply an odd operator given by per-tuple integer images to a word.
+
+    The Word -> integer -> Word wrapper of ``apply_images``: the word's
+    coefficients are scaled to integers over one common denominator, the
+    kernel runs on integers, and each surviving output term becomes one
+    reduced ``Fraction``."""
+    den = 1
+    for c in w.terms.values():
+        for q in c.terms.values():
+            d = q.denominator
+            if den % d:
+                den = math.lcm(den, d)
+    iword = {tup: {m: q.numerator * (den // q.denominator)
+                   for m, q in c.terms.items()}
+             for tup, c in w.terms.items()}
+    return int_word_to_word(A.module, apply_images(A, iword, image_of, cap),
+                            den * A.den)
+
+
 def hat_extension(A: AInfty, w: Word, cap: Cap | None = None) -> Word:
     """Extend the operations to an odd coderivation of the tensor coalgebra,
     with (-1)^{|c|} for passing the operator over a front coefficient of
     degree |c|."""
-    return combine_basis_images(A.module, w, lambda tup: hat_basis(A, tup),
-                                cap)
+    return combine_basis_images(A, w, hat_basis, cap)
 
 
 def ainfty_residual(A: AInfty, cap: Cap) -> ResidualReport:
-    """mu-hat o mu-hat on every basis word up to the weight cap."""
+    """mu-hat o mu-hat on every basis word up to the weight cap, composed
+    and tested for zero on integers; the Word residual is built only for a
+    failing word."""
     report = ResidualReport()
+    ctx = A.module.ctx
+    one = {(ctx.zero_beta, ctx.zero_exps): 1}
     for w in range(0, cap.weight + 1):
         for tup in itertools.product(A.module.basis, repeat=w):
-            word = Word.basis_word(A.module, tup)
-            res = hat_extension(A, hat_extension(A, word, cap), cap)
+            once = apply_images(A, {tup: one}, hat_basis, cap)
+            res = apply_images(A, once, hat_basis, cap)
             report.checked += 1
-            if not res.is_zero():
-                report.failures.append({"word": tup, "residual": repr(res)})
+            for b in res.values():
+                if any(b.values()):
+                    word = int_word_to_word(A.module, res, A.den * A.den)
+                    report.failures.append({"word": tup,
+                                            "residual": repr(word)})
+                    break
     return report
 
 
@@ -382,12 +461,6 @@ class OCFamily:
         return OCFamily(self.module, self.target, self.n, new_ops)
 
 
-def ainfty_to_qfamily(A: AInfty) -> OCFamily:
-    """The family q with q_{k,0} = mu_k and no interior operations."""
-    return OCFamily(A.module, ChainComplex(A.module, {}), 0,
-                    {(tup, ()): el for tup, el in A.ops.items()})
-
-
 def _insertion_patterns(k: int, s: int):
     """Weak compositions of s over the k+1 gaps around k boundary slots."""
     for cuts in itertools.combinations(range(s + k), k):
@@ -407,7 +480,7 @@ class DeformedQ:
 
     b (|b| = 1) and gamma (degree 2) add no slot signs.  Each inserted word
     goes through ``OCFamily.eval_word``, so its front coefficients pass q
-    with their signs: for q = ``ainfty_to_qfamily(A)``, q^b_0 is the
+    with their signs: for q = ``A.qfamily``, q^b_0 is the
     weight-one part of mu-hat(sum_s b^{(x) s}).
     """
 

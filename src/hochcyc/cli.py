@@ -43,9 +43,9 @@ from .graded import Element, GradedModule, lemma_sign_suite
 from .ainfty import (
     AInfty,
     BUILTIN_NAMES,
+    OperationError,
     ainfty_residual,
     builtin_algebras,
-    check_operation,
     unit_check,
 )
 from .complexes import Variant, dsquare_sweep, t_lemma_check
@@ -127,8 +127,9 @@ def _ints(tokens, line: int) -> list[int]:
 def parse_instance(path: str) -> AInfty:
     """Parse an algebra-definition file.  Every malformed file raises
     InstanceParseError (a ValueError) with the line number where one
-    applies; an operation that breaks the degree law or the valuation guards
-    of ``check_operation`` is reported at the first line of its key."""
+    applies.  Each operation is checked once, by ``check_operation`` in the
+    ``AInfty`` constructor; one that breaks the degree law or the valuation
+    guards is reported at the first line of its key."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -216,13 +217,10 @@ def parse_instance(path: str) -> AInfty:
             el = _parse_element_expr(module, right, ln)
             ops[inputs] = ops.get(inputs, Element.zero(module)) + el
             first_line.setdefault(inputs, ln)
-    for inputs, el in ops.items():
-        try:
-            check_operation(module, inputs, el)
-        except ValueError as exc:
-            raise InstanceParseError(str(exc),
-                                     line=first_line[inputs]) from None
-    return AInfty(module, ops, unit=unit)
+    try:
+        return AInfty(module, ops, unit=unit)
+    except OperationError as exc:
+        raise InstanceParseError(str(exc), line=first_line[exc.key]) from None
 
 
 def serialize_instance(A: AInfty) -> str:

@@ -16,14 +16,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import Cap, accumulate
-from .graded import GradedModule, ResidualReport, Word, rotate, rotations
+from .graded import GradedModule, ResidualReport, Word, rotate
 from .ainfty import (
     AInfty,
     add_image,
-    bucket_images,
     combine_basis_images,
     hat_extension,
     insertion_sum,
+    int_images,
 )
 
 
@@ -91,14 +91,27 @@ def _canonical_rotation(module: GradedModule, tup):
     """Signed-lex-minimal rotation of a basis tuple, compared by basis index.
 
     Returns ``(rotated_tuple, sign_exponent)`` or ``None`` when the minimal
-    tuple is reached by rotations of both signs (the class is then zero)."""
-    orbit = rotations(module, tup)
-    idx = [module.index(g) for g in tup]  # orbit[j] is the rotation by j
-    j = min(range(len(orbit)), key=lambda j: idx[j:] + idx[:j])
-    best, sign = orbit[j]
-    if any(rot == best and s1 != sign for rot, s1 in orbit):
+    tuple is reached by rotations of both signs (the class is then zero).
+
+    The signed orbit is never built.  With sp[j] the shifted parity of the
+    first j slots, the sign s_sigma^[1] of the rotation by j is
+    sp[j] (sp[k] - sp[j]) = sp[j] (sp[k] + 1) mod 2, and it is only read at
+    the positions j that reach the minimum."""
+    k = len(tup)
+    if k == 0:
+        return tup, 0
+    idx = [module.index(g) for g in tup]
+    sp = [0]
+    for i in idx:
+        sp.append(sp[-1] ^ ((module.degrees[i] + 1) & 1))
+    even = 1 - sp[k]
+    keys = [idx[j:] + idx[:j] for j in range(k)]
+    best = min(keys)
+    signs = {sp[j] & even for j in range(k) if keys[j] == best}
+    if len(signs) > 1:
         return None
-    return best, sign
+    j = keys.index(best)
+    return tup[j:] + tup[:j], signs.pop()
 
 
 def connes_canonical(w: Word) -> Word:
@@ -204,7 +217,8 @@ def canonical_tuples(A: AInfty, variant: Variant, max_weight: int):
 
 def diff_basis(A: AInfty, tup) -> list:
     """Raw Hochschild differential on one basis tuple, as (output tuple,
-    scalar) pairs.  Cached on the algebra.
+    ((monomial, numerator), ...)) pairs with integer numerators over
+    ``A.den``, read from ``A.table``.  Cached on the algebra.
 
     On x (x) l it is (-1)^{||x||} x (x) mu-hat(l), which is
     ``insertion_sum`` with the first slot kept in front, plus the
@@ -219,22 +233,22 @@ def diff_basis(A: AInfty, tup) -> list:
     acc: dict[tuple, dict] = {}
     k = len(tup)
     if k == 0:
-        for g, s in A.mu0().items():
-            add_image(acc, (g,), s, 0)
+        for g, _, nums in A.table.get((), ()):
+            add_image(acc, (g,), nums, 0)
     else:
         sp = insertion_sum(A, tup, 1, acc)
         for b in range(1, k + 1):        # wrap: mu(l3 (x) x (x) l1) (x) l2
             for a in range(1, b + 1):    # l1 = tup[1:a], l2 = tup[a:b]
                 if k - b + a not in A.arities:
                     continue
-                img = A.ops.get(tup[b:] + tup[:a])
+                img = A.table.get(tup[b:] + tup[:a])
                 if img is None:
                     continue
                 n3 = (sp[k] + sp[b]) % 2
                 sgn = (n3 * sp[b]) % 2
-                for g, s in img.items():
-                    add_image(acc, (g,) + tup[a:b], s, sgn)
-    out = A._diff_cache[tup] = bucket_images(A.module.ctx, acc)
+                for g, _, nums in img:
+                    add_image(acc, (g,) + tup[a:b], nums, sgn)
+    out = A._diff_cache[tup] = int_images(acc)
     return out
 
 
@@ -245,8 +259,7 @@ def hoch_diff_word(A: AInfty, w: Word, cap: Cap | None = None,
     for tup in w.terms:
         if len(tup) == 0 and not extended:
             raise ValueError("weight-0 chain in a non-extended variant")
-    return combine_basis_images(A.module, w, lambda tup: diff_basis(A, tup),
-                                cap)
+    return combine_basis_images(A, w, diff_basis, cap)
 
 
 def hoch_diff(A: AInfty, c: ChainElt, cap: Cap | None = None) -> ChainElt:

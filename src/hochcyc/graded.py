@@ -149,6 +149,8 @@ class Element(LinearCombination):
         return self._map(lambda t: scalar_mul(s, t, cap))
 
     def truncate(self, cap: Cap | None) -> "Element":
+        if cap is None:
+            return self
         return self._map(lambda s: s.truncate(cap))
 
     def degree(self) -> int:

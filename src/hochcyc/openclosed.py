@@ -36,7 +36,7 @@ from .graded import (
     shuffle_sign,
     word_from_factors,
 )
-from .ainfty import AInfty, OCFamily, ainfty_to_qfamily, builtin_algebras
+from .ainfty import AInfty, OCFamily, builtin_algebras
 from .complexes import (
     EXTENDED_VARIANTS,
     UNIT_KILLING_VARIANTS,
@@ -109,9 +109,9 @@ def theorem_rhs_rotations(p: OCFamily, A: AInfty, w: Word,
     (-1)^{s_sigma^[1](alpha)} p(mu(alpha^sigma_(1)) (x) alpha^sigma_(2)), a
     front coefficient c of ``w`` passing p with (-1)^{|c| n}.  Read from the
     structure equation: on a basis tuple alpha of weight >= 1 the sum is
-    (-1)^{n+1} times ``structure_rhs(ainfty_to_qfamily(A), p, None, alpha)``,
+    (-1)^{n+1} times ``structure_rhs(A.qfamily, p, None, alpha)``,
     which has only composite terms there."""
-    Q = ainfty_to_qfamily(A)
+    Q = A.qfamily
     out = Element.zero(p.target.module)
     for tup, c in w.items():
         if not tup:
@@ -324,7 +324,7 @@ def chain_map_residual(p, A: AInfty, variant: Variant, cap: Cap,
     all target comparisons happen modulo the span of zeta."""
     report = ResidualReport()
     if Q is None:
-        Q = ainfty_to_qfamily(A)
+        Q = A.qfamily
     extended = variant in EXTENDED_VARIANTS
     n = p.n
     base = p.base if isinstance(p, ExtendedOC) else p
@@ -409,7 +409,7 @@ def toy_zero_energy(geom: ToyGeometry, A: AInfty):
         img = geom.push.get(g, Element.zero(geom.X.module))
         table[((g,), ())] = -img if sgn else img
     p = OCFamily(A.module, geom.X, n, table)
-    Q = ainfty_to_qfamily(A)
+    Q = A.qfamily
     zeta = (geom.push_el(Element.generator(A.module, A.unit))
             if A.unit is not None else Element.zero(geom.X.module))
     sphere = SphereTermProvider(geom.X, {}, zeta, eta=None)

@@ -12,14 +12,17 @@ and an even integer Maslov functional.  The ring carries
 * formal graded partial derivatives in each variable.
 
 Everything is exact rational arithmetic; no floats.  Coefficients are stored
-as reduced ``Fraction`` values.  The operator kernel
-(``ainfty.combine_basis_images``) accumulates them as integers over a common
-denominator and turns each output term back into one reduced ``Fraction``.
-Monomial valuation, parity and product are ``Context`` methods, memoized per
-context.  A ``Cap`` decides in one place, ``Cap.admits``, which monomials a
-truncated computation keeps; the others are silently dropped by the
-arithmetic, so downstream identities are exact up to the cap, which callers
-record in their reports.
+as reduced ``Fraction`` values, except in the operator layer: an ``AInfty``
+compiles its operations once into integer numerators over one denominator,
+its per-tuple operator images are cached as integers, and the one operator
+kernel (``ainfty.apply_images``) multiplies and sums Python ints.  Its Word
+wrapper (``ainfty.combine_basis_images``) scales a word's coefficients to
+integers over one common denominator and turns each output term back into
+one reduced ``Fraction``.  Monomial valuation, parity and product are
+``Context`` methods, memoized per context.  A ``Cap`` decides in one place,
+``Cap.admits``, which monomials a truncated computation keeps; the others
+are silently dropped by the arithmetic, so downstream identities are exact up
+to the cap, which callers record in their reports.
 """
 
 from __future__ import annotations

@@ -23,6 +23,7 @@ from hochcyc.graded import (
     Word,
     word_from_factors,
 )
+from hochcyc.complexes import hoch_diff_word
 from hochcyc.ainfty import (
     AInfty,
     BUILTIN_NAMES,
@@ -30,9 +31,7 @@ from hochcyc.ainfty import (
     OCFamily,
     _insertion_patterns,
     ainfty_residual,
-    ainfty_to_qfamily,
     builtin_algebras,
-    hat_basis,
     hat_extension,
     unit_check,
 )
@@ -164,6 +163,23 @@ def _odd_variable_algebra(nvars):
     return A, w
 
 
+def _hat_reference(A, tup):
+    """mu-hat on one basis tuple as {output tuple: Scalar}, summed with
+    Fractions straight from ``A.ops``: over every splitting
+    tup = l1 o l2 o l3, (-1)^{||l1|| (1 + |c|)} c l1 (x) g (x) l3 for each
+    term c g of mu(l2)."""
+    mod = A.module
+    out = {}
+    for i in range(len(tup) + 1):
+        shifted = sum(mod.degree(g) + 1 for g in tup[:i]) % 2
+        for j in range(i, len(tup) + 1):
+            for g, s in A.mu(tup[i:j]).items():
+                otup = tup[:i] + (g,) + tup[j:]
+                part = -s if shifted * (1 + s.degree_parity()) % 2 else s
+                out[otup] = out.get(otup, Scalar.zero(mod.ctx)) + part
+    return {t: s for t, s in out.items() if s}
+
+
 @pytest.mark.parametrize("nvars", [1, 2])
 @pytest.mark.parametrize("cap", [
     None,
@@ -172,15 +188,16 @@ def _odd_variable_algebra(nvars):
 ])
 def test_hat_extension_is_exact_against_termwise_sum(cap, nvars):
     """The shared operator kernel agrees with a sum of capped scalar
-    products, each carrying (-1)^{|c|} for passing the front coefficient c:
-    signs from odd coefficients and from merging odd variables, denominators
-    2, 3 and 6, and terms dropped at the energy and variable caps."""
+    products of Fraction images built from ``A.ops``, each carrying
+    (-1)^{|c|} for passing the front coefficient c: signs from odd
+    coefficients and from merging odd variables, denominators 2, 3 and 6,
+    and terms dropped at the energy and variable caps."""
     A, w = _odd_variable_algebra(nvars)
     mod = A.module
     expect = Word.zero(mod)
     for tup, c in w.items():
         sign = -1 if c.degree_parity() else 1
-        for otup, s in hat_basis(A, tup):
+        for otup, s in _hat_reference(A, tup).items():
             prod = scalar_mul(c, s, cap).scale(sign)
             expect = expect + Word(mod, {otup: prod})
     got = hat_extension(A, w, cap)
@@ -204,6 +221,47 @@ def test_hat_extension_is_exact_against_termwise_sum(cap, nvars):
                        for m in dropped)
 
 
+@pytest.mark.parametrize("nvars", [1, 2])
+def test_cached_images_are_integers_over_den(nvars):
+    """Every cached operator image holds only int numerators, and they are
+    the Fraction reference times ``A.den``."""
+    A, w = _odd_variable_algebra(nvars)
+    assert A.den == 6
+    hat_extension(A, w)
+    hoch_diff_word(A, w, extended=True)
+    assert A._hat_cache and A._diff_cache
+    for cache in (A._hat_cache, A._diff_cache):
+        for images in cache.values():
+            for _, nums in images:
+                assert nums and all(type(n) is int and n for _, n in nums)
+    for tup, images in A._hat_cache.items():
+        want = {t: {m: q * A.den for m, q in s.terms.items()}
+                for t, s in _hat_reference(A, tup).items()}
+        assert {t: dict(nums) for t, nums in images} == want
+
+
+def test_residual_reports_a_perturbed_algebra():
+    """A copy of dual_numbers with mu_2(e, eps) doubled breaks the
+    structure relations; the report names the failing words and carries
+    the nonzero residual."""
+    A = builtin_algebras("dual_numbers")
+    mod = A.module
+    ops = dict(A.ops)
+    ops[("e", "eps")] = Element.generator(mod, "eps", 2)
+    B = AInfty(mod, ops, unit="e")
+    cap = Cap(energy=0, weight=3, var_total=0)
+    rep = ainfty_residual(B, cap)
+    assert rep.checked == 1 + 2 + 4 + 8
+    assert rep.failures
+    words = [f["word"] for f in rep.failures]
+    assert ("e", "eps") not in words and ("e", "e", "eps") in words
+    for f in rep.failures:
+        word = Word.basis_word(mod, f["word"])
+        res = hat_extension(B, hat_extension(B, word, cap), cap)
+        assert not res.is_zero()
+        assert f["residual"] == repr(res)
+
+
 def test_insertion_patterns_are_weak_compositions():
     pats = list(_insertion_patterns(2, 3))
     assert len(pats) == 10  # C(3 + 2, 2)
@@ -213,7 +271,7 @@ def test_insertion_patterns_are_weak_compositions():
 
 def test_deformed_q_reduces_to_q_at_b_zero():
     A = builtin_algebras("curved_matrix")
-    Q = ainfty_to_qfamily(A)
+    Q = A.qfamily
     cap = Cap(energy=3, weight=6, var_total=0)
     D = DeformedQ(Q, Element.zero(A.module), Element.zero(A.module), cap)
     for tup in [("K",), ("K", "F"), ("F", "G", "K")]:
@@ -224,7 +282,7 @@ def test_deformed_q_inserts_b_in_every_gap():
     from hochcyc.graded import word_from_factors
 
     A = builtin_algebras("curved_matrix")
-    Q = ainfty_to_qfamily(A)
+    Q = A.qfamily
     # b has valuation 1, so at energy cap 1 only single insertions survive
     cap = Cap(energy=1, weight=6, var_total=0)
     T = Scalar.monomial(A.module.ctx, 1, (1,), ())
@@ -251,7 +309,7 @@ def test_deformed_curvature_is_weight_one_part_of_mu_hat_exp_b(coeff):
         b = Element(mod, {"e": Scalar.monomial(ctx, 1, (0,), (0, 1))})
     else:
         b = Element(mod, {"x": Scalar.monomial(ctx, 1, (1,), (0, 0))})
-    D = DeformedQ(ainfty_to_qfamily(A), b, Element.zero(mod), cap)
+    D = DeformedQ(A.qfamily, b, Element.zero(mod), cap)
     exp_b = Word.zero(mod)
     for s in range(int(Fraction(cap.energy) / b.valuation()) + 1):
         exp_b = exp_b + word_from_factors(mod, [b] * s, cap=cap)
@@ -304,7 +362,7 @@ def test_q_eval_expands_interior_inputs_with_koszul_signs():
 
 def test_boundary_slice_round_trip():
     A = builtin_algebras("exterior(2)")
-    Q = ainfty_to_qfamily(A)
+    Q = A.qfamily
     assert {b: el for (b, i), el in Q.ops.items() if not i} == A.ops
 
 
@@ -312,7 +370,7 @@ def test_boundary_slice_round_trip():
 def test_q_family_without_interior_inputs_is_mu(name):
     # eval_tuple with no interior inputs is the table lookup, truncated
     A = builtin_algebras(name)
-    Q = ainfty_to_qfamily(A)
+    Q = A.qfamily
     cap = Cap(energy=0, weight=3, var_total=0)
     for w in range(4):
         for tup in itertools.product(A.module.basis, repeat=w):

@@ -255,6 +255,23 @@ def test_malformed_instance_exit_2_with_line(tmp_path, capsys, text, line):
     assert "Traceback" not in out.out + out.err
 
 
+def test_non_homogeneous_operation_exit_2_at_its_first_line(tmp_path,
+                                                            capsys):
+    """Each operation is checked once, in the AInfty constructor; a
+    coefficient with no single degree is reported at the first line of its
+    key, not at a later line adding to it."""
+    path = tmp_path / "bad.txt"
+    path.write_text("PI\nrank 1\nomega 1\nmaslov 2\nBASIS\ne x\n"
+                    "DEGREES\n0 1\nMU 2\ne x -> x\ne e -> e\n"
+                    "e x -> T^[1] * x\n")
+    code = main(["check-ainfty", str(path), "--weight", "1"])
+    out = capsys.readouterr()
+    assert code == 2
+    assert json.loads(out.out)["error"] == (
+        "line 10: degree of a non-homogeneous scalar")
+    assert "Traceback" not in out.out + out.err
+
+
 @pytest.mark.parametrize("argv", [
     ["check-ainfty", "dual_numbers", "--energy", "abc"],
     ["check-ainfty", "dual_numbers", "--weight", "-1"],

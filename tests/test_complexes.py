@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from hochcyc.scalars import TRIVIAL_CONTEXT, Cap, Scalar
-from hochcyc.graded import GradedModule, Word
+from hochcyc.graded import GradedModule, Word, rotations
 from hochcyc.ainfty import (
     BUILTIN_NAMES,
     AInfty,
@@ -15,6 +15,7 @@ from hochcyc.ainfty import (
     hat_extension,
 )
 from hochcyc.complexes import (
+    _canonical_rotation,
     CYCLIC_VARIANTS,
     UNIT_KILLING_VARIANTS,
     ChainElt,
@@ -46,6 +47,26 @@ def test_dsquare_all_variants(name, variant):
     # contains the unit
     if not (name == "ground_field" and variant is Variant.REDUCED_CONNES):
         assert rep.checked > 0
+
+
+def test_canonical_rotation_matches_the_signed_orbit():
+    """The orbit-free canonical rotation agrees with the least rotation by
+    basis index read off the full signed orbit, including periodic tuples
+    of both total parities, whose class is zero when the minimum is reached
+    with both signs.  The basis order differs from the name order."""
+    mod = GradedModule("m", ("c", "a", "b"), (1, 0, 2), TRIVIAL_CONTEXT)
+    seen_zero = 0
+    for k in range(6):
+        for tup in itertools.product(mod.basis, repeat=k):
+            orbit = rotations(mod, tup)
+            idx = [mod.index(g) for g in tup]
+            j = min(range(len(orbit)), key=lambda j: idx[j:] + idx[:j])
+            best, sign = orbit[j]
+            want = (None if any(r == best and s1 != sign for r, s1 in orbit)
+                    else (best, sign))
+            assert _canonical_rotation(mod, tup) == want, tup
+            seen_zero += want is None
+    assert seen_zero > 0
 
 
 def test_t_has_order_k():

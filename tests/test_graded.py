@@ -51,6 +51,11 @@ def test_element_degree_and_arithmetic(mod):
         (x + Element.generator(mod, "a")).degree()
 
 
+def test_element_truncate_without_cap_is_identity(mod):
+    x = Element.generator(mod, "b", 2)
+    assert x.truncate(None) is x
+
+
 def test_elements_and_words_do_not_mix(mod):
     # same module and the same generator, but an Element is keyed by a name
     # and a Word by a tuple: no sum, and never equal
