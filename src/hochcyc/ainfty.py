@@ -18,6 +18,7 @@ import itertools
 import math
 import re
 from fractions import Fraction
+from functools import cached_property
 
 from .scalars import (
     INFINITY,
@@ -27,6 +28,7 @@ from .scalars import (
     PiGroup,
     Scalar,
     TRIVIAL_CONTEXT,
+    accumulate,
     scalar_mul,
 )
 from .graded import (
@@ -389,6 +391,10 @@ class OCFamily:
         self.ops: dict[tuple, Element] = {
             (tuple(b), tuple(i)): el for (b, i), el in ops.items() if el}
 
+    @cached_property
+    def boundary_keys(self) -> frozenset:
+        return frozenset(b for b, _ in self.ops)
+
     def p(self, btup, itup=()) -> Element:
         return (self.ops.get((tuple(btup), tuple(itup)))
                 or Element.zero(self.target.module))
@@ -442,22 +448,28 @@ class OCFamily:
         """Group average over rotations of the boundary tuple, with the cyclic
         signs; exact over the rationals, and the result is cyclic.
 
-        Each orbit is walked once: the signed average over the orbit of a
-        stored key is written, with the sign s_sigma^[1] of rotation j, at
-        every rotation j.  On a periodic tuple whose stabiliser acts by -1
-        the average is zero, and the constructor drops it."""
+        Each orbit is walked once: its signed values are summed on one
+        ``{generator: {monomial: Fraction}}`` table, divided by the orbit
+        length once, and the average or its negation stored at every key."""
+        degs = dict(zip(self.module.basis, self.module.degrees))
+        tmod = self.target.module
         new_ops = {}
         for btup, itup in self.ops:
             if (btup, itup) in new_ops:
                 continue
-            orbit = rotations(self.module, btup)
-            acc = Element.zero(self.target.module)
+            orbit = rotations(btup, [degs[g] for g in btup])
+            table: dict = {}
             for rot, s1 in orbit:
-                val = self.p(rot, itup)
-                acc = acc + (-val if s1 else val)
-            avg = acc.scale(Fraction(1, len(orbit)))
+                val = self.ops.get((rot, itup))
+                for g, s in (val.terms.items() if val is not None else ()):
+                    accumulate(table.setdefault(g, {}), (
+                        (m, -c if s1 else c) for m, c in s.terms.items()))
+            avg = Element._raw(tmod, {g: Scalar._raw(tmod.ctx, {
+                m: c / len(orbit) for m, c in t.items()})
+                for g, t in table.items() if t})
+            neg = -avg if any(s1 for _, s1 in orbit) else None
             for rot, s1 in orbit:
-                new_ops[(rot, itup)] = -avg if s1 else avg
+                new_ops[(rot, itup)] = neg if s1 else avg
         return OCFamily(self.module, self.target, self.n, new_ops)
 
 

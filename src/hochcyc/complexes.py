@@ -198,7 +198,8 @@ def is_canonical_tuple(A: AInfty, tup, variant: Variant) -> bool:
         if is_degenerate(A, tup, variant):
             return False
     return (variant not in CYCLIC_VARIANTS
-            or _canonical_rotation(A.module, tup) == (tup, 0))
+            or (min(map(A.module.index, tup)) == A.module.index(tup[0])
+                and _canonical_rotation(A.module, tup) == (tup, 0)))
 
 
 def canonical_tuples(A: AInfty, variant: Variant, max_weight: int):

@@ -326,13 +326,14 @@ def rotate(tup, degrees, j: int):
             ((head + j) * (tail + k - j)) % 2)
 
 
-def rotations(module: GradedModule, tup) -> list:
-    """The signed rotation orbit of a basis tuple: ``(rotation by j,
-    s_sigma^[1])`` for j = 0, ..., k - 1, and the trivial rotation alone at
-    k = 0.  A periodic tuple appears once per j, possibly with both signs."""
-    degs = [module.degree(g) for g in tup]
-    orbit = (rotate(tup, degs, j) for j in range(max(len(tup), 1)))
-    return [(rot, s1) for rot, _, s1 in orbit]
+def rotations(tup, degrees) -> list:
+    """The orbit ``[(rotation by j, s_sigma^[1]) for j < max(k, 1)]`` of a
+    tuple with slot degrees ``degrees``, signed as by ``rotate``."""
+    sp = [0]
+    for d in degrees:
+        sp.append(sp[-1] ^ (d + 1) & 1)
+    return [(tup[j:] + tup[:j], sp[j] * (1 - sp[-1]))
+            for j in range(max(len(tup), 1))]
 
 
 def shuffle_sign(degrees, I, J) -> int:

@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import Cap, Context, FormalVarSpec, PiGroup, Scalar
+from .scalars import Cap, Context, FormalVarSpec, PiGroup, Scalar, accumulate
 from .graded import (
     ChainComplex,
     Element,
@@ -83,17 +83,19 @@ def random_target(ctx: Context, seed: int = 0) -> ChainComplex:
 def random_cyclic_p(A: AInfty, target: ChainComplex, n: int,
                     max_weight: int, seed: int = 0,
                     symmetrize: bool = True) -> OCFamily:
-    """Arbitrary structure constants, three random terms per weight, then
-    rotation-averaged with signs."""
+    """Three random integer terms per weight, summed on a plain ``{boundary
+    tuple: {generator: int}}`` table, then rotation-averaged with signs."""
     rng = random.Random(seed)
-    ops: dict = {}
-    tmod = target.module
+    table: dict = {}
+    basis, tmod = A.module.basis, target.module
     for k in range(1, max_weight + 1):
         for _ in range(3):
-            btup = tuple(rng.choice(A.module.basis) for _ in range(k))
-            el = Element.generator(tmod, rng.choice(tmod.basis),
-                                   Fraction(rng.randint(-3, 3)))
-            ops[(btup, ())] = ops.get((btup, ()), Element.zero(tmod)) + el
+            btup = tuple([rng.choice(basis) for _ in range(k)])
+            accumulate(table.setdefault(btup, {}),
+                       [(rng.choice(tmod.basis), rng.randint(-3, 3))])
+    ops = {(btup, ()): Element._raw(tmod, {
+        g: Scalar.rational(tmod.ctx, c) for g, c in row.items()})
+        for btup, row in table.items()}
     raw = OCFamily(A.module, target, n, ops)
     return raw.symmetrized() if symmetrize else raw
 
@@ -212,12 +214,11 @@ def structure_rhs(Q: OCFamily, p: OCFamily, sphere: SphereTermProvider | None,
     count += 1
 
     # composite terms
-    orbit = rotations(mod, alpha)
-    qkeys = {b for b, _ in Q.ops}  # boundary tuples where q has a value
+    orbit = rotations(alpha, [mod.degree(g) for g in alpha])
     for j, k2, J in structure_terms(k, l):
         count += 1
         rot, s1 = orbit[j]
-        if rot[:k2] not in qkeys:
+        if rot[:k2] not in Q.boundary_keys:
             continue
         q_el = Q.eval_tuple(rot[:k2], [gamma[i] for i in J], cap)
         if q_el.is_zero():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from hochcyc.scalars import TRIVIAL_CONTEXT, Cap, Scalar
-from hochcyc.graded import GradedModule, Word, rotations
+from hochcyc.graded import GradedModule, Word, rotate
 from hochcyc.ainfty import (
     BUILTIN_NAMES,
     AInfty,
@@ -28,6 +28,7 @@ from hochcyc.complexes import (
     hoch_diff,
     hoch_diff_word,
     is_canonical_tuple,
+    is_degenerate,
     project,
     random_word,
     t_lemma_check,
@@ -58,7 +59,8 @@ def test_canonical_rotation_matches_the_signed_orbit():
     seen_zero = 0
     for k in range(6):
         for tup in itertools.product(mod.basis, repeat=k):
-            orbit = rotations(mod, tup)
+            degs = [mod.degree(g) for g in tup]
+            orbit = [rotate(tup, degs, j)[::2] for j in range(max(k, 1))]
             idx = [mod.index(g) for g in tup]
             j = min(range(len(orbit)), key=lambda j: idx[j:] + idx[:j])
             best, sign = orbit[j]
@@ -156,6 +158,24 @@ def test_canonical_tuples_are_fixed_by_the_projection(name):
                 assert project(A, w, variant) == twice
                 assert is_canonical_tuple(A, tup, variant) == \
                     (twice.terms == w.terms), (variant, tup)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_is_canonical_tuple_agrees_with_the_canonical_rotation(name):
+    """The least-index test that lets ``is_canonical_tuple`` skip
+    ``_canonical_rotation`` decides nothing by itself: on every tuple of
+    weight 1 to 5 the answer is still ``_canonical_rotation(mod, tup) ==
+    (tup, 0)`` (and not degenerate, in the unit-killing variants)."""
+    A = builtin_algebras(name)
+    mod = A.module
+    for variant in CYCLIC_VARIANTS:
+        for k in range(1, 6):
+            for tup in itertools.product(mod.basis, repeat=k):
+                want = _canonical_rotation(mod, tup) == (tup, 0)
+                if variant in UNIT_KILLING_VARIANTS:
+                    want = want and not is_degenerate(A, tup, variant)
+                assert is_canonical_tuple(A, tup, variant) == want, \
+                    (variant, tup)
 
 
 def test_unit_killing_variants_need_a_unit():

@@ -25,6 +25,7 @@ from hochcyc.graded import (
     map_on_generators,
     rotate,
     rotation_perm,
+    rotations,
     s_perm,
     shuffle_sign,
     word_from_factors,
@@ -160,15 +161,19 @@ def test_rotate_composes_stepwise():
 
 def test_rotate_signs_match_the_permutation_sign():
     """The closed-form rotation signs agree with s_perm on the rotation
-    permutation, for every parity vector up to length 8 and every j."""
+    permutation, for every parity vector up to length 8 and every j, and the
+    one-pass orbit ``rotations`` agrees with ``rotate`` at every j."""
     cases = 0
     for k in range(9):
         for degs in itertools.product((0, 1), repeat=k):
+            orbit = rotations(tuple(range(k)), list(degs))
+            assert len(orbit) == max(k, 1)
             for j in range(max(k, 1)):
                 perm = rotation_perm(k, j)
-                _, s, s1 = rotate(tuple(range(k)), list(degs), j)
+                rot, s, s1 = rotate(tuple(range(k)), list(degs), j)
                 assert s == s_perm(list(degs), perm)
                 assert s1 == s_perm([d + 1 for d in degs], perm)
+                assert orbit[j] == (rot, s1)
                 cases += 1
     assert cases == 3587
 

@@ -9,7 +9,7 @@ import pytest
 
 from hochcyc.scalars import Cap, Scalar, scalar_mul
 from hochcyc.graded import ChainComplex, Element, GradedModule, Word, rotate
-from hochcyc.ainfty import builtin_algebras
+from hochcyc.ainfty import BUILTIN_NAMES, builtin_algebras
 from hochcyc.complexes import Variant, random_word
 from hochcyc.openclosed import (
     ExtendedOC,
@@ -89,6 +89,35 @@ def test_rotation_rewrite_is_linear_over_odd_scalars(n):
         assert got == (-want if n else want), (n, seed)
 
 
+def _draws_reference(A, target, max_weight, seed):
+    """The unsymmetrized table drawn term by term with ``Element`` sums, in
+    the order of the random stream that ``random_cyclic_p`` must keep."""
+    rng = random.Random(seed)
+    tmod = target.module
+    ops = {}
+    for k in range(1, max_weight + 1):
+        for _ in range(3):
+            btup = tuple(rng.choice(A.module.basis) for _ in range(k))
+            el = Element.generator(tmod, rng.choice(tmod.basis),
+                                   Fraction(rng.randint(-3, 3)))
+            ops[(btup, ())] = ops.get((btup, ()), Element.zero(tmod)) + el
+    return {key: el for key, el in ops.items() if el}
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_random_cyclic_p_keeps_its_random_stream(name):
+    """The bench's negative-control witness depends on the order of the
+    draws, so the table path must consume the stream as the reference."""
+    A = builtin_algebras(name)
+    target = random_target(A.module.ctx, seed=2)
+    for seed in range(20):
+        raw = random_cyclic_p(A, target, seed % 2, max_weight=5, seed=seed,
+                              symmetrize=False)
+        want = _draws_reference(A, target, 5, seed)
+        assert raw.ops == want, seed
+        assert list(raw.ops) == list(want), seed
+
+
 def test_symmetrized_family_is_cyclic():
     A = builtin_algebras("exterior(2)")
     target = random_target(A.module.ctx, seed=4)
@@ -118,15 +147,29 @@ def _orbit_average_reference(p):
     return out
 
 
-@pytest.mark.parametrize("name", ["exterior(2)", "dual_numbers"])
+@pytest.mark.parametrize("name", ["exterior(2)", "dual_numbers", "odd_t"])
 def test_symmetrized_matches_per_key_orbit_average(name):
-    A = builtin_algebras(name)
-    target = random_target(A.module.ctx, seed=3)
+    """On ``odd_t`` (the algebra of ``_odd_variable_algebra``) the values
+    carry energy monomials and odd formal variables, also on orbits whose
+    stabiliser acts by -1.  In every case two values of one orbit cancel
+    in part: the whole u1 coefficient on the builtins, one monomial of it
+    on ``odd_t``."""
+    A = (_odd_variable_algebra(2)[0] if name == "odd_t"
+         else builtin_algebras(name))
+    ctx = A.module.ctx
+    target = random_target(ctx, seed=3)
     tmod = target.module
     g = A.module.basis[1]  # of degree 1
+    if name == "odd_t":
+        unit = Scalar(ctx, {((1,), (1, 0)): Fraction(1, 3),
+                            ((2,), (0, 1)): -2})
+        cancel = Scalar(ctx, {((1,), (1, 0)): Fraction(1, 3),
+                              ((1,), (0, 1)): Fraction(1, 2)})
+    else:
+        unit = cancel = Scalar.one(ctx)
 
     def gen(t, c=1):
-        return Element.generator(tmod, t, c)
+        return Element(tmod, {t: unit.scale(c)})
 
     ops = {
         ((), ()): gen("u0"),
@@ -135,6 +178,8 @@ def test_symmetrized_matches_per_key_orbit_average(name):
         ((g, "e", g, "e"), ()): gen("u0", -3),  # stabiliser acts by -1
         ((g, "e", "e"), ()): gen("u1"),
         (("e", "e", g), ()): gen("u2", 5),  # same orbit as the key above
+        # rotation 2 of (g, e, e), with sign -1
+        (("e", g, "e"), ()): Element(tmod, {"u1": cancel}),
         ((g, "e"), ("u1",)): gen("u0"),
     }
     fams = [OCFamily(A.module, target, n, ops) for n in (0, 1)]
@@ -150,6 +195,10 @@ def test_symmetrized_matches_per_key_orbit_average(name):
     assert (("e", "e"), ()) not in sym
     assert ((g, "e", g, "e"), ()) not in sym
     assert sym[((g, g), ())] == gen("u2", 2)
+    avg = sym[((g, "e", "e"), ())].terms
+    want = (unit - cancel).scale(Fraction(1, 3))
+    assert avg.get("u1", Scalar.zero(ctx)) == want
+    assert ("u1" in avg) == (name == "odd_t")
 
 
 # -- structure equation and chain maps on the zero-energy toy ----------------
