@@ -18,7 +18,6 @@ import itertools
 import math
 import re
 from fractions import Fraction
-from functools import cached_property
 
 from .scalars import (
     INFINITY,
@@ -390,10 +389,6 @@ class OCFamily:
         self.n = n
         self.ops: dict[tuple, Element] = {
             (tuple(b), tuple(i)): el for (b, i), el in ops.items() if el}
-
-    @cached_property
-    def boundary_keys(self) -> frozenset:
-        return frozenset(b for b, _ in self.ops)
 
     def p(self, btup, itup=()) -> Element:
         return (self.ops.get((tuple(btup), tuple(itup)))

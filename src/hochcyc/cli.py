@@ -343,10 +343,11 @@ def cmd_expand_structure(args, report):
     if k == 0:
         terms.append({"kind": "sphere"})
     declared = k * (k + 1) * 2 ** l + 1 + (1 if k == 0 else 0)
+    want = max(k, 1) * (k + 1) * 2 ** l + 1 + (1 if k == 0 else 0)
     report["terms"] = terms
     report["count"] = len(terms)
     report["declared_count"] = declared
-    _add_check(report, "term_enumeration", True)
+    _add_check(report, "term_enumeration", len(terms) == want)
 
 
 def cmd_verify_theorems(args, report):

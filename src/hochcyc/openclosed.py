@@ -5,7 +5,8 @@ q_{empty,l} of ``SphereTermProvider`` are all ``OCFamily`` tables (the one
 class, defined in ``ainfty``), evaluated by its ``eval_word`` and
 ``eval_tuple``.  This module adds
 
-* the structure-equation right-hand side expander,
+* the structure-equation right-hand side expander, with one boundary word
+  and one evaluation of p per interior subset J,
 * the combinatorial rewrite identity expressing p o d_hoch through rotations,
 * chain-map residual sweeps over the complex variants (including the
   zeta-quotient target and the weight-zero extension),
@@ -112,7 +113,7 @@ def theorem_rhs_rotations(p: OCFamily, A: AInfty, w: Word,
     front coefficient c of ``w`` passing p with (-1)^{|c| n}.  Read from the
     structure equation: on a basis tuple alpha of weight >= 1 the sum is
     (-1)^{n+1} times ``structure_rhs(A.qfamily, p, None, alpha)``,
-    which has only composite terms there."""
+    which has only composite terms there, all in the one word of J empty."""
     Q = A.qfamily
     out = Element.zero(p.target.module)
     for tup, c in w.items():
@@ -171,7 +172,7 @@ class SphereTermProvider:
 def structure_terms(k: int, l: int):
     """The composite terms of the structure equation for p_{k,l}: triples
     (rotation j, boundary arity k2 of q, interior index set J of q), in the
-    order ``structure_rhs`` sums them.  At k = 0 the trivial rotation j = 0
+    order ``structure_rhs`` reads them.  At k = 0 the trivial rotation j = 0
     is the only one."""
     subsets = [J for size in range(l + 1)
                for J in itertools.combinations(range(l), size)]
@@ -189,7 +190,9 @@ def structure_rhs(Q: OCFamily, p: OCFamily, sphere: SphereTermProvider | None,
                   gamma_I )
     + [k=0] (-1)^{|gamma|} q_{empty,l+1}(gamma (x) zeta).
 
-    Returns (Element, term_count)."""
+    p is linear: the composite terms of one J are summed on one word, q
+    coefficients in front, and p is evaluated once per J.  Returns
+    (Element, term_count)."""
     mod = p.module
     tmod = p.target.module
     alpha = tuple(alpha)
@@ -213,24 +216,24 @@ def structure_rhs(Q: OCFamily, p: OCFamily, sphere: SphereTermProvider | None,
         out = out + (-part if sgn else part)
     count += 1
 
-    # composite terms
+    # composite terms, one word per J; without interior inputs q is read
+    # uncapped, as eval_word caps every product and energies only add
     orbit = rotations(alpha, [mod.degree(g) for g in alpha])
+    words: dict = {}
     for j, k2, J in structure_terms(k, l):
         count += 1
         rot, s1 = orbit[j]
-        if rot[:k2] not in Q.boundary_keys:
-            continue
-        q_el = Q.eval_tuple(rot[:k2], [gamma[i] for i in J], cap)
-        if q_el.is_zero():
-            continue
+        q_el = (Q.eval_tuple(rot[:k2], [gamma[i] for i in J], cap) if J
+                else Q.ops.get((rot[:k2], ())))
+        if q_el:
+            accumulate(words.setdefault(J, {}), (
+                ((g,) + rot[k2:], -c if s1 else c) for g, c in q_el.items()))
+    for J, table in words.items():
         I = [i for i in range(l) if i not in J]
-        gI = [gamma[i] for i in I]
         gJpar = sum(gpars[i] for i in J) % 2
-        sh = shuffle_sign(gpars, I, list(J))
-        sgn = (s1 + gtotal + sh + (n + 1) * (gJpar + 1)) % 2
-        word = word_from_factors(
-            mod, [q_el] + list(rot[k2:]), shifted=True, cap=cap)
-        part = p.eval_word(word, gI, cap)
+        sgn = (gtotal + shuffle_sign(gpars, I, list(J))
+               + (n + 1) * (gJpar + 1)) % 2
+        part = p.eval_word(Word._raw(mod, table), [gamma[i] for i in I], cap)
         out = out + (-part if sgn else part)
 
     # sphere term

@@ -16,6 +16,8 @@ from hochcyc.cli import (
     run,
     serialize_instance,
 )
+from hochcyc.graded import Element
+from hochcyc.openclosed import exterior_geometry, structure_rhs, toy_zero_energy
 
 GOOD_INSTANCE = """
 # a two-generator differential algebra over a rank-1 group
@@ -170,6 +172,30 @@ def test_expand_structure_counts():
     # declared formula counts none, and the report exposes both numbers
     assert report["count"] == 4
     assert report["declared_count"] == 2
+    assert all(c["ok"] for c in report["checks"])
+
+
+def test_expand_structure_fails_on_a_dropped_term(monkeypatch, capsys):
+    enumerate_terms = cli.structure_terms
+    monkeypatch.setattr(cli, "structure_terms",
+                        lambda k, l: list(enumerate_terms(k, l))[1:])
+    assert main(["expand-structure", "--k", "2", "--l", "1"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    [check] = report["checks"]
+    assert check["name"] == "term_enumeration" and not check["ok"]
+    assert report["count"] == 2 * 3 * 2
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("l", [0, 1])
+def test_structure_rhs_count_matches_the_cli(k, l):
+    A, geom = exterior_geometry(0)
+    p, Q, sphere = toy_zero_energy(geom, A)
+    gamma = [Element.generator(geom.X.module, "Xa12")] * l
+    _, count = structure_rhs(Q, p, sphere, ("e", "a1")[:k], gamma)
+    report, code = _run(["expand-structure", "--k", str(k), "--l", str(l)])
+    assert code == 0
+    assert count == report["count"]
 
 
 def test_verify_theorems_command():

@@ -2,18 +2,29 @@
 rotation rewrite of p o d, the structure equation, chain-map residuals on the
 toy instantiations, the weight-zero extension, and the axiom suite."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from hochcyc.scalars import Cap, Scalar, scalar_mul
-from hochcyc.graded import ChainComplex, Element, GradedModule, Word, rotate
+from hochcyc.graded import (
+    ChainComplex,
+    Element,
+    GradedModule,
+    Word,
+    rotate,
+    rotations,
+    shuffle_sign,
+    word_from_factors,
+)
 from hochcyc.ainfty import BUILTIN_NAMES, builtin_algebras
 from hochcyc.complexes import Variant, random_word
 from hochcyc.openclosed import (
     ExtendedOC,
     OCFamily,
+    SphereTermProvider,
     axiom_suite,
     build_divisor_family,
     chain_map_residual,
@@ -26,6 +37,7 @@ from hochcyc.openclosed import (
     reduce_mod,
     structure_residual,
     structure_rhs,
+    structure_terms,
     theorem1_rewrite_check,
     theorem5_toy,
     theorem_rhs_rotations,
@@ -206,8 +218,6 @@ def test_symmetrized_matches_per_key_orbit_average(name):
 
 @pytest.mark.parametrize("n", [0, 1])
 def test_zero_energy_structure_equation(n):
-    import itertools
-
     A, geom = exterior_geometry(n)
     p, Q, sphere = toy_zero_energy(geom, A)
     for w in range(1, 4):
@@ -239,6 +249,161 @@ def test_structure_equation_at_weight_zero_with_interior_input():
     cap = Cap(4, 4, 4)
     assert structure_residual(Q, p, sphere, (), gamma, cap).is_zero()
     assert structure_rhs(Q, p, sphere, (), gamma, cap)[1] == 4
+
+
+def _structure_rhs_reference(Q, p, sphere, alpha, gamma=(), cap=None):
+    """The structure equation's right-hand side summed term by term: each
+    composite term's q value capped, tensored with the rest of the rotation
+    by ``word_from_factors`` and passed through p on its own."""
+    mod = p.module
+    alpha, gamma = tuple(alpha), list(gamma)
+    k, l = len(alpha), len(gamma)
+    gpars = [g.degree_parity() for g in gamma]
+    gtotal = sum(gpars) % 2
+    out = Element.zero(p.target.module)
+    for j in range(l):
+        dg = p.target.d(gamma[j])
+        if dg:
+            part = p.eval_tuple(alpha, gamma[:j] + [dg] + gamma[j + 1:], cap)
+            out = out + (-part if sum(gpars[:j]) % 2 else part)
+    count = 1
+    orbit = rotations(alpha, [mod.degree(g) for g in alpha])
+    for j, k2, J in structure_terms(k, l):
+        count += 1
+        rot, s1 = orbit[j]
+        q_el = Q.eval_tuple(rot[:k2], [gamma[i] for i in J], cap)
+        if q_el.is_zero():
+            continue
+        I = [i for i in range(l) if i not in J]
+        gJpar = sum(gpars[i] for i in J) % 2
+        sgn = (s1 + gtotal + shuffle_sign(gpars, I, list(J))
+               + (p.n + 1) * (gJpar + 1)) % 2
+        word = word_from_factors(mod, [q_el] + list(rot[k2:]), cap=cap)
+        part = p.eval_word(word, [gamma[i] for i in I], cap)
+        out = out + (-part if sgn else part)
+    if k == 0:
+        count += 1
+        part = sphere.q_empty(gamma + [sphere.zeta], cap)
+        out = out + (-part if gtotal else part)
+    return out, count
+
+
+REFERENCE_CAPS = [Cap(2, 4, 2), Cap(4, 6, 0), Cap(3, 3, 0), Cap(4, 4, 4),
+                  None]
+
+
+def _homogeneous(rng, mod, parity=None):
+    """A random rational combination of two generators of one degree, of
+    the given parity if one is given."""
+    d = mod.degree(rng.choice([g for g in mod.basis if parity is None
+                               or mod.degree(g) % 2 == parity]))
+    gens = [g for g in mod.basis if mod.degree(g) == d]
+    return (Element.generator(mod, rng.choice(gens), rng.choice((-2, 1)))
+            + Element.generator(mod, rng.choice(gens), rng.choice((1, 3))))
+
+
+def _interior_toy(n):
+    """The zero-energy toy with random interior operations added to q and
+    p, a nonzero sphere operation, and interior inputs of both parities."""
+    A, geom = exterior_geometry(n)
+    p, Q, sphere = toy_zero_energy(geom, A)
+    X = geom.X.module
+    rng = random.Random(100 + n)
+    qops, pops = dict(Q.ops), dict(p.ops)
+
+    def btup(most):
+        return tuple(rng.choice(A.module.basis)
+                     for _ in range(rng.randint(0, most)))
+
+    for _ in range(30):
+        qops[(btup(2), tuple(rng.sample(X.basis, rng.randint(1, 2))))] = \
+            _homogeneous(rng, A.module)
+        pops[(btup(3), tuple(rng.sample(X.basis, rng.randint(0, 2))))] = \
+            _homogeneous(rng, X)
+    sphere = SphereTermProvider(geom.X, {g: _homogeneous(rng, X)
+                                         for g in X.basis}, sphere.zeta)
+    gammas = [[_homogeneous(rng, X, par) for par in pars]
+              for pars in ((), (0,), (1,), (1, 0), (1, 1))]
+    return (A, OCFamily(A.module, Q.target, 0, qops),
+            OCFamily(A.module, geom.X, n, pops), sphere, gammas)
+
+
+def _reference_cases():
+    """(Q, p, sphere, alpha, gamma) over the toys with 0-2 interior inputs
+    (k = 0 included), ``theorem5_toy`` with its extension, and symmetrized
+    and unsymmetrized random families on the builtins and on ``odd_t``."""
+    for n in (0, 1):
+        A, Qi, pi, sph_i, gammas = _interior_toy(n)
+        _, geom = exterior_geometry(n)
+        p, Q, sphere = toy_zero_energy(geom, A)
+        for w in range(3):
+            for alpha in itertools.product(A.module.basis, repeat=w):
+                yield Q, p, sphere, alpha, gammas[w]
+                for gamma in gammas:
+                    yield Qi, pi, sph_i, alpha, gamma
+        A, p, sphere = theorem5_toy(n)
+        for w in range(3):
+            for alpha in itertools.product(A.module.basis, repeat=w):
+                for fam in (p, extended_P(p, sphere)):
+                    yield A.qfamily, fam, sphere, alpha, ()
+    algebras = [builtin_algebras(name) for name in BUILTIN_NAMES]
+    algebras += [_odd_variable_algebra(v)[0] for v in (1, 2)]
+    rng = random.Random(7)
+    for A in algebras:
+        target = random_target(A.module.ctx, seed=7)
+        for trial in range(4):
+            p = random_cyclic_p(A, target, trial % 2, max_weight=4,
+                                seed=trial, symmetrize=trial < 2)
+            for _ in range(4):
+                alpha = tuple(rng.choice(A.module.basis)
+                              for _ in range(rng.randint(1, 4)))
+                yield A.qfamily, p, None, alpha, ()
+
+
+@pytest.mark.parametrize("cap", REFERENCE_CAPS, ids=str)
+def test_structure_rhs_matches_the_per_term_reference(cap):
+    """One word per interior subset J, one evaluation of p per J, and q
+    read uncapped without interior inputs give the per-term sum."""
+    nonzero = interior = 0
+    for Q, p, sphere, alpha, gamma in _reference_cases():
+        got = structure_rhs(Q, p, sphere, alpha, gamma, cap)
+        assert got == _structure_rhs_reference(Q, p, sphere, alpha, gamma,
+                                               cap), (alpha, len(gamma))
+        nonzero += bool(got[0])
+        interior += bool(got[0]) and bool(gamma)
+    assert nonzero > 50 and interior > 20, (nonzero, interior)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES + ("odd_t",))
+def test_rotation_rewrite_matches_the_per_term_reference(name):
+    """On unsymmetrized families the rewrite's right-hand side is mostly
+    nonzero; it equals the sum built from the per-term reference.  The words
+    hold every basis tuple of weight 3, and on ``odd_t`` odd coefficients."""
+    if name == "odd_t":
+        A, odd_word = _odd_variable_algebra(2)
+        odd_word = Word(A.module, {t: s for t, s in odd_word.items() if t})
+    else:
+        A = builtin_algebras(name)
+    target = random_target(A.module.ctx, seed=1)
+    rng = random.Random(3)
+    nonzero = 0
+    for trial in range(6):
+        p = random_cyclic_p(A, target, trial % 2, max_weight=4, seed=trial,
+                            symmetrize=False)
+        w = odd_word if name == "odd_t" else random_word(A, rng, 2)
+        for tup in itertools.product(A.module.basis, repeat=3):
+            if tup not in w.terms:  # keeps the odd coefficients homogeneous
+                w = w + Word.basis_word(A.module, tup, rng.choice((-1, 2)))
+        cap = REFERENCE_CAPS[trial % len(REFERENCE_CAPS)]
+        want = Element.zero(target.module)
+        for tup, c in w.items():
+            part = _structure_rhs_reference(A.qfamily, p, None, tup, (),
+                                            cap)[0].scalar_left(c, cap)
+            sgn = (c.degree_parity() * p.n + p.n + 1) % 2
+            want = want + (-part if sgn else part)
+        assert theorem_rhs_rotations(p, A, w, cap) == want, trial
+        nonzero += bool(want)
+    assert nonzero >= 4, nonzero
 
 
 @pytest.mark.parametrize("n", [0, 1])
