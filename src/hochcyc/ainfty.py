@@ -377,9 +377,9 @@ class OCFamily:
     ``ops`` maps pairs (boundary tuple, interior tuple) of basis tuples to
     nonzero target Elements; k and l are the two tuples' lengths.  ``n`` is
     the ambient-dimension parameter entering all signs.  A front scalar
-    coefficient of degree |c| passes the operator with the sign
-    (-1)^{|c| (n+1+|interior|)}, so that together with the tensor-slot
-    Koszul moves the boundary-linearity sign comes out as
+    coefficient c passes the operator as twist^{n+1+|interior|}(c), the
+    sign (-1)^{|c| (n+1+|interior|)} extended linearly, so that together with
+    the tensor-slot Koszul moves the boundary-linearity sign comes out as
     (-1)^{|a| (n+1 + ||alpha_(<i)|| + |gamma|)}."""
 
     def __init__(self, module: GradedModule, target: ChainComplex, n: int,
@@ -399,30 +399,29 @@ class OCFamily:
     def eval_word(self, w: Word, interior=(), cap: Cap | None = None) -> Element:
         """The family on a boundary word and a list of interior Elements: the
         one place where a coefficient passes the family.  The interior inputs
-        expand by ``word_from_factors`` (unshifted) in their own module; each
-        expansion coefficient multiplies the boundary coefficient from the
-        right and the table value from the left."""
+        expand by ``word_from_factors`` (unshifted) in their own module.  With
+        bc the boundary and ic the expansion coefficient of interior tuple
+        itup, the table value is multiplied by ic . twist^{n+1+|itup|}(bc)."""
         out = Element.zero(self.target.module)
-        # (interior tuple, its total degree parity, coefficient); with no
-        # interior inputs one term without a coefficient, so the boundary
+        # (interior tuple, parity of n + 1 + its degree, coefficient); with
+        # no interior inputs one term without a coefficient, so the boundary
         # coefficient is used as it is rather than multiplied by one
-        iterms = [((), 0, None)]
+        iterms = [((), (self.n + 1) % 2, None)]
         if interior:
             imod = interior[0].module
             iword = word_from_factors(imod, interior, shifted=False, cap=cap)
-            iterms = [(t, sum(map(imod.degree, t)) + c.degree_parity(), c)
+            iterms = [(t, (self.n + 1 + sum(map(imod.degree, t))) % 2, c)
                       for t, c in iword.items()]
         for btup, bc in w.items():
-            bpar = bc.degree_parity()
-            for itup, gpar, ic in iterms:
+            for itup, odd, ic in iterms:
                 el = self.ops.get((btup, itup))
                 if el is None:
                     continue
-                coeff = bc if ic is None else scalar_mul(bc, ic, cap)
-                sgn = (bpar * (self.n + 1 + gpar)) % 2
+                coeff = bc.twist() if odd else bc
+                if ic is not None:
+                    coeff = scalar_mul(ic, coeff, cap)
                 # each product is capped, so their sum is
-                part = el.scalar_left(coeff, cap)
-                out = out + (-part if sgn else part)
+                out = out + el.scalar_left(coeff, cap)
         return out
 
     def eval_tuple(self, btup, interior=(), cap: Cap | None = None) -> Element:

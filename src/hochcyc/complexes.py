@@ -2,9 +2,10 @@
 complex variants (Hochschild, normalized Hochschild, cyclic quotient, reduced
 cyclic, and the two extended variants with a weight-zero generator).
 
-Quotients are realized by canonicalization: every cyclic class is stored via
-its signed lexicographically-minimal rotation, and classes whose stabilizer
-acts by -1 are zero over the rationals.
+Quotients are realized by canonicalization, one basis tuple at a time
+(``canonical_form``): every cyclic class is stored via its signed
+lexicographically-minimal rotation, and classes whose stabilizer acts by -1
+are zero over the rationals.
 """
 
 from __future__ import annotations
@@ -162,19 +163,22 @@ def is_degenerate(A: AInfty, tup, variant: Variant) -> bool:
     """Whether a basis tuple has the unit in a slot that the unit-killing
     ``variant`` quotients out: slots >= 2 for the normalized Hochschild
     complex, any slot for reduced cyclic variants."""
+    if A.unit is None:
+        raise ValueError(f"variant {variant.value} requires a unital algebra")
     if variant is Variant.NORMALIZED_HOCHSCHILD:
         tup = tup[1:]
     return A.unit in tup
 
 
-def degenerate_project(A: AInfty, w: Word, variant: Variant) -> Word:
-    """Kill the degenerate terms (see ``is_degenerate``)."""
-    if variant not in UNIT_KILLING_VARIANTS:
-        return w
-    if A.unit is None:
-        raise ValueError(f"variant {variant.value} requires a unital algebra")
-    return Word._raw(w.module, {tup: c for tup, c in w.items()
-                                if not is_degenerate(A, tup, variant)})
+def canonical_form(A: AInfty, tup, variant: Variant):
+    """The variant's ``(representative tuple, sign exponent)`` of a basis
+    tuple, or ``None`` when it is zero in the quotient: the unit rule
+    ``is_degenerate`` composed with the cyclic ``_canonical_rotation``."""
+    if variant in UNIT_KILLING_VARIANTS and is_degenerate(A, tup, variant):
+        return None
+    if variant in CYCLIC_VARIANTS:
+        return _canonical_rotation(A.module, tup)
+    return tup, 0
 
 
 def project(A: AInfty, w: Word, variant: Variant) -> Word:
@@ -183,23 +187,21 @@ def project(A: AInfty, w: Word, variant: Variant) -> Word:
     terms keeps the remaining terms canonical."""
     if variant in CYCLIC_VARIANTS:
         w = connes_canonical(w)
-    return degenerate_project(A, w, variant)
+    if variant in UNIT_KILLING_VARIANTS:
+        w = Word._raw(w.module, {tup: c for tup, c in w.items()
+                                 if not is_degenerate(A, tup, variant)})
+    return w
 
 
 def is_canonical_tuple(A: AInfty, tup, variant: Variant) -> bool:
-    """Whether a basis tuple is its own canonical representative and survives
-    the variant's quotients (weight-0 only in extended variants)."""
+    """Whether a basis tuple is its own ``canonical_form`` with sign +1
+    (weight-0 only in extended variants)."""
     if len(tup) == 0:
         return variant in EXTENDED_VARIANTS
-    if variant in UNIT_KILLING_VARIANTS:
-        if A.unit is None:
-            raise ValueError(
-                f"variant {variant.value} requires a unital algebra")
-        if is_degenerate(A, tup, variant):
-            return False
-    return (variant not in CYCLIC_VARIANTS
-            or (min(map(A.module.index, tup)) == A.module.index(tup[0])
-                and _canonical_rotation(A.module, tup) == (tup, 0)))
+    index = A.module.index
+    if variant in CYCLIC_VARIANTS and min(map(index, tup)) != index(tup[0]):
+        return False
+    return canonical_form(A, tup, variant) == (tup, 0)
 
 
 def canonical_tuples(A: AInfty, variant: Variant, max_weight: int):

@@ -250,9 +250,9 @@ def word_from_factors(module, factors, shifted: bool = True,
         for tup, c in terms.items():
             par = sum(module.degree(g) + shift for g in tup) % 2
             for g, s in f.items():
-                val = scalar_mul(c, s, cap)
+                val = scalar_mul(c, s.twist() if par else s, cap)
                 if val:
-                    new[tup + (g,)] = -val if s.degree_parity() * par else val
+                    new[tup + (g,)] = val
         terms = new
     return Word._raw(module, terms)
 
@@ -261,12 +261,11 @@ def map_on_generators(images: dict, el: Element, module: GradedModule,
                       odd: bool) -> Element:
     """The linear map sending each generator g to ``images[g]`` (zero when
     absent), applied to ``el``; coefficients stay in front.  An ``odd`` map
-    passes a coefficient of degree |c| with the sign (-1)^{|c|}."""
+    passes a coefficient c as ``c.twist()``: (-1)^{|c|} per monomial."""
     out = Element.zero(module)
     for g, s in el.items():
         if g in images:
-            part = images[g].scalar_left(s)
-            out = out + (-part if odd and s.degree_parity() else part)
+            out = out + images[g].scalar_left(s.twist() if odd else s)
     return out
 
 

@@ -2,11 +2,11 @@
 
 Two structurally independent paths compute the same Betti numbers:
 
-* the engine path sorts the canonical quotient basis (signed-minimal
-  rotations, unit slots removed) into degrees in one pass, assembles each
-  boundary matrix via the variant differential, checks d^2 = 0 on the
-  truncation, and reads the boundary rank, the incoming rank and the cycle
-  space from one Gauss-Jordan elimination per boundary matrix;
+* the engine path sorts the canonical quotient basis into degrees in one
+  pass, builds each boundary column from the integer kernel and
+  ``complexes.canonical_form``, checks d^2 = 0 on the truncation, and reads
+  the boundary rank, the incoming rank and the cycle space from one
+  Gauss-Jordan elimination per boundary matrix;
 * the naive oracle assembles the raw differential on the full tensor basis
   and realizes the quotients by explicit spanning sets, computing ranks of
   induced maps from rank differences with fraction-free Bareiss elimination
@@ -25,17 +25,17 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .scalars import Cap, Monomial, Scalar, mono_degree
+from .scalars import Cap, Monomial, Scalar, accumulate, mono_degree
 from .graded import GradedModule, Word
-from .ainfty import AInfty
+from .ainfty import AInfty, apply_images
 from .complexes import (
     CYCLIC_VARIANTS,
     EXTENDED_VARIANTS,
     UNIT_KILLING_VARIANTS,
-    ChainElt,
     Variant,
+    canonical_form,
     canonical_tuples,
-    hoch_diff,
+    diff_basis,
     t_word,
 )
 
@@ -230,27 +230,6 @@ def chain_basis(A: AInfty, tuples, cap: Cap) -> dict:
     return out
 
 
-def _word_of(A: AInfty, mono: Monomial, tup) -> Word:
-    s = Scalar(A.module.ctx, {mono: Fraction(1)})
-    return Word(A.module, {tuple(tup): s})
-
-
-def _decompose(A: AInfty, w: Word, index: dict, cap: Cap, flags: set):
-    """Coordinates of a word in a (monomial, tuple) basis; terms beyond the
-    weight cap are dropped and flagged."""
-    vec = [Fraction(0)] * len(index)
-    for tup, s in w.items():
-        if len(tup) > cap.weight:
-            flags.add("weight-cap")
-            continue
-        for mono, c in s.terms.items():
-            key = (mono, tup)
-            if key not in index:
-                raise ValueError(f"basis does not span output term {key!r}")
-            vec[index[key]] += c
-    return vec
-
-
 # ---------------------------------------------------------------------------
 # engine path
 # ---------------------------------------------------------------------------
@@ -261,16 +240,29 @@ def boundary_matrix(A: AInfty, variant: Variant, dom, cod, cap: Cap,
     """Exact matrix of the variant differential from the canonical basis
     ``dom`` of one degree to the basis ``cod`` of the next; returned as
     (rows, domain, codomain) with rows[i][j] the coefficient of codomain
-    chain i in d(domain chain j)."""
+    chain i in d(domain chain j).  Column j sums the integer kernel's image
+    of chain j per (monomial, ``canonical_form`` of the output tuple), over
+    ``A.den``; terms beyond the weight cap are dropped and flagged."""
     if flags is None:
         flags = set()
     index = {bm: i for i, bm in enumerate(cod)}
-    cols = []
-    for mono, tup in dom:
-        chain = ChainElt(_word_of(A, mono, tup), variant)
-        img = hoch_diff(A, chain, cap)
-        cols.append(_decompose(A, img.word, index, cap, flags))
-    rows = [[cols[j][i] for j in range(len(dom))] for i in range(len(cod))]
+    rows = [[Fraction(0)] * len(dom) for _ in cod]
+    for j, (mono, tup) in enumerate(dom):
+        col: dict = {}
+        image = apply_images(A, {tup: {mono: 1}}, diff_basis, cap)
+        for otup, bucket in image.items():
+            can = canonical_form(A, otup, variant)
+            if can is not None:
+                rep, sgn = can
+                accumulate(col, (((m, rep), -n if sgn else n)
+                                 for m, n in bucket.items()))
+        for key, n in col.items():
+            if len(key[1]) > cap.weight:
+                flags.add("weight-cap")
+                continue
+            if key not in index:
+                raise ValueError(f"basis does not span output term {key!r}")
+            rows[index[key]][j] = Fraction(n, A.den)
     return rows, dom, cod
 
 
@@ -283,7 +275,6 @@ class HomologyReport:
     ranks: dict = field(default_factory=dict)
     # degree -> one [(Fraction, (monomial, tuple)), ...] per kernel vector
     representatives: dict = field(default_factory=dict)
-    shapes: dict = field(default_factory=dict)
     flags: set = field(default_factory=set)
 
     def summary(self):
@@ -308,11 +299,9 @@ def homology(A: AInfty, variant: Variant, trunc: Truncation) -> HomologyReport:
     bases = chain_basis(A, canonical_tuples(A, variant, cap.weight), cap)
     mats = {}
     for d in range(trunc.d_min - 1, trunc.d_max + 1):
-        rows, dom, cod = boundary_matrix(A, variant, bases.get(d, []),
-                                         bases.get(d + 1, []), cap,
-                                         report.flags)
-        mats[d] = rows
-        report.shapes[d] = (len(cod), len(dom))
+        mats[d], _, _ = boundary_matrix(A, variant, bases.get(d, []),
+                                        bases.get(d + 1, []), cap,
+                                        report.flags)
     for d in range(trunc.d_min - 1, trunc.d_max):
         prod = mat_mul(mats[d + 1], mats[d])
         witness = next(((i, j) for i, row in enumerate(prod)
@@ -416,13 +405,13 @@ def naive_diff_vector(A: AInfty, mono: Monomial, tup, index: dict,
     return vec
 
 
-def _quotient_spanning(A: AInfty, variant: Variant, basis, index, ctx):
+def _quotient_spanning(A: AInfty, variant: Variant, basis, index):
     """Spanning vectors of the subspace the variant quotients by: the image
     of 1 - t for cyclic variants and/or the unit-slot subspace."""
     spans = []
     if variant in CYCLIC_VARIANTS:
         for mono, tup in basis:
-            w = _word_of(A, mono, tup)
+            w = Word(A.module, {tup: Scalar(A.module.ctx, {mono: Fraction(1)})})
             diff = w - t_word(w)
             vec = [Fraction(0)] * len(index)
             for ttup, s in diff.items():
@@ -460,7 +449,7 @@ def naive_oracle(A: AInfty, variant: Variant, trunc: Truncation) -> HomologyRepo
     indexes = {d: {bm: i for i, bm in enumerate(b)} for d, b in bases.items()}
 
     # rank of the induced differential on the quotient in each degree
-    spans = {d: _quotient_spanning(A, variant, bases[d], indexes[d], ctx)
+    spans = {d: _quotient_spanning(A, variant, bases[d], indexes[d])
              for d in bases}
     span_rank = {d: matrix_rank(spans[d]) for d in bases}
 
@@ -472,7 +461,6 @@ def naive_oracle(A: AInfty, variant: Variant, trunc: Truncation) -> HomologyRepo
                                           trunc.cap, report.flags, extended))
         combined = cols + spans[d + 1]
         induced_rank[d] = matrix_rank(combined) - span_rank[d + 1]
-        report.shapes[d] = (len(bases[d + 1]), len(bases[d]))
 
     for d in range(trunc.d_min, trunc.d_max + 1):
         qdim = len(bases[d]) - span_rank[d]

@@ -110,7 +110,7 @@ def theorem_rhs_rotations(p: OCFamily, A: AInfty, w: Word,
                           cap: Cap | None = None) -> Element:
     """Sum over rotations sigma and 2-splittings of
     (-1)^{s_sigma^[1](alpha)} p(mu(alpha^sigma_(1)) (x) alpha^sigma_(2)), a
-    front coefficient c of ``w`` passing p with (-1)^{|c| n}.  Read from the
+    front coefficient c of ``w`` passing p as twist^n(c).  Read from the
     structure equation: on a basis tuple alpha of weight >= 1 the sum is
     (-1)^{n+1} times ``structure_rhs(A.qfamily, p, None, alpha)``,
     which has only composite terms there, all in the one word of J empty."""
@@ -119,9 +119,9 @@ def theorem_rhs_rotations(p: OCFamily, A: AInfty, w: Word,
     for tup, c in w.items():
         if not tup:
             raise ValueError("rewrite identity needs weight >= 1")
-        part = structure_rhs(Q, p, None, tup, (), cap)[0].scalar_left(c, cap)
-        sgn = (c.degree_parity() * p.n + p.n + 1) % 2
-        out = out + (-part if sgn else part)
+        part = structure_rhs(Q, p, None, tup, (), cap)[0].scalar_left(
+            c.twist() if p.n % 2 else c, cap)
+        out = out + (-part if (p.n + 1) % 2 else part)
     return out
 
 
@@ -572,8 +572,8 @@ def _check_interior_linearity(n: int) -> tuple[bool, list]:
     return not failures, failures
 
 
-def axiom_suite(p: OCFamily, A: AInfty, geom: ToyGeometry | None = None,
-                zeta: Element | None = None) -> dict:
+def axiom_suite(p: OCFamily, A: AInfty, geom: ToyGeometry,
+                zeta: Element) -> dict:
     """Check the declared contracts of an open-closed family, plus the
     synthetic divisor pass/fail pair and the linearity-sign fixtures.
     Returns a mapping check-name -> {ok, failures}."""
@@ -620,9 +620,7 @@ def axiom_suite(p: OCFamily, A: AInfty, geom: ToyGeometry | None = None,
                     continue
                 val = p.eval_tuple(tup)
                 if w == 1:
-                    want = (zeta if zeta is not None
-                            else Element.zero(tmod))
-                    want = want if (n + 1) % 2 == 0 else -want
+                    want = zeta if (n + 1) % 2 == 0 else -zeta
                     if val != want:
                         fails.append({"tuple": tup, "got": repr(val)})
                 elif not val.is_zero():
@@ -634,12 +632,11 @@ def axiom_suite(p: OCFamily, A: AInfty, geom: ToyGeometry | None = None,
     for (btup, itup), el in p.ops.items():
         zero_part = _element_zero_energy(el)
         if len(btup) == 1 and not itup:
-            if geom is not None:
-                g = btup[0]
-                sgn = ((n + 1) * (A.module.degree(g) + 1)) % 2
-                want = geom.push_el(Element.generator(A.module, g))
-                if zero_part != (-want if sgn else want):
-                    fails.append({"key": (btup, itup)})
+            g = btup[0]
+            sgn = ((n + 1) * (A.module.degree(g) + 1)) % 2
+            want = geom.push_el(Element.generator(A.module, g))
+            if zero_part != (-want if sgn else want):
+                fails.append({"key": (btup, itup)})
         elif not zero_part.is_zero():
             fails.append({"key": (btup, itup)})
     record("energy_zero", not fails, fails)

@@ -23,6 +23,10 @@ one reduced ``Fraction``.  Monomial valuation, parity and product are
 ``Cap.admits``, which monomials a truncated computation keeps; the others
 are silently dropped by the arithmetic, so downstream identities are exact up
 to the cap, which callers record in their reports.
+
+Signs have one rule: an odd operator, or a crossing past an odd stretch of
+tensor slots, passes a coefficient c as ``c.twist()``, (-1)^{|c|} per
+monomial, so c need not be homogeneous (as in the integer kernel).
 """
 
 from __future__ import annotations
@@ -317,6 +321,15 @@ class Scalar:
         if len(parities) > 1:
             raise ValueError("degree parity of a non-homogeneous scalar")
         return parities.pop()
+
+    def twist(self) -> "Scalar":
+        """The grading involution: each monomial m times (-1)^{|m|}; the
+        scalar itself when no monomial is odd."""
+        parity = self.ctx.mono_parity
+        if not any(map(parity, self.terms)):
+            return self
+        return Scalar._raw(self.ctx, {m: -c if parity(m) else c
+                                      for m, c in self.terms.items()})
 
     def truncate(self, cap: Cap | None) -> "Scalar":
         if cap is None:

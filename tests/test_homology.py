@@ -10,18 +10,15 @@ import pytest
 from hochcyc.scalars import TRIVIAL_CONTEXT, Cap, Scalar, mono_degree
 from hochcyc.ainfty import BUILTIN_NAMES, AInfty, builtin_algebras
 from hochcyc.graded import Element, GradedModule, Word
-from hochcyc.complexes import Variant
+from hochcyc.complexes import UNIT_KILLING_VARIANTS, Variant
 from hochcyc.complexes import (
     ChainElt,
     canonical_tuples,
     hoch_diff,
-    hoch_diff_word,
 )
 from hochcyc.homology import (
     Truncation,
     _all_tuples,
-    _decompose,
-    _word_of,
     attained_monomials,
     bareiss,
     boundary_matrix,
@@ -310,7 +307,9 @@ def test_engine_matches_oracle(name, energy, variant):
                                      Variant.EXTENDED_CONNES])
 def test_engine_differential_matches_oracle_per_chain(name, variant):
     # every chain of the full tensor basis, coordinate by coordinate; the
-    # extended basis adds the weight-0 generator, whose image is the curvature
+    # extended basis adds the weight-0 generator, whose image is the
+    # curvature.  On the full basis the Hochschild boundary matrix is the raw
+    # differential, so its columns are compared with the oracle's vectors
     A = builtin_algebras(name)
     weight = 3 if name == "curved_matrix" else 4
     cap = Cap(energy=3, weight=weight, var_total=0)
@@ -323,12 +322,11 @@ def test_engine_differential_matches_oracle_per_chain(name, variant):
     bases = chain_basis(A, _all_tuples(A.module, cap, extended), cap)
     checked = 0
     for d in range(lo, hi + 1):
-        cod = bases.get(d + 1, [])
+        dom, cod = bases.get(d, []), bases.get(d + 1, [])
         index = {bm: i for i, bm in enumerate(cod)}
-        for mono, tup in bases.get(d, []):
-            word = hoch_diff_word(A, _word_of(A, mono, tup), cap,
-                                  extended=extended)
-            engine = _decompose(A, word, index, cap, set())
+        rows, _, _ = boundary_matrix(A, Variant.HOCHSCHILD, dom, cod, cap)
+        for j, (mono, tup) in enumerate(dom):
+            engine = [row[j] for row in rows]
             oracle = naive_diff_vector(A, mono, tup, index, cap, set(),
                                        extended)
             assert engine == oracle, (mono, tup)
@@ -348,6 +346,26 @@ def test_known_betti_dual_numbers_hochschild():
     h = homology(A, Variant.HOCHSCHILD, trunc)
     assert h.dims[0] == 6
     assert [h.betti[d] for d in range(0, 4)] == [6, 0, 0, 0]
+
+
+def test_weight_cap_flags_only_surviving_terms():
+    # the curvature T*I, inserted into a chain of top weight, lands beyond
+    # the weight cap; the flag is raised only where such a term survives the
+    # quotient, so not where the unit it carries is killed
+    cap = Cap(energy=1, weight=2, var_total=0)
+    for name in BUILTIN_NAMES:
+        for variant in Variant:
+            A = builtin_algebras(name)
+            bases = chain_basis(A, canonical_tuples(A, variant, cap.weight),
+                                cap)
+            flags = set()
+            for d, dom in bases.items():
+                boundary_matrix(A, variant, dom, bases.get(d + 1, []), cap,
+                                flags)
+            want = (name == "curved_matrix"
+                    and variant not in UNIT_KILLING_VARIANTS)
+            assert flags == ({"weight-cap"} if want else set()), (name,
+                                                                  variant)
 
 
 def test_inconsistent_cap_raises():

@@ -1,4 +1,6 @@
-"""Lint: every name imported by a module of the package is used in it."""
+"""Lint: every name imported by a module of the package is used in it, and
+every module-level private function is referenced somewhere in the
+package."""
 
 import ast
 from pathlib import Path
@@ -41,6 +43,26 @@ def _used(tree):
     return names
 
 
+def _private_functions(tree):
+    """(name, line) of every module-level function named with one leading
+    underscore."""
+    for node in tree.body:
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name.startswith("_")
+                and not node.name.startswith("__")):
+            yield node.name, node.lineno
+
+
+def _referenced(trees):
+    """Names read, or read as attributes, anywhere in ``trees``."""
+    names = set()
+    for tree in trees:
+        names |= _used(tree)
+        names.update(node.attr for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute))
+    return names
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -58,3 +80,21 @@ def test_lint_sees_an_unused_import():
                      "def f(w: 'Word'):\n    return os.sep\n")
     assert [n for n, _ in _imported(tree) if n not in _used(tree)] == \
         ["rotate"]
+
+
+def test_no_unreferenced_private_functions():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in MODULES}
+    used = _referenced(trees.values())
+    dead = [f"{name}: {fn} (line {line})" for name, tree in trees.items()
+            for fn, line in _private_functions(tree) if fn not in used]
+    assert not dead, f"private functions referenced nowhere: {dead}"
+
+
+def test_lint_sees_an_unreferenced_private_function():
+    tree = ast.parse("def _helper():\n    return 1\n"
+                     "def _dead():\n    return _helper()\n"
+                     "def public():\n    return 2\n"
+                     "class K:\n    def _method(self):\n        return 3\n")
+    assert [n for n, _ in _private_functions(tree)
+            if n not in _referenced([tree])] == ["_dead"]

@@ -20,7 +20,7 @@ from hochcyc.graded import (
     word_from_factors,
 )
 from hochcyc.ainfty import BUILTIN_NAMES, builtin_algebras
-from hochcyc.complexes import Variant, random_word
+from hochcyc.complexes import Variant, hoch_diff_word, random_word
 from hochcyc.openclosed import (
     ExtendedOC,
     OCFamily,
@@ -63,6 +63,26 @@ def test_rewrite_identity_for_cyclic_families(name, n):
         w = random_word(A, rng, 4)
         res = theorem1_rewrite_check(p, A, w, CAP)
         assert res.is_zero(), (name, n, trial)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_rewrite_identity_with_mixed_parity_coefficients(n):
+    """Over a ring with odd variables d_hoch of a word with rational
+    coefficients mixes degree parities at one output tuple; p passes such a
+    coefficient part by part, and the identity holds."""
+    A, _ = _odd_variable_algebra(2)
+    parity = A.module.ctx.mono_parity
+    target = random_target(A.module.ctx, 1)
+    mixed = 0
+    for seed in range(3):
+        p = random_cyclic_p(A, target, n, 4, seed=seed)
+        rng = random.Random(0)
+        for _ in range(10):
+            w = random_word(A, rng, 3)
+            mixed += any(len(set(map(parity, c.terms))) > 1 for c in
+                         hoch_diff_word(A, w, CAP).terms.values())
+            assert theorem1_rewrite_check(p, A, w, CAP).is_zero(), (seed, w)
+    assert mixed >= 6, mixed
 
 
 def test_rewrite_identity_fails_without_symmetry():
