@@ -430,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="total formal-variable exponent cap (default 6)")
 
     def add_common(p):
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--output", help="write the JSON report to this path")
 
     p = sub.add_parser("check-ainfty", help="structure relations and unit")
@@ -446,6 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("t-lemma", help="intertwining of d with 1 - t")
     p.add_argument("instance")
     p.add_argument("--trials", type=_at_least(1), default=200)
+    p.add_argument("--seed", type=int, default=0)
     add_cap(p); add_common(p)
 
     p = sub.add_parser("homology", help="Betti numbers on a truncation")
@@ -474,6 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sign-lemmas", help="rotation/splitting sign identities")
     p.add_argument("--k", type=_at_least(0), default=6)
     p.add_argument("--trials", type=_at_least(0), default=100)
+    p.add_argument("--seed", type=int, default=0)
     add_common(p)
 
     return parser

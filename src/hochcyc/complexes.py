@@ -2,10 +2,12 @@
 complex variants (Hochschild, normalized Hochschild, cyclic quotient, reduced
 cyclic, and the two extended variants with a weight-zero generator).
 
-Quotients are realized by canonicalization, one basis tuple at a time
-(``canonical_form``): every cyclic class is stored via its signed
-lexicographically-minimal rotation, and classes whose stabilizer acts by -1
-are zero over the rationals.
+One per-tuple rule, ``canonical_form``, decides for every caller which
+basis tuples are chains of a variant and what their signed representatives
+are: the weight-zero generator exists only in the extended variants, the
+unit-killing variants drop tuples with the unit in a quotiented slot, and
+every cyclic class is stored via its signed lexicographically-minimal
+rotation, classes whose stabilizer acts by -1 being zero over the rationals.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import Cap, accumulate
-from .graded import GradedModule, ResidualReport, Word, rotate
+from .graded import GradedModule, ResidualReport, Word, rotate, rotations
 from .ainfty import (
     AInfty,
     add_image,
@@ -61,10 +63,6 @@ class ChainElt:
 
     def is_zero(self):
         return self.word.is_zero()
-
-    def __eq__(self, other):
-        return (isinstance(other, ChainElt) and self.variant == other.variant
-                and self.word == other.word)
 
 
 # ---------------------------------------------------------------------------
@@ -115,48 +113,48 @@ def _canonical_rotation(module: GradedModule, tup):
     return tup[j:] + tup[:j], signs.pop()
 
 
+def _canonical_terms(w: Word, rule) -> Word:
+    """Each term of ``w`` sent through the per-tuple ``rule``, which returns
+    ``(representative tuple, sign exponent)`` or ``None`` for zero."""
+    pairs = []
+    for tup, c in w.items():
+        can = rule(tup)
+        if can is not None:
+            rot, sgn = can
+            pairs.append((rot, -c if sgn else c))
+    return Word._raw(w.module, accumulate({}, pairs))
+
+
 def connes_canonical(w: Word) -> Word:
     """Canonical representative of the class of ``w`` modulo the image of
     1 - t: each term is rotated to its signed-lex-minimal position; terms
     fixed (up to rotation) with sign -1 are zero."""
     mod = w.module
-    pairs = []
-    for tup, c in w.items():
-        can = _canonical_rotation(mod, tup)
-        if can is not None:
-            rot, sgn = can
-            pairs.append((rot, -c if sgn else c))
-    return Word._raw(mod, accumulate({}, pairs))
+    return _canonical_terms(w, lambda tup: _canonical_rotation(mod, tup))
 
 
 def connes_preimage(w: Word) -> Word:
     """A word u with connes_canonical(w) - w = (1 - t)(u), witnessing the
     quotient relation term by term.
 
-    For a term reaching its canonical rotation after m steps the telescoping
+    For a term reaching its canonical rotation at t^m the telescoping
     t^m(u) - u = -(1 - t)(u + t(u) + ... + t^{m-1}(u)) applies; for a
-    class-zero term (t^N(u) = -u for some N) one has
-    -u = -(1 - t)((u + ... + t^{N-1}(u)) / 2)."""
+    class-zero term, with t^N(u) = -u, one has
+    -u = -(1 - t)((u + ... + t^{N-1}(u)) / 2).  t^i is the rotation by -i
+    of the signed orbit ``rotations``."""
     mod = w.module
-    acc = Word.zero(mod)
+    pairs = []
     for tup, c in w.items():
-        term = Word(mod, {tup: c})
-        k = len(tup)
-        partial = Word.zero(mod)
-        cur = term
-        for _ in range(2 * max(k, 1)):
-            can = _canonical_rotation(mod, next(iter(cur.terms)))
-            if can is not None and can[0] == next(iter(cur.terms)):
-                acc = acc - partial
+        stop = _canonical_rotation(mod, tup)
+        if stop is None:
+            stop, c = (tup, 1), c.scale(Fraction(1, 2))
+        orbit = rotations(tup, [mod.degree(g) for g in tup])
+        for i in range(len(orbit)):
+            rot, sgn = orbit[-i]
+            if (rot, sgn) == stop:
                 break
-            if cur == -term:
-                acc = acc - partial.scale(Fraction(1, 2))
-                break
-            partial = partial + cur
-            cur = t_word(cur)
-        else:
-            raise AssertionError("rotation orbit did not close")
-    return acc
+            pairs.append((rot, c if sgn else -c))
+    return Word._raw(mod, accumulate({}, pairs))
 
 
 def is_degenerate(A: AInfty, tup, variant: Variant) -> bool:
@@ -172,8 +170,12 @@ def is_degenerate(A: AInfty, tup, variant: Variant) -> bool:
 
 def canonical_form(A: AInfty, tup, variant: Variant):
     """The variant's ``(representative tuple, sign exponent)`` of a basis
-    tuple, or ``None`` when it is zero in the quotient: the unit rule
-    ``is_degenerate`` composed with the cyclic ``_canonical_rotation``."""
+    tuple, or ``None`` when it is no chain of the variant or zero in its
+    quotient: the weight-zero generator exists only in the extended
+    variants, then the unit rule ``is_degenerate`` is composed with the
+    cyclic ``_canonical_rotation``."""
+    if not tup:
+        return (tup, 0) if variant in EXTENDED_VARIANTS else None
     if variant in UNIT_KILLING_VARIANTS and is_degenerate(A, tup, variant):
         return None
     if variant in CYCLIC_VARIANTS:
@@ -182,24 +184,16 @@ def canonical_form(A: AInfty, tup, variant: Variant):
 
 
 def project(A: AInfty, w: Word, variant: Variant) -> Word:
-    """Full canonicalization for the variant.  One pass of
-    ``connes_canonical`` suffices: it is idempotent, and dropping degenerate
-    terms keeps the remaining terms canonical."""
-    if variant in CYCLIC_VARIANTS:
-        w = connes_canonical(w)
-    if variant in UNIT_KILLING_VARIANTS:
-        w = Word._raw(w.module, {tup: c for tup, c in w.items()
-                                 if not is_degenerate(A, tup, variant)})
-    return w
+    """Full canonicalization for the variant: every term through
+    ``canonical_form``."""
+    return _canonical_terms(w, lambda tup: canonical_form(A, tup, variant))
 
 
 def is_canonical_tuple(A: AInfty, tup, variant: Variant) -> bool:
-    """Whether a basis tuple is its own ``canonical_form`` with sign +1
-    (weight-0 only in extended variants)."""
-    if len(tup) == 0:
-        return variant in EXTENDED_VARIANTS
+    """Whether a basis tuple is its own ``canonical_form`` with sign +1."""
     index = A.module.index
-    if variant in CYCLIC_VARIANTS and min(map(index, tup)) != index(tup[0]):
+    if (tup and variant in CYCLIC_VARIANTS
+            and min(map(index, tup)) != index(tup[0])):
         return False
     return canonical_form(A, tup, variant) == (tup, 0)
 
@@ -255,21 +249,19 @@ def diff_basis(A: AInfty, tup) -> list:
     return out
 
 
-def hoch_diff_word(A: AInfty, w: Word, cap: Cap | None = None,
-                   extended: bool = False) -> Word:
+def hoch_diff_word(A: AInfty, w: Word, cap: Cap | None = None) -> Word:
     """Raw Hochschild differential, prior to any variant projection; the
-    operator passes a front coefficient of degree |c| with (-1)^{|c|}."""
-    for tup in w.terms:
-        if len(tup) == 0 and not extended:
-            raise ValueError("weight-0 chain in a non-extended variant")
+    operator passes a front coefficient of degree |c| with (-1)^{|c|}, and
+    the weight-0 generator maps to the curvature."""
     return combine_basis_images(A, w, diff_basis, cap)
 
 
 def hoch_diff(A: AInfty, c: ChainElt, cap: Cap | None = None) -> ChainElt:
     """Variant differential: raw differential followed by the variant's
     canonical projection."""
-    raw = hoch_diff_word(A, c.word, cap,
-                         extended=c.variant in EXTENDED_VARIANTS)
+    if () in c.word.terms and c.variant not in EXTENDED_VARIANTS:
+        raise ValueError("weight-0 chain in a non-extended variant")
+    raw = hoch_diff_word(A, c.word, cap)
     return ChainElt(project(A, raw, c.variant), c.variant)
 
 
@@ -327,4 +319,4 @@ def extended_dsquare_raw(A: AInfty, cap: Cap | None = None) -> Word:
     d(mu_0(1)), which equals -mu_0(1) (x) mu_0(1) and is nonzero for curved
     algebras — the reason the extension lives in the cyclic complex."""
     one = Word.basis_word(A.module, ())
-    return hoch_diff_word(A, hoch_diff_word(A, one, cap, extended=True), cap)
+    return hoch_diff_word(A, hoch_diff_word(A, one, cap), cap)

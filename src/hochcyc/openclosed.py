@@ -191,18 +191,31 @@ def structure_rhs(Q: OCFamily, p: OCFamily, sphere: SphereTermProvider | None,
     + [k=0] (-1)^{|gamma|} q_{empty,l+1}(gamma (x) zeta).
 
     p is linear: the composite terms of one J are summed on one word, q
-    coefficients in front, and p is evaluated once per J.  Returns
-    (Element, term_count)."""
-    mod = p.module
-    tmod = p.target.module
+    coefficients in front, and p is evaluated once per J.  The equation is
+    multilinear in gamma, so each interior input is split into its even and
+    odd parts and the right-hand sides of the homogeneous parts are summed.
+    Returns (Element, term_count)."""
     alpha = tuple(alpha)
-    gamma = list(gamma)
+    k, l = len(alpha), len(gamma)
+    if k == 0 and sphere is None:
+        raise ValueError("k = 0 requires a sphere-term provider")
+    out = Element.zero(p.target.module)
+    for parts in itertools.product(*(g.parity_parts().items()
+                                     for g in gamma)):
+        out = out + _homogeneous_rhs(Q, p, sphere, alpha,
+                                     [el for _, el in parts],
+                                     [par for par, _ in parts], cap)
+    return out, 1 + max(k, 1) * (k + 1) * 2 ** l + (k == 0)
+
+
+def _homogeneous_rhs(Q: OCFamily, p: OCFamily,
+                     sphere: SphereTermProvider | None, alpha, gamma, gpars,
+                     cap: Cap | None) -> Element:
+    """``structure_rhs`` on interior inputs of degree parities ``gpars``."""
+    mod = p.module
     k, l = len(alpha), len(gamma)
     n = p.n
-    count = 0
-    out = Element.zero(tmod)
-
-    gpars = [g.degree_parity() for g in gamma]
+    out = Element.zero(p.target.module)
     gtotal = sum(gpars) % 2
 
     # interior-differential term p(alpha; d gamma)
@@ -214,14 +227,12 @@ def structure_rhs(Q: OCFamily, p: OCFamily, sphere: SphereTermProvider | None,
         glist = gamma[:j] + [dg] + gamma[j + 1:]
         part = p.eval_tuple(alpha, glist, cap)
         out = out + (-part if sgn else part)
-    count += 1
 
     # composite terms, one word per J; without interior inputs q is read
     # uncapped, as eval_word caps every product and energies only add
     orbit = rotations(alpha, [mod.degree(g) for g in alpha])
     words: dict = {}
     for j, k2, J in structure_terms(k, l):
-        count += 1
         rot, s1 = orbit[j]
         q_el = (Q.eval_tuple(rot[:k2], [gamma[i] for i in J], cap) if J
                 else Q.ops.get((rot[:k2], ())))
@@ -238,13 +249,9 @@ def structure_rhs(Q: OCFamily, p: OCFamily, sphere: SphereTermProvider | None,
 
     # sphere term
     if k == 0:
-        if sphere is None:
-            raise ValueError("k = 0 requires a sphere-term provider")
-        count += 1
         part = sphere.q_empty(gamma + [sphere.zeta], cap)
         out = out + (-part if gtotal else part)
-
-    return out, count
+    return out
 
 
 def structure_residual(Q: OCFamily, p: OCFamily,
@@ -467,15 +474,6 @@ def theorem5_toy(n: int):
 # ---------------------------------------------------------------------------
 
 
-def _element_zero_energy(el: Element) -> Element:
-    """The valuation-zero part of every coefficient."""
-    ctx = el.module.ctx
-    return Element(el.module, {
-        g: Scalar(ctx, {m: c for m, c in s.terms.items()
-                        if ctx.mono_valuation(m) == 0})
-        for g, s in el.items()})
-
-
 def build_divisor_family(good: bool = True):
     """A synthetic area-graded family of scalars s_m = T^m sum_j m^j
     t_1^j / j! for m = 0, ..., 3 and j = 0, ..., 4, which satisfies the
@@ -630,7 +628,7 @@ def axiom_suite(p: OCFamily, A: AInfty, geom: ToyGeometry,
     # energy zero: valuation-0 part is the classical push-forward at (1,0)
     fails = []
     for (btup, itup), el in p.ops.items():
-        zero_part = _element_zero_energy(el)
+        zero_part = el.truncate(Cap(0, 0, 0))
         if len(btup) == 1 and not itup:
             g = btup[0]
             sgn = ((n + 1) * (A.module.degree(g) + 1)) % 2

@@ -1,18 +1,21 @@
 """Hypothesis runs derandomized, with no example database and no deadline,
 so the property tests draw the same examples on every run and do not depend
-on the speed of the host.  Its remaining cache (constants read from the
-source) goes to a temporary directory removed after the run, so no
-``.hypothesis/`` directory is written into the tree."""
+on the speed of the host.  It skips the explain phase, which only adds notes
+to a failure report and makes a failing property several times slower to
+report.  Its remaining cache (constants read from the source) goes to a
+temporary directory removed after the run, so no ``.hypothesis/`` directory
+is written into the tree."""
 
 import tempfile
 import warnings
 
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 settings.register_profile("deterministic", derandomize=True, database=None,
-                          deadline=None)
+                          deadline=None,
+                          phases=[p for p in Phase if p is not Phase.explain])
 settings.load_profile("deterministic")
 
 _HOME = pytest.StashKey[tempfile.TemporaryDirectory]()

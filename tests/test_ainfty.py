@@ -228,7 +228,7 @@ def test_cached_images_are_integers_over_den(nvars):
     A, w = _odd_variable_algebra(nvars)
     assert A.den == 6
     hat_extension(A, w)
-    hoch_diff_word(A, w, extended=True)
+    hoch_diff_word(A, w)
     assert A._hat_cache and A._diff_cache
     for cache in (A._hat_cache, A._diff_cache):
         for images in cache.values():

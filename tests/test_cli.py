@@ -218,6 +218,18 @@ def test_sign_lemmas_command():
     assert report["counts"]["n=0"] > 0
 
 
+def test_seed_is_an_option_only_where_it_is_read(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["homology", "dual_numbers", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    report, _ = _run(["dsquare", "dual_numbers", "--weight", "2"])
+    assert report["seed"] is None
+    report, _ = _run(["sign-lemmas", "--k", "3", "--trials", "2",
+                      "--seed", "4"])
+    assert report["seed"] == 4
+
+
 def test_missing_file_exit_2(capsys):
     code = main(["check-ainfty", "/no/such/file.txt"])
     assert code == 2

@@ -22,6 +22,7 @@ from hochcyc.graded import (
 from hochcyc.ainfty import BUILTIN_NAMES, builtin_algebras
 from hochcyc.complexes import Variant, hoch_diff_word, random_word
 from hochcyc.openclosed import (
+    _linearity_fixture,
     ExtendedOC,
     OCFamily,
     SphereTermProvider,
@@ -271,14 +272,23 @@ def test_structure_equation_at_weight_zero_with_interior_input():
     assert structure_rhs(Q, p, sphere, (), gamma, cap)[1] == 4
 
 
+def _parity(el):
+    """Degree parity of a homogeneous Element; zero counts as even."""
+    pars = {(el.module.degree(g) + s.degree_parity()) % 2
+            for g, s in el.items()}
+    assert len(pars) <= 1, el
+    return pars.pop() if pars else 0
+
+
 def _structure_rhs_reference(Q, p, sphere, alpha, gamma=(), cap=None):
     """The structure equation's right-hand side summed term by term: each
     composite term's q value capped, tensored with the rest of the rotation
-    by ``word_from_factors`` and passed through p on its own."""
+    by ``word_from_factors`` and passed through p on its own.  The interior
+    inputs must be homogeneous."""
     mod = p.module
     alpha, gamma = tuple(alpha), list(gamma)
     k, l = len(alpha), len(gamma)
-    gpars = [g.degree_parity() for g in gamma]
+    gpars = [_parity(g) for g in gamma]
     gtotal = sum(gpars) % 2
     out = Element.zero(p.target.module)
     for j in range(l):
@@ -392,6 +402,28 @@ def test_structure_rhs_matches_the_per_term_reference(cap):
         nonzero += bool(got[0])
         interior += bool(got[0]) and bool(gamma)
     assert nonzero > 50 and interior > 20, (nonzero, interior)
+
+
+def test_structure_rhs_sums_the_parity_parts_of_an_interior_input():
+    """The right-hand side is multilinear in gamma: on an interior input of
+    mixed degree parity (v and t0 odd, so v is odd and t0 v even) it is the
+    sum of the per-term reference over the two homogeneous parts.  With
+    q = p the terms vanish; a q with q((); v) = y gives p(y, x) = v."""
+    ctx, mod, target, ops = _linearity_fixture()
+    p = OCFamily(mod, target, 0, ops)
+    q = OCFamily(mod, ChainComplex(mod, {}), 0,
+                 {((), ("v",)): Element.generator(mod, "y")})
+    tmod = target.module
+    one, t0 = Scalar.one(ctx), Scalar.monomial(ctx, 1, (), (1,))
+    for Q in (p, q):
+        parts = [_structure_rhs_reference(Q, p, None, ("x",),
+                                          [Element(tmod, {"v": s})])
+                 for s in (one, t0)]
+        got, count = structure_rhs(Q, p, None, ("x",),
+                                   [Element(tmod, {"v": one + t0})])
+        assert got == parts[0][0] + parts[1][0]
+        assert count == parts[0][1] == parts[1][1]
+        assert bool(parts[0][0] and parts[1][0]) is (Q is q)
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES + ("odd_t",))
@@ -606,3 +638,36 @@ def test_axiom_suite_flags_broken_cyclicity():
         **p.ops, (("a1", "a2"), ()): Element.generator(tmod, "Xe")})
     res = axiom_suite(broken, A, geom=geom, zeta=sphere.zeta)
     assert not res["cyclic_symmetry"]["ok"]
+
+
+@pytest.mark.parametrize("koszul", [True, False])
+def test_axiom_suite_checks_interior_symmetry(koszul):
+    """Two odd interior inputs commute with the sign -1: with it the pair of
+    keys passes, with the wrong sign both keys are reported."""
+    A, geom = exterior_geometry(0)
+    p, Q, sphere = toy_zero_energy(geom, A)
+    val = Element.generator(p.target.module, "Xa12")
+    key, swapped = (("a1",), ("Xa1", "Xa2")), (("a1",), ("Xa2", "Xa1"))
+    fam = OCFamily(p.module, p.target, p.n, {
+        **p.ops, key: val, swapped: -val if koszul else val})
+    res = axiom_suite(fam, A, geom=geom, zeta=sphere.zeta)
+    if koszul:
+        assert res["interior_symmetry"] == {"ok": True, "failures": []}
+    else:
+        assert res["interior_symmetry"] == {"ok": False, "failures": [
+            {"key": key, "perm": (1, 0)}, {"key": swapped, "perm": (1, 0)}]}
+
+
+def test_axiom_suite_flags_a_broken_unit_law():
+    """A weight-1 unit value that is not +-zeta and a nonzero weight-2 unit
+    value both fail the unit law."""
+    A, geom = exterior_geometry(0)
+    p, Q, sphere = toy_zero_energy(geom, A)
+    assert p.p(("e",)) == -sphere.zeta
+    broken = OCFamily(p.module, p.target, p.n, {
+        **p.ops, (("e",), ()): p.p(("e",)).scale(2),
+        (("e", "a1"), ()): Element.generator(p.target.module, "Xe")})
+    res = axiom_suite(broken, A, geom=geom, zeta=sphere.zeta)
+    assert not res["unit"]["ok"]
+    assert [f["tuple"] for f in res["unit"]["failures"]] == [("e",),
+                                                             ("e", "a1")]
