@@ -3,19 +3,19 @@
 Two structurally independent paths compute the same Betti numbers:
 
 * the engine path sorts the canonical quotient basis into degrees in one
-  pass, builds each boundary column from the integer kernel and
+  pass, builds each boundary matrix from the integer kernel and
   ``complexes.canonical_form``, checks d^2 = 0 on the truncation, and reads
-  the boundary rank, the incoming rank and the cycle space from one
-  Gauss-Jordan elimination per boundary matrix;
+  the boundary rank, the incoming rank and the cycle space from the reduced
+  row echelon form of each boundary matrix;
 * the naive oracle assembles the raw differential on the full tensor basis
   and realizes the quotients by explicit spanning sets, computing ranks of
   induced maps from rank differences with fraction-free Bareiss elimination
-  on integer rows.
+  on dense integer rows.
 
-The boundary matrices are mostly zeros, so the kernels skip them: the d^2
-product accumulates over nonzero entries only, and Gauss-Jordan updates each
-row only at the nonzero columns of the pivot row.  All arithmetic is exact
-over the rationals (over the integers in Bareiss).
+The boundary matrices are mostly zeros, so the engine keeps each row sparse
+and integral, ``{column: numerator over A.den}``, from assembly through the
+d^2 product to the elimination, which is fraction-free as well: only the
+reduced rows it returns hold ``Fraction``s.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -41,43 +41,44 @@ from .complexes import (
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra over the rationals
+# exact linear algebra on integer rows
 # ---------------------------------------------------------------------------
 
 
 def row_reduce(rows):
-    """Gauss-Jordan elimination over the rationals; returns (reduced rows,
-    pivot columns).  The input is not modified.  Each pivot row is normalised
-    and its nonzero (column, value) pairs listed once; every other row is
-    then updated in place at those columns only, so zero entries cost
-    nothing."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        prow = rows[r]
-        inv = Fraction(1) / prow[c]
-        # columns before c are zero in every row from r on
-        nonzero = [(j, x * inv) for j, x in enumerate(prow[c:], c) if x]
-        for j, x in nonzero:
-            prow[j] = x
-        for i, row in enumerate(rows):
-            f = row[c]
-            if f and i != r:
-                for j, x in nonzero:
-                    row[j] -= f * x
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+    """Reduced row echelon form of a matrix given as sparse integer rows
+    ``{column: int}``: returns (reduced rows, pivot columns), the rows as
+    ``{column: Fraction}`` with pivot entry 1 in pivot column order.  The
+    input is not modified.  Each row is reduced against the pivot rows found
+    so far; if it survives, it is eliminated from them at its leftmost
+    column and joins them, so no pivot row has an entry at another's pivot.
+    Elimination is fraction-free and keeps each row primitive, so only the
+    final division by the pivot makes fractions."""
+    done: dict = {}
+    for row in rows:
+        row = dict(row)
+        for c in [c for c in row if c in done]:
+            row = _eliminate(row, done[c], c)
+        if row:
+            p = min(row)
+            for q, prow in done.items():
+                if p in prow:
+                    done[q] = _eliminate(prow, row, p)
+            done[p] = row
+    pivots = sorted(done)
+    return [{j: Fraction(x, done[p][p]) for j, x in done[p].items()}
+            for p in pivots], pivots
+
+
+def _eliminate(row: dict, prow: dict, c: int) -> dict:
+    """The primitive integer combination of ``row`` and ``prow`` that is
+    zero at column ``c``, where both are nonzero."""
+    g = math.gcd(row[c], prow[c])
+    a, b = prow[c] // g, row[c] // g
+    out = accumulate({j: a * x for j, x in row.items()},
+                     ((j, -b * y) for j, y in prow.items()))
+    g = math.gcd(*out.values())
+    return {j: x // g for j, x in out.items()} if g > 1 else out
 
 
 def bareiss(rows):
@@ -133,37 +134,24 @@ def matrix_rank(rows) -> int:
 
 def nullspace(reduced, pivots, ncols: int):
     """Kernel basis of a matrix on an ncols-dimensional domain (each row a
-    linear functional), read from its ``row_reduce`` output: one vector per
-    free column."""
+    linear functional), read from its ``row_reduce`` output: one sparse
+    vector ``{column: Fraction}`` per free column, in column order."""
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for r, p in zip(reduced, pivots):
-            vec[p] = -r[f]
-        basis.append(vec)
-    return basis
+    basis = {f: {f: Fraction(1)} for f in range(ncols) if f not in pivot_set}
+    for r, p in zip(reduced, pivots):
+        for f, x in r.items():
+            if f != p:
+                basis[f][p] = -x
+    return list(basis.values())
 
 
 def mat_mul(a, b):
-    """Exact dense product ``a @ b`` of Fraction matrices.  The nonzero
-    entries of each row of ``b`` are indexed once; each row of ``a`` is then
-    accumulated over its nonzero entries only."""
-    if not a or not b:
-        return []
-    n = len(b[0])
-    b_nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in b]
-    out = []
-    for ra in a:
-        acc = [Fraction(0)] * n
-        for x, b_row in zip(ra, b_nonzero):
-            if x:
-                for j, y in b_row:
-                    acc[j] += x * y
-        out.append(acc)
-    return out
+    """Exact product ``a @ b`` of sparse rows ``{column: value}``: each row
+    of ``a`` accumulates the rows of ``b`` at its nonzero entries, and only
+    nonzero sums are kept."""
+    return [accumulate({}, ((j, x * y) for k, x in ra.items()
+                            for j, y in b[k].items()))
+            for ra in a]
 
 
 # ---------------------------------------------------------------------------
@@ -239,14 +227,15 @@ def boundary_matrix(A: AInfty, variant: Variant, dom, cod, cap: Cap,
                     flags: set | None = None):
     """Exact matrix of the variant differential from the canonical basis
     ``dom`` of one degree to the basis ``cod`` of the next; returned as
-    (rows, domain, codomain) with rows[i][j] the coefficient of codomain
-    chain i in d(domain chain j).  Column j sums the integer kernel's image
-    of chain j per (monomial, ``canonical_form`` of the output tuple), over
-    ``A.den``; terms beyond the weight cap are dropped and flagged."""
+    (rows, domain, codomain) with rows[i] the sparse row ``{j: n}`` of
+    codomain chain i: its coefficient in d(domain chain j) is ``n / A.den``,
+    and only nonzero integers ``n`` are stored.  Column j sums the integer
+    kernel's image of chain j per (monomial, ``canonical_form`` of the output
+    tuple); terms beyond the weight cap are dropped and flagged."""
     if flags is None:
         flags = set()
     index = {bm: i for i, bm in enumerate(cod)}
-    rows = [[Fraction(0)] * len(dom) for _ in cod]
+    rows: list[dict] = [{} for _ in cod]
     for j, (mono, tup) in enumerate(dom):
         col: dict = {}
         image = apply_images(A, {tup: {mono: 1}}, diff_basis, cap)
@@ -262,7 +251,7 @@ def boundary_matrix(A: AInfty, variant: Variant, dom, cod, cap: Cap,
                 continue
             if key not in index:
                 raise ValueError(f"basis does not span output term {key!r}")
-            rows[index[key]][j] = Fraction(n, A.den)
+            rows[index[key]][j] = n
     return rows, dom, cod
 
 
@@ -304,15 +293,14 @@ def homology(A: AInfty, variant: Variant, trunc: Truncation) -> HomologyReport:
                                         report.flags)
     for d in range(trunc.d_min - 1, trunc.d_max):
         prod = mat_mul(mats[d + 1], mats[d])
-        witness = next(((i, j) for i, row in enumerate(prod)
-                        for j, x in enumerate(row) if x), None)
-        if witness is not None:
-            i, j = witness
-            raise ValueError(
-                f"truncated differential does not square to zero at degree "
-                f"{d}: d^2 of {bases[d][j]!r} has coefficient {prod[i][j]} "
-                f"on {bases[d + 2][i]!r}"
-            )
+        for i, row in enumerate(prod):
+            if row:
+                j = min(row)
+                raise ValueError(
+                    f"truncated differential does not square to zero at "
+                    f"degree {d}: d^2 of {bases[d][j]!r} has coefficient "
+                    f"{Fraction(row[j], A.den ** 2)} on {bases[d + 2][i]!r}"
+                )
     echelon = {d: row_reduce(rows) for d, rows in mats.items()}
     for d in range(trunc.d_min, trunc.d_max + 1):
         basis = bases.get(d, [])
@@ -323,7 +311,7 @@ def homology(A: AInfty, variant: Variant, trunc: Truncation) -> HomologyReport:
         # each row of mats[d] is a linear functional on the domain, so the
         # kernel of the matrix is exactly the cycle space
         report.representatives[d] = [
-            [(c, basis[i]) for i, c in enumerate(vec) if c]
+            [(c, basis[i]) for i, c in sorted(vec.items())]
             for vec in nullspace(reduced, pivots, len(basis))
         ]
     return report

@@ -682,29 +682,27 @@ def is_exact(complex_: ChainComplex, el: Element):
                      | set(el.terms))
     tindex = {h: i for i, h in enumerate(targets)}
 
-    def coords(element):
-        vec = [Fraction(0)] * len(targets)
+    n = len(images)
+    # the augmented system [images | el]: one row per target generator
+    aug: list[dict] = [{} for _ in targets]
+    for j, element in [(n, el), *enumerate(images)]:
         for h, s in element.items():
             terms = list(s.terms.items())
             if len(terms) != 1 or any(terms[0][0][0]) or any(terms[0][0][1]):
                 raise ValueError("is_exact handles rational coefficients "
                                  f"only; the coefficient of {h!r} is {s!r}")
-            vec[tindex[h]] = terms[0][1]
-        return vec
-
-    bvec = coords(el)
-    cols = [coords(img) for img in images]
-    # rows of the augmented system: one per target generator
-    aug = [[cols[j][i] for j in range(len(cols))] + [bvec[i]]
-           for i in range(len(targets))]
+            aug[tindex[h]][j] = terms[0][1]
+    # row_reduce takes integer rows: clear each row's denominators
+    for row in aug:
+        den = math.lcm(*(x.denominator for x in row.values()))
+        for j, x in row.items():
+            row[j] = x.numerator * (den // x.denominator)
     reduced, pivots = row_reduce(aug)
-    sol = [Fraction(0)] * len(cols)
-    for r, pcol in zip(reduced, pivots):
-        if pcol == len(cols):
-            return None  # inconsistent system
-        sol[pcol] = r[len(cols)]
+    if pivots and pivots[-1] == n:
+        return None  # inconsistent system
     witness = Element(mod, {
-        g: Scalar.rational(mod.ctx, x) for g, x in zip(sources, sol) if x
+        sources[pcol]: Scalar.rational(mod.ctx, r[n])
+        for r, pcol in zip(reduced, pivots) if n in r
     })
     if complex_.d(witness) != el:
         return None

@@ -1,6 +1,6 @@
-"""Lint: every name imported by a module of the package is used in it, and
-every module-level private function is referenced somewhere in the
-package."""
+"""Lint: every name imported by a module of the package is used in it,
+every module-level private function is referenced somewhere in the package,
+and the naive homology oracle references none of the engine's kernels."""
 
 import ast
 from pathlib import Path
@@ -11,6 +11,14 @@ import hochcyc
 
 PACKAGE = Path(hochcyc.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
+
+# the oracle's functions in homology.py, and the engine functions it must
+# not reach: the oracle is an independent recomputation, not a second
+# caller of the engine
+ORACLE = ("naive_oracle", "naive_diff_vector", "_quotient_spanning",
+          "bareiss", "matrix_rank")
+ENGINE = frozenset({"row_reduce", "nullspace", "mat_mul", "boundary_matrix",
+                    "apply_images", "canonical_form", "diff_basis"})
 
 
 def _imported(tree):
@@ -98,3 +106,30 @@ def test_lint_sees_an_unreferenced_private_function():
                      "class K:\n    def _method(self):\n        return 3\n")
     assert [n for n, _ in _private_functions(tree)
             if n not in _referenced([tree])] == ["_dead"]
+
+
+def _engine_references(tree):
+    """(oracle function, engine name) for every engine name that a
+    module-level oracle function in ``tree`` reads or reads as an
+    attribute."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in ORACLE:
+            for name in sorted(_referenced([node]) & ENGINE):
+                yield node.name, name
+
+
+def test_oracle_references_no_engine_kernel():
+    tree = ast.parse((PACKAGE / "homology.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in tree.body
+               if isinstance(node, ast.FunctionDef)}
+    assert set(ORACLE) <= defined
+    found = list(_engine_references(tree))
+    assert not found, f"the oracle references engine kernels: {found}"
+
+
+def test_lint_sees_the_oracle_reach_into_the_engine():
+    tree = ast.parse("def bareiss(rows):\n    return row_reduce(rows)\n"
+                     "def naive_oracle(A):\n    return A.canonical_form\n"
+                     "def homology(A):\n    return mat_mul(A, A)\n")
+    assert list(_engine_references(tree)) == [
+        ("bareiss", "row_reduce"), ("naive_oracle", "canonical_form")]

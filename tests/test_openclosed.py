@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from hochcyc.scalars import Cap, Scalar, scalar_mul
+from hochcyc.scalars import TRIVIAL_CONTEXT, Cap, Scalar, scalar_mul
 from hochcyc.graded import (
     ChainComplex,
     Element,
@@ -595,6 +595,22 @@ def test_is_exact_detects_nonexact():
     z2 = Element.generator(tmod, "Z2")
     w = is_exact(sphere.target, z2)
     assert w is not None and sphere.target.d(w) == z2
+
+
+def test_is_exact_clears_denominators_and_divides_by_non_unit_pivots():
+    # d(x) = u/2 + v and d(y) = 3v: u = d(2x - 2y/3), so the system has a
+    # non-integer row and a pivot 3, and the witness a coefficient -2/3
+    mod = GradedModule("pivots", ("x", "y", "u", "v", "w"), (0, 0, 1, 1, 1),
+                       TRIVIAL_CONTEXT)
+    gen = Element.generator
+    cx = ChainComplex(mod, {"x": gen(mod, "u", Fraction(1, 2)) + gen(mod, "v"),
+                            "y": gen(mod, "v", 3)})
+    u = gen(mod, "u")
+    assert is_exact(cx, u) == gen(mod, "x", 2) + gen(mod, "y",
+                                                       Fraction(-2, 3))
+    assert is_exact(cx, gen(mod, "v", Fraction(3, 4))) == gen(
+        mod, "y", Fraction(1, 4))
+    assert is_exact(cx, u + gen(mod, "w")) is None
 
 
 def test_is_exact_rejects_non_rational_coefficients():
