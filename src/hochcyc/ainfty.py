@@ -2,10 +2,13 @@
 
 Provides the coderivation (hat) extension of the operations to the tensor
 coalgebra, the structure-relation residual mu-hat o mu-hat, strict-unit
-validation, and a small library of built-in algebras.  Operator images on
-basis tuples are exact integers over the algebra's one denominator, and
-``apply_images`` is the one integer kernel that applies them, for mu-hat
-here and for the Hochschild differential of ``complexes``.  ``OCFamily`` is
+validation, and a small library of built-in algebras.  This module is the
+one operator core: it alone reads the compiled table of an algebra and its
+image caches.  Operator images on basis tuples are exact integers over the
+algebra's one denominator.  mu-hat (``hat_basis``) and the Hochschild
+differential b (``diff_basis``) share the term x (x) mu-hat(l) on x (x) l,
+which both read from the cached mu-hat(l); ``apply_images`` is the one
+integer kernel that applies either to a word.  ``OCFamily`` is
 the one table class and evaluator for every operation family with boundary
 and interior inputs: the q_{k,l} (``AInfty.qfamily`` and the deformation sums
 of ``DeformedQ``), the open-closed p_{k,l} and the closed-sector q_{empty,l}
@@ -53,11 +56,12 @@ class AInfty:
     The operations are compiled once, at construction, into exact integers:
     ``den`` is the least common multiple of the denominators of every
     coefficient, and ``table`` maps each key of ``ops`` to a list of
-    ``(output generator, coefficient parity, ((monomial, numerator), ...))``
-    with the coefficient equal to numerator / ``den``.  The operator images
-    (``hat_basis``, ``complexes.diff_basis``) are built from ``table`` and
-    cached as integers over ``den``; since both derive from ``ops``, it is
-    never mutated after construction.  ``qfamily`` is the family q with
+    ``(output generator, ((monomial, numerator), ...))`` with the
+    coefficient equal to numerator / ``den``.  The operator images
+    (``hat_basis``, ``diff_basis``) are built from ``table`` and cached as
+    integers over ``den`` in ``_hat_cache`` and ``_diff_cache``; no other
+    module reads the table or the caches.  Since they derive from ``ops``,
+    ``ops`` is never mutated after construction.  ``qfamily`` is the family q with
     q_{k,0} = mu_k and no interior operations, also built once.
     """
 
@@ -72,16 +76,15 @@ class AInfty:
                                     for s in el.terms.values()
                                     for q in s.terms.values()))
         self.table: dict[tuple, list] = {
-            tup: [(g, s.degree_parity(),
-                   tuple((m, q.numerator * (den // q.denominator))
-                         for m, q in s.terms.items()))
+            tup: [(g, tuple((m, q.numerator * (den // q.denominator))
+                            for m, q in s.terms.items()))
                   for g, s in el.items()]
             for tup, el in self.ops.items()}
         self.qfamily = OCFamily(module, ChainComplex(module, {}), 0,
                                 {(t, ()): el for t, el in self.ops.items()})
-        # per-instance caches of the integer images of the coderivation and
-        # the Hochschild differential on basis tuples (uncapped; truncation
-        # happens in the kernel)
+        # per-instance caches of integer images on basis tuples (uncapped;
+        # truncation happens in the kernel): mu-hat, and the wrap-around
+        # part of the Hochschild differential
         self._hat_cache: dict[tuple, list] = {}
         self._diff_cache: dict[tuple, list] = {}
 
@@ -153,41 +156,6 @@ def add_image(acc: dict, otup, nums, sign) -> None:
             bucket[m] = bucket.get(m, 0) + n
 
 
-def insertion_sum(A: AInfty, tup, start: int, acc: dict) -> list:
-    """Add the insertions of the operations into one basis tuple to ``acc``.
-
-    Sums, over all splittings tup = l1 o l2 o l3 with l1 at least ``start``
-    long, (-1)^{||l1||} l1 (x) mu(l2) (x) l3, with the coefficient of
-    mu(l2) commuted to the front past l1.  Together the two signs are
-    sp[i] * (1 + |c|), where i = len(l1) and c is the coefficient.  ``acc``
-    maps output tuples to monomial buckets of numerators over ``A.den``
-    (see ``add_image``), read from ``A.table``.  Returns the prefix
-    parities sp, sp[i] = ||tup[:i]|| mod 2.
-
-    With ``start`` 0 this is the coderivation mu-hat (b' in Loday's
-    notation); with ``start`` 1 it is the part of the Hochschild
-    differential b that keeps the first slot in front."""
-    mod = A.module
-    table, arities = A.table, sorted(A.arities)
-    sp = [0]
-    for g in tup:
-        sp.append((sp[-1] + mod.degree(g) + 1) % 2)
-    k = len(tup)
-    for i in range(start, k + 1):
-        head, flip = tup[:i], sp[i]
-        for arity in arities:
-            j = i + arity
-            if j > k:
-                break
-            img = table.get(tup[i:j])
-            if img is None:
-                continue
-            tail = tup[j:]
-            for g, par, nums in img:
-                add_image(acc, head + (g,) + tail, nums, flip and not par)
-    return sp
-
-
 def int_images(acc: dict) -> list:
     """The nonzero terms of ``acc`` as (output tuple, ((monomial,
     numerator), ...)) pairs: the cached form of an operator image."""
@@ -200,23 +168,81 @@ def int_images(acc: dict) -> list:
     return out
 
 
+def prefix_images(A: AInfty, x, l) -> list:
+    """x (x) mu-hat(l), the term that mu-hat and the Hochschild differential
+    share on x (x) l, read from the cached ``hat_basis(A, l)``.  On top of
+    its sign in mu-hat(l), each monomial m passes the shifted x with
+    (-1)^{||x|| (1 + |m|)}."""
+    head = (x,)
+    images = hat_basis(A, l)
+    if A.module.degree(x) % 2:          # ||x|| even
+        return [(head + t, nums) for t, nums in images]
+    parity = A.module.ctx.mono_parity
+    return [(head + t, tuple((m, n if parity(m) else -n) for m, n in nums))
+            for t, nums in images]
+
+
 def hat_basis(A: AInfty, tup) -> list:
-    """The coderivation on one basis tuple: ``insertion_sum`` over all
-    3-splittings, as (output tuple, ((monomial, numerator), ...)) pairs
-    with integer numerators over ``A.den``.  Cached on the algebra."""
+    """The coderivation mu-hat (b' in Loday's notation) on one basis tuple,
+    as (output tuple, ((monomial, numerator), ...)) pairs with integer
+    numerators over ``A.den``, each output tuple named once.  Cached on the
+    algebra.
+
+    On x (x) l it is the front insertions mu(tup[:a]) (x) tup[a:], with sign
+    +, plus ``prefix_images`` x (x) mu-hat(l); on the empty tuple it is the
+    curvature."""
     cached = A._hat_cache.get(tup)
     if cached is None:
         acc: dict[tuple, dict] = {}
-        insertion_sum(A, tup, 0, acc)
+        for a in A.arities:
+            if a <= len(tup):
+                for g, nums in A.table.get(tup[:a], ()):
+                    add_image(acc, (g,) + tup[a:], nums, 0)
+        if tup:
+            for otup, nums in prefix_images(A, tup[0], tup[1:]):
+                add_image(acc, otup, nums, 0)
         cached = A._hat_cache[tup] = int_images(acc)
     return cached
+
+
+def diff_basis(A: AInfty, tup) -> list:
+    """The raw Hochschild differential b on one basis tuple, in the form of
+    ``hat_basis``, except that an output tuple may be named twice.
+
+    On x (x) l it is x (x) mu-hat(l), from ``prefix_images``, plus the
+    wrap-around sum over 3-splittings l = l1 o l2 o l3,
+    (-1)^{||l3||(||x|| + ||l1|| + ||l2||)} mu(l3 (x) x (x) l1) (x) l2.  Only
+    the wrap-around part is cached on the algebra; x (x) mu-hat(l) is read
+    from the coderivation cache on every call.  On the weight-0 generator b
+    is the curvature, ``hat_basis(A, ())``."""
+    if not tup:
+        return hat_basis(A, ())
+    wrap = A._diff_cache.get(tup)
+    if wrap is None:
+        mod = A.module
+        sp = [0]                         # sp[i] = ||tup[:i]|| mod 2
+        for g in tup:
+            sp.append((sp[-1] + mod.degree(g) + 1) % 2)
+        k = len(tup)
+        acc: dict[tuple, dict] = {}
+        for b in range(1, k + 1):        # l1 = tup[1:a], l2 = tup[a:b]
+            for a in range(1, b + 1):
+                if k - b + a not in A.arities:
+                    continue
+                sgn = (sp[k] + sp[b]) * sp[b] % 2
+                for g, nums in A.table.get(tup[b:] + tup[:a], ()):
+                    add_image(acc, (g,) + tup[a:b], nums, sgn)
+        wrap = A._diff_cache[tup] = int_images(acc)
+    return prefix_images(A, tup[0], tup[1:]) + wrap
 
 
 def apply_images(A: AInfty, iword: dict, image_of, cap: Cap | None) -> dict:
     """The operator kernel: the odd operator with per-tuple integer images
     ``image_of(A, tup)`` (over ``A.den``) applied to an integer word
     ``{tup: {monomial: numerator}}``, as an integer word over the input's
-    denominator times ``A.den``.  Output buckets may hold zeros.
+    denominator times ``A.den``.  An image list may name an output tuple
+    twice; its terms are summed into one bucket.  Output buckets may hold
+    zeros.
 
     A front monomial m passes the operator with (-1)^{|m|}, the sign
     (-1)^{|c|} of a front coefficient c extended linearly.  This is the one

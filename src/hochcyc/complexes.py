@@ -20,14 +20,7 @@ from fractions import Fraction
 
 from .scalars import Cap, accumulate
 from .graded import GradedModule, ResidualReport, Word, rotate, rotations
-from .ainfty import (
-    AInfty,
-    add_image,
-    combine_basis_images,
-    hat_extension,
-    insertion_sum,
-    int_images,
-)
+from .ainfty import AInfty, combine_basis_images, diff_basis, hat_extension
 
 
 class Variant(enum.Enum):
@@ -212,45 +205,9 @@ def canonical_tuples(A: AInfty, variant: Variant, max_weight: int):
 # ---------------------------------------------------------------------------
 
 
-def diff_basis(A: AInfty, tup) -> list:
-    """Raw Hochschild differential on one basis tuple, as (output tuple,
-    ((monomial, numerator), ...)) pairs with integer numerators over
-    ``A.den``, read from ``A.table``.  Cached on the algebra.
-
-    On x (x) l it is (-1)^{||x||} x (x) mu-hat(l), which is
-    ``insertion_sum`` with the first slot kept in front, plus the
-    wrap-around sum over 3-splittings of l:
-    (-1)^{||l3||(||x|| + ||l1|| + ||l2||)} mu(l3 (x) x (x) l1) (x) l2.
-    On the weight-0 generator it is the curvature.  mu-hat(l) is summed
-    afresh rather than read from ``hat_basis``, so the Hochschild sweeps do
-    not fill the coderivation cache."""
-    cached = A._diff_cache.get(tup)
-    if cached is not None:
-        return cached
-    acc: dict[tuple, dict] = {}
-    k = len(tup)
-    if k == 0:
-        for g, _, nums in A.table.get((), ()):
-            add_image(acc, (g,), nums, 0)
-    else:
-        sp = insertion_sum(A, tup, 1, acc)
-        for b in range(1, k + 1):        # wrap: mu(l3 (x) x (x) l1) (x) l2
-            for a in range(1, b + 1):    # l1 = tup[1:a], l2 = tup[a:b]
-                if k - b + a not in A.arities:
-                    continue
-                img = A.table.get(tup[b:] + tup[:a])
-                if img is None:
-                    continue
-                n3 = (sp[k] + sp[b]) % 2
-                sgn = (n3 * sp[b]) % 2
-                for g, _, nums in img:
-                    add_image(acc, (g,) + tup[a:b], nums, sgn)
-    out = A._diff_cache[tup] = int_images(acc)
-    return out
-
-
 def hoch_diff_word(A: AInfty, w: Word, cap: Cap | None = None) -> Word:
-    """Raw Hochschild differential, prior to any variant projection; the
+    """Raw Hochschild differential, the per-tuple images ``diff_basis`` of
+    ``ainfty`` applied to a word, prior to any variant projection; the
     operator passes a front coefficient of degree |c| with (-1)^{|c|}, and
     the weight-0 generator maps to the curvature."""
     return combine_basis_images(A, w, diff_basis, cap)

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .scalars import Cap, Monomial, Scalar, accumulate, mono_degree
 from .graded import GradedModule, Word
-from .ainfty import AInfty, apply_images
+from .ainfty import AInfty, apply_images, diff_basis
 from .complexes import (
     CYCLIC_VARIANTS,
     EXTENDED_VARIANTS,
@@ -35,7 +35,6 @@ from .complexes import (
     Variant,
     canonical_form,
     canonical_tuples,
-    diff_basis,
     t_word,
 )
 

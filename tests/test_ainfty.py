@@ -13,6 +13,7 @@ from hochcyc.scalars import (
     FormalVarSpec,
     PiGroup,
     Scalar,
+    accumulate,
     mono_degree,
     scalar_mul,
 )
@@ -33,10 +34,15 @@ from hochcyc.ainfty import (
     ainfty_residual,
     builtin_algebras,
     hat_extension,
+    prefix_images,
     unit_check,
 )
 
 CAP = Cap(energy=4, weight=4, var_total=4)
+
+# (nvars, mu3) arguments of _odd_variable_algebra
+ODD_CASES = [pytest.param(1, False, id="1"), pytest.param(2, False, id="2"),
+             pytest.param(2, True, id="2-mu3")]
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -115,13 +121,14 @@ def test_hat_extension_respects_front_coefficient_sign():
     assert scaled == Word(mod, {tup: -(t * s) for tup, s in plain.items()})
 
 
-def _odd_variable_algebra(nvars):
+def _odd_variable_algebra(nvars, mu3=False):
     """A curved structure over Pi = Z (area 1/2, Maslov 0) and ``nvars`` odd
     variables, with thirds and halves in its structure constants, and a word
     to apply it to.  The structure constants use t0 and the word's
     coefficients the last variable, so with two variables merging monomials
-    gives Koszul signs.  Only the degree law is needed here, not the
-    A-infinity relations."""
+    gives Koszul signs.  With ``mu3`` there are two ternary operations as
+    well, one with an odd coefficient.  Only the degree law is needed here,
+    not the A-infinity relations."""
     ctx = Context(PiGroup(1, (Fraction(1, 2),), (0,)),
                   FormalVarSpec((1,) * nvars))
     mod = GradedModule("odd_t", ("e", "x", "y"), (0, 1, 2), ctx)
@@ -147,6 +154,9 @@ def _odd_variable_algebra(nvars):
         ("x", "x"): el(y=sc((Fraction(1, 2), 0, 0), (Fraction(-3, 2), 2, 0)),
                        x=sc((Fraction(5, 3), 0, 1))),
     }
+    if mu3:
+        ops[("x", "x", "e")] = el(x=sc((Fraction(2, 3), 1, 0)))
+        ops[("x", "e", "y")] = el(x=sc((Fraction(1, 2), 0, 1)))
     A = AInfty(mod, ops)
     last = nvars - 1
     # a third before the first half, in the word and in the images: a
@@ -160,6 +170,12 @@ def _odd_variable_algebra(nvars):
         ("e", "x", "x"): sc((Fraction(1, 3), 0, 1), (Fraction(-3, 2), 1, 1),
                             var=last),
     })
+    if mu3:
+        # each ternary operation inserted after an odd shifted prefix
+        w = w + Word(mod, {
+            ("e", "x", "x", "e"): sc((Fraction(1, 3), 1, 0)),
+            ("y", "x", "e", "y"): sc((Fraction(-1, 2), 0, 1), var=last),
+        })
     return A, w
 
 
@@ -180,19 +196,47 @@ def _hat_reference(A, tup):
     return {t: s for t, s in out.items() if s}
 
 
-@pytest.mark.parametrize("nvars", [1, 2])
+def _diff_reference(A, tup):
+    """The Hochschild differential on one basis tuple x (x) l of weight at
+    least one, as {output tuple: Scalar} summed with Fractions from
+    ``A.ops``: x (x) ``_hat_reference(l)``, each term c passing the shifted
+    x with (-1)^{||x|| (1 + |c|)}, plus over every splitting
+    l = l1 o l2 o l3 the wrap-around term
+    (-1)^{||l3|| (||x|| + ||l1|| + ||l2||)} mu(l3 (x) x (x) l1) (x) l2."""
+    mod = A.module
+
+    def shifted(t):
+        return sum(mod.degree(g) + 1 for g in t) % 2
+
+    out = {}
+
+    def add(otup, s, sign):
+        out[otup] = out.get(otup, Scalar.zero(mod.ctx)) + (-s if sign else s)
+
+    x, l = tup[0], tup[1:]
+    for t, s in _hat_reference(A, l).items():
+        add((x,) + t, s, shifted((x,)) * (1 + s.degree_parity()) % 2)
+    for a in range(len(l) + 1):
+        for b in range(a, len(l) + 1):
+            l1, l2, l3 = l[:a], l[a:b], l[b:]
+            for g, s in A.mu(l3 + (x,) + l1).items():
+                add((g,) + l2, s, shifted(l3) * shifted((x,) + l[:b]))
+    return {t: s for t, s in out.items() if s}
+
+
+@pytest.mark.parametrize("nvars,mu3", ODD_CASES)
 @pytest.mark.parametrize("cap", [
     None,
     Cap(energy=Fraction(3, 2), weight=4, var_total=1),
     Cap(energy=Fraction(3, 2), weight=4, var_total=0),
 ])
-def test_hat_extension_is_exact_against_termwise_sum(cap, nvars):
+def test_hat_extension_is_exact_against_termwise_sum(cap, nvars, mu3):
     """The shared operator kernel agrees with a sum of capped scalar
     products of Fraction images built from ``A.ops``, each carrying
     (-1)^{|c|} for passing the front coefficient c: signs from odd
     coefficients and from merging odd variables, denominators 2, 3 and 6,
     and terms dropped at the energy and variable caps."""
-    A, w = _odd_variable_algebra(nvars)
+    A, w = _odd_variable_algebra(nvars, mu3)
     mod = A.module
     expect = Word.zero(mod)
     for tup, c in w.items():
@@ -221,11 +265,13 @@ def test_hat_extension_is_exact_against_termwise_sum(cap, nvars):
                        for m in dropped)
 
 
-@pytest.mark.parametrize("nvars", [1, 2])
-def test_cached_images_are_integers_over_den(nvars):
+@pytest.mark.parametrize("nvars,mu3", ODD_CASES)
+def test_cached_images_are_integers_over_den(nvars, mu3):
     """Every cached operator image holds only int numerators, and they are
-    the Fraction reference times ``A.den``."""
-    A, w = _odd_variable_algebra(nvars)
+    the Fraction reference times ``A.den``: mu-hat as cached, and the
+    Hochschild differential as ``prefix_images`` plus the cached wrap-around
+    part, summed per output tuple."""
+    A, w = _odd_variable_algebra(nvars, mu3)
     assert A.den == 6
     hat_extension(A, w)
     hoch_diff_word(A, w)
@@ -238,6 +284,13 @@ def test_cached_images_are_integers_over_den(nvars):
         want = {t: {m: q * A.den for m, q in s.terms.items()}
                 for t, s in _hat_reference(A, tup).items()}
         assert {t: dict(nums) for t, nums in images} == want
+    for tup, wrap in A._diff_cache.items():
+        got = {}
+        for t, nums in prefix_images(A, tup[0], tup[1:]) + wrap:
+            accumulate(got.setdefault(t, {}), nums)
+        want = {t: {m: q * A.den for m, q in s.terms.items()}
+                for t, s in _diff_reference(A, tup).items()}
+        assert {t: b for t, b in got.items() if b} == want, tup
 
 
 def test_residual_reports_a_perturbed_algebra():

@@ -31,6 +31,7 @@ from hochcyc.homology import (
     nullspace,
     row_reduce,
 )
+from test_ainfty import _odd_variable_algebra
 
 F = Fraction
 
@@ -339,17 +340,23 @@ def test_engine_matches_oracle(name, energy, variant, weight, window):
             assert hoch_diff(A, ChainElt(w, variant), trunc.cap).is_zero()
 
 
-@pytest.mark.parametrize("name", BUILTIN_NAMES)
+@pytest.mark.parametrize("name", [*BUILTIN_NAMES, "odd_t-mu3"])
 @pytest.mark.parametrize("variant", [Variant.HOCHSCHILD,
                                      Variant.EXTENDED_CONNES])
 def test_engine_differential_matches_oracle_per_chain(name, variant):
     # every chain of the full tensor basis, coordinate by coordinate; the
     # extended basis adds the weight-0 generator, whose image is the
     # curvature.  On the full basis the Hochschild boundary matrix is the raw
-    # differential, so its columns are compared with the oracle's vectors
-    A = builtin_algebras(name)
-    weight = 3 if name == "curved_matrix" else 4
-    cap = Cap(energy=3, weight=weight, var_total=0)
+    # differential, so its columns are compared with the oracle's vectors.
+    # odd_t-mu3 adds ternary operations and odd coefficients
+    if name == "odd_t-mu3":
+        A = _odd_variable_algebra(2, mu3=True)[0]
+        cap = Cap(energy=2, weight=4, var_total=1)
+    else:
+        A = builtin_algebras(name)
+        cap = Cap(energy=3, weight=3 if name == "curved_matrix" else 4,
+                  var_total=0)
+    weight = cap.weight
     extended = variant is Variant.EXTENDED_CONNES
     monos = attained_monomials(A, cap)
     mdegs = [mono_degree(A.module.ctx, m) for m in monos]

@@ -1,6 +1,7 @@
 """Lint: every name imported by a module of the package is used in it,
 every module-level private function is referenced somewhere in the package,
-and the naive homology oracle references none of the engine's kernels."""
+the naive homology oracle references none of the engine's kernels, and no
+module but ``ainfty`` reads an algebra's compiled table or image caches."""
 
 import ast
 from pathlib import Path
@@ -133,3 +134,29 @@ def test_lint_sees_the_oracle_reach_into_the_engine():
                      "def homology(A):\n    return mat_mul(A, A)\n")
     assert list(_engine_references(tree)) == [
         ("bareiss", "row_reduce"), ("naive_oracle", "canonical_form")]
+
+
+# the attributes of an algebra that hold its compiled table and image caches:
+# only the operator core reads them
+ALGEBRA_INTERNALS = frozenset({"table", "_hat_cache", "_diff_cache"})
+
+
+def _internals_read(tree):
+    """The attributes of ``ALGEBRA_INTERNALS`` that ``tree`` reads."""
+    return sorted({node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)} & ALGEBRA_INTERNALS)
+
+
+def test_only_the_operator_core_reads_the_table_and_caches():
+    found = {p.name: _internals_read(ast.parse(p.read_text(encoding="utf-8")))
+             for p in MODULES if p.name != "ainfty.py"}
+    found = {name: attrs for name, attrs in found.items() if attrs}
+    assert not found, f"modules reading the algebra's table or caches: {found}"
+    core = ast.parse((PACKAGE / "ainfty.py").read_text(encoding="utf-8"))
+    assert _internals_read(core) == sorted(ALGEBRA_INTERNALS)
+
+
+def test_lint_sees_a_module_read_the_caches():
+    tree = ast.parse("def f(A, t):\n    return A._diff_cache.get(t)\n"
+                     "def g(A, t):\n    return A.table[t], A.den, table\n")
+    assert _internals_read(tree) == ["_diff_cache", "table"]
