@@ -6,13 +6,13 @@ validation, and a small library of built-in algebras.  This module is the
 one operator core: it alone reads the compiled table of an algebra and its
 image caches.  Operator images on basis tuples are exact integers over the
 algebra's one denominator.  mu-hat (``hat_basis``) and the Hochschild
-differential b (``diff_basis``) share the term x (x) mu-hat(l) on x (x) l,
-which both read from the cached mu-hat(l); ``apply_images`` is the one
-integer kernel that applies either to a word.  ``OCFamily`` is
-the one table class and evaluator for every operation family with boundary
-and interior inputs: the q_{k,l} (``AInfty.qfamily`` and the deformation sums
-of ``DeformedQ``), the open-closed p_{k,l} and the closed-sector q_{empty,l}
-of ``openclosed``.
+differential b (``diff_basis``) share x (x) mu-hat(l) on x (x) l, read from
+the cached mu-hat(l).  ``apply_images`` is the one integer kernel that
+applies per-tuple images to a word; ``squares_to_zero`` applies them twice,
+for mu-hat o mu-hat and d o d.  ``OCFamily`` is the one table class and
+evaluator for every operation family with boundary and interior inputs: the
+q_{k,l} (``AInfty.qfamily`` and ``DeformedQ``), the open-closed p_{k,l} and
+the closed-sector q_{empty,l} of ``openclosed``.
 """
 
 from __future__ import annotations
@@ -327,25 +327,28 @@ def hat_extension(A: AInfty, w: Word, cap: Cap | None = None) -> Word:
     return combine_basis_images(A, w, hat_basis, cap)
 
 
-def ainfty_residual(A: AInfty, cap: Cap) -> ResidualReport:
-    """mu-hat o mu-hat on every basis word up to the weight cap, composed
-    and tested for zero on integers; the Word residual is built only for a
-    failing word."""
+def squares_to_zero(A: AInfty, tuples, image_of, cap: Cap,
+                    key: str) -> ResidualReport:
+    """The odd operator with per-tuple images ``image_of`` applied twice to
+    each basis tuple of ``tuples`` and tested for zero on integers; only a
+    failure builds its Word residual, reported under ``key``."""
     report = ResidualReport()
-    ctx = A.module.ctx
-    one = {(ctx.zero_beta, ctx.zero_exps): 1}
-    for w in range(0, cap.weight + 1):
-        for tup in itertools.product(A.module.basis, repeat=w):
-            once = apply_images(A, {tup: one}, hat_basis, cap)
-            res = apply_images(A, once, hat_basis, cap)
-            report.checked += 1
-            for b in res.values():
-                if any(b.values()):
-                    word = int_word_to_word(A.module, res, A.den * A.den)
-                    report.failures.append({"word": tup,
-                                            "residual": repr(word)})
-                    break
+    one = {(A.module.ctx.zero_beta, A.module.ctx.zero_exps): 1}
+    for tup in tuples:
+        res = apply_images(A, apply_images(A, {tup: one}, image_of, cap),
+                           image_of, cap)
+        report.checked += 1
+        if any(any(b.values()) for b in res.values()):
+            word = int_word_to_word(A.module, res, A.den * A.den)
+            report.failures.append({key: tup, "residual": repr(word)})
     return report
+
+
+def ainfty_residual(A: AInfty, cap: Cap) -> ResidualReport:
+    """mu-hat o mu-hat on every basis word up to the weight cap."""
+    words = (tup for w in range(cap.weight + 1)
+             for tup in itertools.product(A.module.basis, repeat=w))
+    return squares_to_zero(A, words, hat_basis, cap, "word")
 
 
 def unit_check(A: AInfty) -> ResidualReport:

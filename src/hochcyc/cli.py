@@ -85,6 +85,8 @@ def _split_sections(text: str):
             continue
         head = line.split()
         if head[0] in _SECTION_HEADS:
+            if head[0] != "MU" and any(s[0] == head[0] for s in sections):
+                raise InstanceParseError(f"repeated {head[0]} section", line=i)
             current = (head[0], tuple(head[1:]), [], i)
             sections.append(current)
             continue
@@ -127,9 +129,10 @@ def _ints(tokens, line: int) -> list[int]:
 def parse_instance(path: str) -> AInfty:
     """Parse an algebra-definition file.  Every malformed file raises
     InstanceParseError (a ValueError) with the line number where one
-    applies.  Each operation is checked once, by ``check_operation`` in the
-    ``AInfty`` constructor; one that breaks the degree law or the valuation
-    guards is reported at the first line of its key."""
+    applies; only ``MU k`` sections may repeat.  Each operation is checked
+    once, by ``check_operation`` in the ``AInfty`` constructor; one that
+    breaks the degree law or the valuation guards is reported at the first
+    line of its key."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()

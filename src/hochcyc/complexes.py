@@ -2,12 +2,12 @@
 complex variants (Hochschild, normalized Hochschild, cyclic quotient, reduced
 cyclic, and the two extended variants with a weight-zero generator).
 
-One per-tuple rule, ``canonical_form``, decides for every caller which
-basis tuples are chains of a variant and what their signed representatives
-are: the weight-zero generator exists only in the extended variants, the
-unit-killing variants drop tuples with the unit in a quotiented slot, and
-every cyclic class is stored via its signed lexicographically-minimal
-rotation, classes whose stabilizer acts by -1 being zero over the rationals.
+One per-tuple rule, ``canonical_form``, gives the chains of a variant and
+their signed representatives: the weight-zero generator exists only in the
+extended variants, the unit-killing variants drop tuples with the unit in a
+quotiented slot, and a cyclic class is its signed least rotation, zero when
+its stabilizer acts by -1.  The variant differential is b followed by this
+rule on each output tuple (``variant_images``), run by the integer kernel.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from fractions import Fraction
 
 from .scalars import Cap, accumulate
 from .graded import GradedModule, ResidualReport, Word, rotate, rotations
-from .ainfty import AInfty, combine_basis_images, diff_basis, hat_extension
+from .ainfty import (AInfty, combine_basis_images, diff_basis, hat_extension,
+                     squares_to_zero)
 
 
 class Variant(enum.Enum):
@@ -213,13 +214,27 @@ def hoch_diff_word(A: AInfty, w: Word, cap: Cap | None = None) -> Word:
     return combine_basis_images(A, w, diff_basis, cap)
 
 
+def variant_images(variant: Variant):
+    """The per-tuple images of the variant differential for ``apply_images``:
+    ``diff_basis`` with each output tuple sent through ``canonical_form``,
+    which acts on tuples only and so commutes with the front sign."""
+    def image_of(A: AInfty, tup) -> list:
+        out = []
+        for otup, nums in diff_basis(A, tup):
+            can = canonical_form(A, otup, variant)
+            if can is not None:
+                out.append((can[0], tuple((m, -n) for m, n in nums)
+                            if can[1] else nums))
+        return out
+    return image_of
+
+
 def hoch_diff(A: AInfty, c: ChainElt, cap: Cap | None = None) -> ChainElt:
-    """Variant differential: raw differential followed by the variant's
-    canonical projection."""
+    """The variant differential: the kernel with ``variant_images``."""
     if () in c.word.terms and c.variant not in EXTENDED_VARIANTS:
         raise ValueError("weight-0 chain in a non-extended variant")
-    raw = hoch_diff_word(A, c.word, cap)
-    return ChainElt(project(A, raw, c.variant), c.variant)
+    return ChainElt(combine_basis_images(A, c.word, variant_images(c.variant),
+                                         cap), c.variant)
 
 
 # ---------------------------------------------------------------------------
@@ -228,18 +243,11 @@ def hoch_diff(A: AInfty, c: ChainElt, cap: Cap | None = None) -> ChainElt:
 
 
 def dsquare_sweep(A: AInfty, variant: Variant, cap: Cap) -> ResidualReport:
-    """d-squared on every canonical basis chain up to the weight cap;
-    outputs are energy-capped but never weight-capped, so the vanishing is
-    exact, not an artifact of truncation."""
-    report = ResidualReport()
-    for tup in canonical_tuples(A, variant, cap.weight):
-        chain = ChainElt(Word.basis_word(A.module, tup), variant)
-        res = hoch_diff(A, hoch_diff(A, chain, cap), cap)
-        report.checked += 1
-        if not res.is_zero():
-            report.failures.append({"tuple": tup,
-                                    "residual": repr(res.word)})
-    return report
+    """d-squared on every canonical basis chain up to the weight cap, by
+    ``squares_to_zero``; outputs are energy-capped but never weight-capped,
+    so the vanishing is exact, not an artifact of truncation."""
+    return squares_to_zero(A, canonical_tuples(A, variant, cap.weight),
+                           variant_images(variant), cap, "tuple")
 
 
 def random_word(A: AInfty, rng: random.Random, max_weight: int) -> Word:

@@ -3,8 +3,8 @@
 Two structurally independent paths compute the same Betti numbers:
 
 * the engine path sorts the canonical quotient basis into degrees in one
-  pass, builds each boundary matrix from the integer kernel and
-  ``complexes.canonical_form``, checks d^2 = 0 on the truncation, and reads
+  pass, builds each boundary matrix by the integer kernel on the images
+  ``complexes.variant_images``, checks d^2 = 0 on the truncation, and reads
   the boundary rank, the incoming rank and the cycle space from the reduced
   row echelon form of each boundary matrix;
 * the naive oracle assembles the raw differential on the full tensor basis
@@ -27,15 +27,15 @@ from fractions import Fraction
 
 from .scalars import Cap, Monomial, Scalar, accumulate, mono_degree
 from .graded import GradedModule, Word
-from .ainfty import AInfty, apply_images, diff_basis
+from .ainfty import AInfty, apply_images
 from .complexes import (
     CYCLIC_VARIANTS,
     EXTENDED_VARIANTS,
     UNIT_KILLING_VARIANTS,
     Variant,
-    canonical_form,
     canonical_tuples,
     t_word,
+    variant_images,
 )
 
 
@@ -228,23 +228,18 @@ def boundary_matrix(A: AInfty, variant: Variant, dom, cod, cap: Cap,
     ``dom`` of one degree to the basis ``cod`` of the next; returned as
     (rows, domain, codomain) with rows[i] the sparse row ``{j: n}`` of
     codomain chain i: its coefficient in d(domain chain j) is ``n / A.den``,
-    and only nonzero integers ``n`` are stored.  Column j sums the integer
-    kernel's image of chain j per (monomial, ``canonical_form`` of the output
-    tuple); terms beyond the weight cap are dropped and flagged."""
+    and only nonzero integers ``n`` are stored.  Column j is the integer
+    kernel's image of chain j under ``variant_images``; terms beyond the
+    weight cap are dropped and flagged."""
     if flags is None:
         flags = set()
     index = {bm: i for i, bm in enumerate(cod)}
     rows: list[dict] = [{} for _ in cod]
+    image_of = variant_images(variant)
     for j, (mono, tup) in enumerate(dom):
-        col: dict = {}
-        image = apply_images(A, {tup: {mono: 1}}, diff_basis, cap)
-        for otup, bucket in image.items():
-            can = canonical_form(A, otup, variant)
-            if can is not None:
-                rep, sgn = can
-                accumulate(col, (((m, rep), -n if sgn else n)
-                                 for m, n in bucket.items()))
-        for key, n in col.items():
+        image = apply_images(A, {tup: {mono: 1}}, image_of, cap)
+        for key, n in [((m, rep), n) for rep, bucket in image.items()
+                       for m, n in bucket.items() if n]:
             if len(key[1]) > cap.weight:
                 flags.add("weight-cap")
                 continue

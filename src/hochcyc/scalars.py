@@ -424,8 +424,9 @@ class ScalarParseError(ValueError):
 def parse_scalar(ctx: Context, text: str) -> Scalar:
     """Parse the textual grammar ``c * T^[b1,...,br] * t0^e0 * ...``.
 
-    Terms are joined with ``+`` and ``-``; coefficients are exact rationals
-    ``p/q``.  ``T^[...]`` and the coefficient may be omitted.
+    Terms are joined with ``+`` and ``-``, and one sign may lead the first;
+    coefficients are exact rationals ``p/q``.  ``T^[...]`` and the
+    coefficient may be omitted.
     """
 
     text = text.strip()
@@ -442,8 +443,9 @@ def parse_scalar(ctx: Context, text: str) -> Scalar:
             depth += 1
         elif ch == "]":
             depth -= 1
-        if ch in "+-" and depth == 0 and prev not in ("", "*", "^", "/", "e"):
-            chunks.append((sign, buf))
+        if ch in "+-" and depth == 0 and prev not in ("*", "^", "/", "e"):
+            if prev:  # a sign at the start leads the first term
+                chunks.append((sign, buf))
             sign = 1 if ch == "+" else -1
             buf = ""
         else:
@@ -451,11 +453,6 @@ def parse_scalar(ctx: Context, text: str) -> Scalar:
         if not ch.isspace():
             prev = ch
     chunks.append((sign, buf))
-    if chunks and chunks[0][1].strip() == "" and len(chunks) > 1:
-        # leading sign
-        first = chunks.pop(0)
-        s, t = chunks[0]
-        chunks[0] = (s * first[0], t)
 
     total = Scalar.zero(ctx)
     for sgn, chunk in chunks:

@@ -60,6 +60,36 @@ def test_builtin_strict_unit(name):
     assert rep.ok, rep.failures[:3]
 
 
+def test_unit_check_reports_each_broken_axiom():
+    """Perturbed copies of dual_numbers: no unit raises; unit eps breaks the
+    degree and both unit laws; mu_2(eps, e) = +eps breaks the right unit
+    law only; mu_3(e, eps, eps) = eps breaks the vanishing of the other
+    arities on the unit."""
+    A = builtin_algebras("dual_numbers")
+    mod = A.module
+    with pytest.raises(ValueError, match="no unit"):
+        unit_check(AInfty(mod, A.ops))
+
+    def axioms(ops, unit="e"):
+        rep = unit_check(AInfty(mod, ops, unit=unit))
+        return sorted((f["axiom"], f.get("x") or f.get("tuple") or f["got"])
+                      for f in rep.failures)
+
+    assert axioms(A.ops, unit="eps") == [
+        ("mu2(e,x)=x", "e"), ("mu2(e,x)=x", "eps"),
+        ("mu2(x,e)=(-1)^{|x|}x", "e"), ("mu2(x,e)=(-1)^{|x|}x", "eps"),
+        ("unit-degree", 1)]
+    right = dict(A.ops)
+    right[("eps", "e")] = Element.generator(mod, "eps")
+    assert axioms(right) == [("mu2(x,e)=(-1)^{|x|}x", "eps")]
+    mu3 = dict(A.ops)
+    mu3[("e", "eps", "eps")] = Element.generator(mod, "eps")
+    rep = unit_check(AInfty(mod, mu3, unit="e"))
+    assert rep.checked == 1 + 2 * 2 + (2 ** 3 - 1)
+    assert rep.failures == [{"axiom": "mu_3 vanishes on unit",
+                             "tuple": ("e", "eps", "eps")}]
+
+
 def test_exterior_sizes():
     A = builtin_algebras("exterior(3)")
     assert len(A.module.basis) == 8

@@ -72,6 +72,23 @@ def test_serialize_round_trip(instance_path, tmp_path):
         {t: e.terms for t, e in A.ops.items()}
 
 
+def test_round_trip_with_a_minus_one_coefficient(tmp_path, capsys):
+    """mu_2(x, x) = -T e serializes as ``-T^[1] * e``, a term led by its
+    sign, which parses back to the same algebra."""
+    path = tmp_path / "minus.txt"
+    path.write_text(GOOD_INSTANCE + "x x -> -1 * T^[1] * e\n")
+    A = parse_instance(str(path))
+    text = serialize_instance(A)
+    assert "x x -> -T^[1] * e" in text
+    path2 = tmp_path / "again.txt"
+    path2.write_text(text)
+    B = parse_instance(str(path2))
+    assert {t: e.terms for t, e in B.ops.items()} == \
+        {t: e.terms for t, e in A.ops.items()}
+    assert main(["check-ainfty", str(path2), "--weight", "2"]) != 2
+    assert "error" not in json.loads(capsys.readouterr().out)
+
+
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_builtin_round_trip(name, tmp_path):
     A = load_algebra(name)
@@ -291,6 +308,31 @@ def test_malformed_instance_exit_2_with_line(tmp_path, capsys, text, line):
     assert code == 2
     assert json.loads(out.out)["error"].startswith(f"line {line}: ")
     assert "Traceback" not in out.out + out.err
+
+
+@pytest.mark.parametrize("head,text,line", [
+    ("PI", "PI\nrank 0\nPI\nrank 0\nBASIS\ne\nDEGREES\n0\n", 3),
+    ("TVARS", "TVARS\n0\nTVARS\n0\nBASIS\ne\nDEGREES\n0\n", 3),
+    ("BASIS", "BASIS\ne\nBASIS\ne x\nDEGREES\n0 1\n", 3),
+    ("DEGREES", "BASIS\ne\nDEGREES\n0\nDEGREES\n0\n", 5),
+    ("UNIT", "BASIS\ne\nDEGREES\n0\nUNIT\ne\nUNIT\ne\n", 7),
+], ids=["PI", "TVARS", "BASIS", "DEGREES", "UNIT"])
+def test_repeated_section_exit_2_at_its_second_header(tmp_path, capsys,
+                                                      head, text, line):
+    """A repeated section would silently replace the first; it is an error
+    at the second header.  ``MU k`` sections may repeat."""
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    code = main(["check-ainfty", str(path), "--weight", "1"])
+    out = capsys.readouterr()
+    assert code == 2
+    assert json.loads(out.out)["error"] == (
+        f"line {line}: repeated {head} section")
+    path.write_text("BASIS\ne x\nDEGREES\n0 1\nMU 2\ne e -> e\n"
+                    "MU 2\ne x -> x\nMU 2\ne e -> e\n")
+    A = parse_instance(str(path))
+    assert A.mu(("e", "x")) == Element.generator(A.module, "x")
+    assert A.mu(("e", "e")) == Element.generator(A.module, "e", 2)
 
 
 def test_non_homogeneous_operation_exit_2_at_its_first_line(tmp_path,

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from hochcyc.scalars import TRIVIAL_CONTEXT, Cap, Scalar
-from hochcyc.graded import GradedModule, Word, rotate
+from hochcyc.graded import Element, GradedModule, Word, rotate
 from hochcyc.ainfty import (
     BUILTIN_NAMES,
     AInfty,
@@ -17,6 +17,7 @@ from hochcyc.ainfty import (
 from hochcyc.complexes import (
     _canonical_rotation,
     CYCLIC_VARIANTS,
+    EXTENDED_VARIANTS,
     UNIT_KILLING_VARIANTS,
     ChainElt,
     Variant,
@@ -35,6 +36,8 @@ from hochcyc.complexes import (
     t_word,
 )
 
+from test_ainfty import _odd_variable_algebra
+
 CAP = Cap(energy=4, weight=3, var_total=4)
 
 
@@ -48,6 +51,66 @@ def test_dsquare_all_variants(name, variant):
     # contains the unit
     if not (name == "ground_field" and variant is Variant.REDUCED_CONNES):
         assert rep.checked > 0
+
+
+def _algebra_and_word(name):
+    """A builtin with a word on every basis tuple up to weight 3, weight 0
+    included, or ``odd<nvars>[-mu3]``, ``_odd_variable_algebra`` with its
+    word, whose coefficients hold odd variables."""
+    if name.startswith("odd"):
+        return _odd_variable_algebra(int(name[3]), mu3=name.endswith("mu3"))
+    A = builtin_algebras(name)
+    coeffs = itertools.cycle((Fraction(-2), Fraction(1), Fraction(3, 2)))
+    w = Word(A.module, {tup: Scalar.rational(A.module.ctx, next(coeffs))
+                        for k in range(4)
+                        for tup in itertools.product(A.module.basis,
+                                                     repeat=k)})
+    return A, w
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES + ("odd1", "odd2",
+                                                  "odd1-mu3", "odd2-mu3"))
+def test_variant_differential_is_the_projected_hochschild_differential(name):
+    """``hoch_diff``, the kernel on the canonicalised per-tuple images
+    ``variant_images``, equals ``project`` of the raw Hochschild
+    differential on every variant the algebra admits, with and without
+    caps; the extended variants keep the weight-0 term of the word."""
+    A, w = _algebra_and_word(name)
+    compared = 0
+    for variant in Variant:
+        if variant in UNIT_KILLING_VARIANTS and A.unit is None:
+            continue
+        wv = w if variant in EXTENDED_VARIANTS else Word(
+            A.module, {t: c for t, c in w.items() if t})
+        for cap in (None, Cap(2, 5, 1), Cap(3, 5, 0)):
+            got = hoch_diff(A, ChainElt(wv, variant), cap)
+            assert got.variant is variant
+            assert got.word == project(A, hoch_diff_word(A, wv, cap),
+                                       variant), (variant, cap)
+            compared += bool(got.word)
+    assert compared, "every differential vanished"
+
+
+def test_dsquare_sweep_reports_a_perturbed_algebra():
+    """dual_numbers with mu_2(e, eps) doubled: d o d fails on three
+    Hochschild chains and on one chain of each cyclic variant that keeps the
+    unit, and each residual is the ``repr`` of project o b applied twice."""
+    A = builtin_algebras("dual_numbers")
+    ops = dict(A.ops)
+    ops[("e", "eps")] = Element.generator(A.module, "eps", 2)
+    B = AInfty(A.module, ops, unit="e")
+    cap = Cap(energy=0, weight=3, var_total=0)
+    want = {Variant.HOCHSCHILD: 3, Variant.CONNES: 1,
+            Variant.EXTENDED_CONNES: 1}
+    for variant in Variant:
+        rep = dsquare_sweep(B, variant, cap)
+        assert len(rep.failures) == want.get(variant, 0), variant
+        for f in rep.failures:
+            w = Word.basis_word(B.module, f["tuple"])
+            for _ in range(2):
+                w = project(B, hoch_diff_word(B, w, cap), variant)
+            assert not w.is_zero()
+            assert f["residual"] == repr(w)
 
 
 def test_canonical_rotation_matches_the_signed_orbit():

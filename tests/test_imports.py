@@ -19,7 +19,8 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 ORACLE = ("naive_oracle", "naive_diff_vector", "_quotient_spanning",
           "bareiss", "matrix_rank")
 ENGINE = frozenset({"row_reduce", "nullspace", "mat_mul", "boundary_matrix",
-                    "apply_images", "canonical_form", "diff_basis"})
+                    "apply_images", "canonical_form", "diff_basis",
+                    "variant_images", "squares_to_zero"})
 
 
 def _imported(tree):

@@ -280,6 +280,18 @@ def _parity(el):
     return pars.pop() if pars else 0
 
 
+def _interior_differential_term(p, alpha, gamma, cap=None):
+    """The term p(alpha; d gamma) of the structure equation: d on each
+    homogeneous interior input, with the sign of passing the ones before."""
+    out = Element.zero(p.target.module)
+    for j, g in enumerate(gamma):
+        dg = p.target.d(g)
+        if dg:
+            part = p.eval_tuple(alpha, gamma[:j] + [dg] + gamma[j + 1:], cap)
+            out = out + (-part if sum(map(_parity, gamma[:j])) % 2 else part)
+    return out
+
+
 def _structure_rhs_reference(Q, p, sphere, alpha, gamma=(), cap=None):
     """The structure equation's right-hand side summed term by term: each
     composite term's q value capped, tensored with the rest of the rotation
@@ -290,12 +302,7 @@ def _structure_rhs_reference(Q, p, sphere, alpha, gamma=(), cap=None):
     k, l = len(alpha), len(gamma)
     gpars = [_parity(g) for g in gamma]
     gtotal = sum(gpars) % 2
-    out = Element.zero(p.target.module)
-    for j in range(l):
-        dg = p.target.d(gamma[j])
-        if dg:
-            part = p.eval_tuple(alpha, gamma[:j] + [dg] + gamma[j + 1:], cap)
-            out = out + (-part if sum(gpars[:j]) % 2 else part)
+    out = _interior_differential_term(p, alpha, gamma, cap)
     count = 1
     orbit = rotations(alpha, [mod.degree(g) for g in alpha])
     for j, k2, J in structure_terms(k, l):
@@ -332,13 +339,10 @@ def _homogeneous(rng, mod, parity=None):
             + Element.generator(mod, rng.choice(gens), rng.choice((1, 3))))
 
 
-def _interior_toy(n):
-    """The zero-energy toy with random interior operations added to q and
-    p, a nonzero sphere operation, and interior inputs of both parities."""
-    A, geom = exterior_geometry(n)
-    p, Q, sphere = toy_zero_energy(geom, A)
-    X = geom.X.module
-    rng = random.Random(100 + n)
+def _with_random_interior_ops(rng, A, Q, p):
+    """Q and p with 30 random operations each added, their interior inputs
+    drawn from the basis of p's target."""
+    X = p.target.module
     qops, pops = dict(Q.ops), dict(p.ops)
 
     def btup(most):
@@ -350,18 +354,43 @@ def _interior_toy(n):
             _homogeneous(rng, A.module)
         pops[(btup(3), tuple(rng.sample(X.basis, rng.randint(0, 2))))] = \
             _homogeneous(rng, X)
+    return (OCFamily(A.module, Q.target, 0, qops),
+            OCFamily(A.module, p.target, p.n, pops))
+
+
+def _interior_toy(n):
+    """The zero-energy toy with random interior operations added to q and
+    p, a nonzero sphere operation, and interior inputs of both parities."""
+    A, geom = exterior_geometry(n)
+    p, Q, sphere = toy_zero_energy(geom, A)
+    X = geom.X.module
+    rng = random.Random(100 + n)
+    Qi, pi = _with_random_interior_ops(rng, A, Q, p)
     sphere = SphereTermProvider(geom.X, {g: _homogeneous(rng, X)
                                          for g in X.basis}, sphere.zeta)
     gammas = [[_homogeneous(rng, X, par) for par in pars]
               for pars in ((), (0,), (1,), (1, 0), (1, 1))]
-    return (A, OCFamily(A.module, Q.target, 0, qops),
-            OCFamily(A.module, geom.X, n, pops), sphere, gammas)
+    return A, Qi, pi, sphere, gammas
+
+
+def _differential_interior_toy(n):
+    """``theorem5_toy`` with random interior operations added to q and p.
+    Its target has dH = -Z and dN = M, so interior inputs that are not
+    cycles reach the term p(alpha; d gamma)."""
+    A, p, sphere = theorem5_toy(n)
+    rng = random.Random(200 + n)
+    Qi, pi = _with_random_interior_ops(rng, A, A.qfamily, p)
+    gammas = [[_homogeneous(rng, p.target.module, par) for par in pars]
+              for pars in ((0,), (1,), (1, 0), (0, 1))]
+    return A, Qi, pi, sphere, gammas
 
 
 def _reference_cases():
     """(Q, p, sphere, alpha, gamma) over the toys with 0-2 interior inputs
-    (k = 0 included), ``theorem5_toy`` with its extension, and symmetrized
-    and unsymmetrized random families on the builtins and on ``odd_t``."""
+    (k = 0 included), ``theorem5_toy`` with its extension and with interior
+    operations over its target, whose differential is nonzero, and
+    symmetrized and unsymmetrized random families on the builtins and on
+    ``odd_t``."""
     for n in (0, 1):
         A, Qi, pi, sph_i, gammas = _interior_toy(n)
         _, geom = exterior_geometry(n)
@@ -376,6 +405,11 @@ def _reference_cases():
             for alpha in itertools.product(A.module.basis, repeat=w):
                 for fam in (p, extended_P(p, sphere)):
                     yield A.qfamily, fam, sphere, alpha, ()
+        A, Qi, pi, sphere, gammas = _differential_interior_toy(n)
+        for w in range(3):
+            for alpha in itertools.product(A.module.basis, repeat=w):
+                for gamma in gammas:
+                    yield Qi, pi, sphere, alpha, gamma
     algebras = [builtin_algebras(name) for name in BUILTIN_NAMES]
     algebras += [_odd_variable_algebra(v)[0] for v in (1, 2)]
     rng = random.Random(7)
@@ -394,14 +428,16 @@ def _reference_cases():
 def test_structure_rhs_matches_the_per_term_reference(cap):
     """One word per interior subset J, one evaluation of p per J, and q
     read uncapped without interior inputs give the per-term sum."""
-    nonzero = interior = 0
+    nonzero = interior = dgamma = 0
     for Q, p, sphere, alpha, gamma in _reference_cases():
         got = structure_rhs(Q, p, sphere, alpha, gamma, cap)
         assert got == _structure_rhs_reference(Q, p, sphere, alpha, gamma,
                                                cap), (alpha, len(gamma))
         nonzero += bool(got[0])
         interior += bool(got[0]) and bool(gamma)
-    assert nonzero > 50 and interior > 20, (nonzero, interior)
+        dgamma += bool(_interior_differential_term(p, alpha, gamma, cap))
+    assert nonzero > 50 and interior > 20 and dgamma > 0, (
+        nonzero, interior, dgamma)
 
 
 def test_structure_rhs_sums_the_parity_parts_of_an_interior_input():

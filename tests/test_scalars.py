@@ -135,6 +135,12 @@ def test_parse_examples(ctx):
         Scalar.monomial(ctx, 1, None, (0, 1, 0))
         - Scalar.monomial(ctx, 1, None, (0, 0, 1)))
     assert parse_scalar(ctx, "-2") == Scalar.rational(ctx, -2)
+    # one sign may lead the first term, as ``scalar_to_str`` writes -1
+    assert parse_scalar(ctx, "-T^[1,0]") == Scalar.monomial(ctx, -1, (1, 0))
+    assert parse_scalar(ctx, "-t0") == Scalar.monomial(
+        ctx, -1, None, (1, 0, 0))
+    assert parse_scalar(ctx, "+3") == Scalar.rational(ctx, 3)
+    assert parse_scalar(ctx, "- 3") == Scalar.rational(ctx, -3)
 
 
 def test_parse_errors(ctx):
@@ -144,6 +150,10 @@ def test_parse_errors(ctx):
         parse_scalar(ctx, "q * t0")
     with pytest.raises(ScalarParseError):
         parse_scalar(ctx, "T^[1] * t0")  # wrong beta length
+    # a sign leads a term, never a factor, and a term has one sign
+    for text in ("2*-t0", "t0 - -t1", "-", "--3"):
+        with pytest.raises(ScalarParseError):
+            parse_scalar(ctx, text)
 
 
 def test_maslov_must_be_even():
