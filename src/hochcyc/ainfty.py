@@ -7,7 +7,9 @@ one operator core: it alone reads the compiled table of an algebra and its
 image caches.  Operator images on basis tuples are exact integers over the
 algebra's one denominator.  mu-hat (``hat_basis``) and the Hochschild
 differential b (``diff_basis``) share x (x) mu-hat(l) on x (x) l, read from
-the cached mu-hat(l).  ``apply_images`` is the one integer kernel that
+the cached mu-hat(l), and one rule, ``front_insertions``, for their other
+terms: b's wrap-around terms are the front insertions of the signed
+rotations of the tuple.  ``apply_images`` is the one integer kernel that
 applies per-tuple images to a word; ``squares_to_zero`` applies them twice,
 for mu-hat o mu-hat and d o d.  ``OCFamily`` is the one table class and
 evaluator for every operation family with boundary and interior inputs: the
@@ -58,10 +60,11 @@ class AInfty:
     coefficient, and ``table`` maps each key of ``ops`` to a list of
     ``(output generator, ((monomial, numerator), ...))`` with the
     coefficient equal to numerator / ``den``.  The operator images
-    (``hat_basis``, ``diff_basis``) are built from ``table`` and cached as
-    integers over ``den`` in ``_hat_cache`` and ``_diff_cache``; no other
-    module reads the table or the caches.  Since they derive from ``ops``,
-    ``ops`` is never mutated after construction.  ``qfamily`` is the family q with
+    (``hat_basis``, ``diff_basis``) are built from ``table``, which
+    ``front_insertions`` alone reads, and cached as integers over ``den`` in
+    ``_hat_cache`` and ``_diff_cache``; no other module reads the table or
+    the caches.  Since they derive from ``ops``, ``ops`` is never mutated
+    after construction.  ``qfamily`` is the family q with
     q_{k,0} = mu_k and no interior operations, also built once.
     """
 
@@ -182,22 +185,30 @@ def prefix_images(A: AInfty, x, l) -> list:
             for t, nums in images]
 
 
+def front_insertions(A: AInfty, acc: dict, rot, least: int, sign) -> None:
+    """Add (-1)^sign mu(rot[:m]) (x) rot[m:] into ``acc`` for each arity m
+    with least <= m <= len(rot): the one rule, and the one reader of
+    ``A.table``, for the terms of mu-hat and b that put an operation in
+    front."""
+    for m in A.arities:
+        if least <= m <= len(rot):
+            for g, nums in A.table.get(rot[:m], ()):
+                add_image(acc, (g,) + rot[m:], nums, sign)
+
+
 def hat_basis(A: AInfty, tup) -> list:
     """The coderivation mu-hat (b' in Loday's notation) on one basis tuple,
     as (output tuple, ((monomial, numerator), ...)) pairs with integer
     numerators over ``A.den``, each output tuple named once.  Cached on the
     algebra.
 
-    On x (x) l it is the front insertions mu(tup[:a]) (x) tup[a:], with sign
-    +, plus ``prefix_images`` x (x) mu-hat(l); on the empty tuple it is the
-    curvature."""
+    On x (x) l it is every ``front_insertions`` of the tuple, the curvature
+    included, plus ``prefix_images`` x (x) mu-hat(l); on the empty tuple it
+    is the curvature."""
     cached = A._hat_cache.get(tup)
     if cached is None:
         acc: dict[tuple, dict] = {}
-        for a in A.arities:
-            if a <= len(tup):
-                for g, nums in A.table.get(tup[:a], ()):
-                    add_image(acc, (g,) + tup[a:], nums, 0)
+        front_insertions(A, acc, tup, 0, 0)
         if tup:
             for otup, nums in prefix_images(A, tup[0], tup[1:]):
                 add_image(acc, otup, nums, 0)
@@ -210,28 +221,23 @@ def diff_basis(A: AInfty, tup) -> list:
     ``hat_basis``, except that an output tuple may be named twice.
 
     On x (x) l it is x (x) mu-hat(l), from ``prefix_images``, plus the
-    wrap-around sum over 3-splittings l = l1 o l2 o l3,
-    (-1)^{||l3||(||x|| + ||l1|| + ||l2||)} mu(l3 (x) x (x) l1) (x) l2.  Only
-    the wrap-around part is cached on the algebra; x (x) mu-hat(l) is read
-    from the coderivation cache on every call.  On the weight-0 generator b
-    is the curvature, ``hat_basis(A, ())``."""
+    wrap-around terms: the ``front_insertions`` of each signed rotation of
+    the tuple in the orbit ``rotations``, with the sign s_sigma^[1] of the
+    rotation.  The rotation by j moves the k - j factors of tup[j:] in
+    front of x, and an insertion must reach past them to x; with j = 0 every
+    insertion of positive arity counts.  Only the wrap-around part is cached
+    on the algebra; x (x) mu-hat(l) is read from the coderivation cache on
+    every call.  On the weight-0 generator b is the curvature,
+    ``hat_basis(A, ())``."""
     if not tup:
         return hat_basis(A, ())
     wrap = A._diff_cache.get(tup)
     if wrap is None:
-        mod = A.module
-        sp = [0]                         # sp[i] = ||tup[:i]|| mod 2
-        for g in tup:
-            sp.append((sp[-1] + mod.degree(g) + 1) % 2)
         k = len(tup)
         acc: dict[tuple, dict] = {}
-        for b in range(1, k + 1):        # l1 = tup[1:a], l2 = tup[a:b]
-            for a in range(1, b + 1):
-                if k - b + a not in A.arities:
-                    continue
-                sgn = (sp[k] + sp[b]) * sp[b] % 2
-                for g, nums in A.table.get(tup[b:] + tup[:a], ()):
-                    add_image(acc, (g,) + tup[a:b], nums, sgn)
+        orbit = rotations(tup, [A.module.degree(g) for g in tup])
+        for j, (rot, s1) in enumerate(orbit):
+            front_insertions(A, acc, rot, (k - j) % k + 1, s1)
         wrap = A._diff_cache[tup] = int_images(acc)
     return prefix_images(A, tup[0], tup[1:]) + wrap
 

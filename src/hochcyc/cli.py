@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -99,7 +100,8 @@ def _split_sections(text: str):
 
 def _parse_element_expr(module: GradedModule, text: str, line: int) -> Element:
     out = Element.zero(module)
-    for chunk in text.split(","):
+    # a comma inside a rank >= 2 exponent T^[b1,b2] separates no terms
+    for chunk in re.split(r",(?![^\[]*\])", text):
         chunk = chunk.strip()
         if not chunk:
             continue

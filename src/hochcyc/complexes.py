@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import Cap, accumulate
-from .graded import GradedModule, ResidualReport, Word, rotate, rotations
+from .graded import GradedModule, ResidualReport, Word, rotations
 from .ainfty import (AInfty, combine_basis_images, diff_basis, hat_extension,
                      squares_to_zero)
 
@@ -66,18 +66,11 @@ class ChainElt:
 
 def t_word(w: Word) -> Word:
     """The cyclic rotation moving the last tensor factor to the front, with
-    the Koszul sign on shifted degrees; identity on weights 0 and 1."""
+    the Koszul sign on shifted degrees: each tuple goes to the last entry
+    of its signed orbit ``rotations``, so weights 0 and 1 stay fixed."""
     mod = w.module
-    out = {}
-    # rotation is a bijection on tuples, so no two terms collide
-    for tup, c in w.items():
-        k = len(tup)
-        if k <= 1:
-            out[tup] = c
-            continue
-        rot, _, s1 = rotate(tup, [mod.degree(g) for g in tup], k - 1)
-        out[rot] = -c if s1 else c
-    return Word._raw(mod, out)
+    return _canonical_terms(
+        w, lambda tup: rotations(tup, [mod.degree(g) for g in tup])[-1])
 
 
 def _canonical_rotation(module: GradedModule, tup):
@@ -85,26 +78,15 @@ def _canonical_rotation(module: GradedModule, tup):
 
     Returns ``(rotated_tuple, sign_exponent)`` or ``None`` when the minimal
     tuple is reached by rotations of both signs (the class is then zero).
-
-    The signed orbit is never built.  With sp[j] the shifted parity of the
-    first j slots, the sign s_sigma^[1] of the rotation by j is
-    sp[j] (sp[k] - sp[j]) = sp[j] (sp[k] + 1) mod 2, and it is only read at
-    the positions j that reach the minimum."""
-    k = len(tup)
-    if k == 0:
-        return tup, 0
-    idx = [module.index(g) for g in tup]
-    sp = [0]
-    for i in idx:
-        sp.append(sp[-1] ^ ((module.degrees[i] + 1) & 1))
-    even = 1 - sp[k]
-    keys = [idx[j:] + idx[:j] for j in range(k)]
-    best = min(keys)
-    signs = {sp[j] & even for j in range(k) if keys[j] == best}
-    if len(signs) > 1:
+    The least entry of the signed orbit ``rotations`` of the basis-index
+    tuple gives both the rotation and its sign s_sigma^[1]."""
+    idx = tuple(map(module.index, tup))
+    orbit = rotations(idx, [module.degrees[i] for i in idx])
+    best = min(orbit)
+    if (best[0], 1 - best[1]) in orbit:
         return None
-    j = keys.index(best)
-    return tup[j:] + tup[:j], signs.pop()
+    j = orbit.index(best)
+    return tup[j:] + tup[:j], best[1]
 
 
 def _canonical_terms(w: Word, rule) -> Word:

@@ -10,7 +10,8 @@ Two structurally independent paths compute the same Betti numbers:
 * the naive oracle assembles the raw differential on the full tensor basis
   and realizes the quotients by explicit spanning sets, computing ranks of
   induced maps from rank differences with fraction-free Bareiss elimination
-  on dense integer rows.
+  on dense integer rows.  Its image of 1 - t reads the rotation sign from
+  ``graded.rotate``, not from the engine's signed orbit ``rotations``.
 
 The boundary matrices are mostly zeros, so the engine keeps each row sparse
 and integral, ``{column: numerator over A.den}``, from assembly through the
@@ -25,8 +26,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .scalars import Cap, Monomial, Scalar, accumulate, mono_degree
-from .graded import GradedModule, Word
+from .scalars import Cap, Monomial, accumulate, mono_degree
+from .graded import GradedModule, rotate
 from .ainfty import AInfty, apply_images
 from .complexes import (
     CYCLIC_VARIANTS,
@@ -34,7 +35,6 @@ from .complexes import (
     UNIT_KILLING_VARIANTS,
     Variant,
     canonical_tuples,
-    t_word,
     variant_images,
 )
 
@@ -389,16 +389,18 @@ def naive_diff_vector(A: AInfty, mono: Monomial, tup, index: dict,
 
 def _quotient_spanning(A: AInfty, variant: Variant, basis, index):
     """Spanning vectors of the subspace the variant quotients by: the image
-    of 1 - t for cyclic variants and/or the unit-slot subspace."""
+    of 1 - t for cyclic variants and/or the unit-slot subspace.  Each
+    (1 - t) vector is built here from ``graded.rotate``, whose sign formula
+    the engine's signed orbit ``rotations`` does not share, so one sign
+    error cannot reach both paths."""
     spans = []
     if variant in CYCLIC_VARIANTS:
         for mono, tup in basis:
-            w = Word(A.module, {tup: Scalar(A.module.ctx, {mono: Fraction(1)})})
-            diff = w - t_word(w)
+            rot, _, s1 = rotate(tup, [A.module.degree(g) for g in tup],
+                                len(tup) - 1)
             vec = [Fraction(0)] * len(index)
-            for ttup, s in diff.items():
-                for m, c in s.terms.items():
-                    vec[index[(m, ttup)]] += c
+            vec[index[(mono, tup)]] += 1
+            vec[index[(mono, rot)]] += 1 if s1 else -1
             if any(vec):
                 spans.append(vec)
     if variant in UNIT_KILLING_VARIANTS:

@@ -409,7 +409,7 @@ def scalar_to_str(a: Scalar) -> str:
 
 _FACTOR_RE = re.compile(
     r"""^(?:
-        (?P<rat>-?\d+(?:/\d+)?)
+        (?P<rat>\d+(?:/\d+)?)
       | T\^?\[(?P<beta>[-\d,\s]*)\]
       | t(?P<var>\d+)(?:\^(?P<exp>\d+))?
     )$""",

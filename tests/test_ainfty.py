@@ -33,6 +33,7 @@ from hochcyc.ainfty import (
     _insertion_patterns,
     ainfty_residual,
     builtin_algebras,
+    diff_basis,
     hat_extension,
     prefix_images,
     unit_check,
@@ -321,6 +322,24 @@ def test_cached_images_are_integers_over_den(nvars, mu3):
         want = {t: {m: q * A.den for m, q in s.terms.items()}
                 for t, s in _diff_reference(A, tup).items()}
         assert {t: b for t, b in got.items() if b} == want, tup
+
+
+def test_wrap_around_terms_with_colliding_signs():
+    """With |y| = 0, |z| = -1 and mu_3(y, y, y) = z, three wrap-around terms
+    of b(y (x) y (x) y (x) y) land on z (x) y: the rotations by 0 and 2 with
+    sign + and the rotation by 3 with sign -.  They merge into one cached
+    term, +z (x) y, beside -y (x) z from y (x) mu-hat(y (x) y (x) y), as in
+    the Fraction reference."""
+    mod = GradedModule("wrap", ("y", "z"), (0, -1), TRIVIAL_CONTEXT)
+    A = AInfty(mod, {("y", "y", "y"): Element.generator(mod, "z")})
+    tup = ("y",) * 4
+    one = (mod.ctx.zero_beta, mod.ctx.zero_exps)
+    hoch_diff_word(A, Word.basis_word(mod, tup))
+    assert A._diff_cache[tup] == [(("z", "y"), ((one, 1),))]
+    got = {t: dict(nums) for t, nums in diff_basis(A, tup)}
+    assert got == {("z", "y"): {one: 1}, ("y", "z"): {one: -1}}
+    assert _diff_reference(A, tup) == {("z", "y"): Scalar.one(mod.ctx),
+                                       ("y", "z"): -Scalar.one(mod.ctx)}
 
 
 def test_residual_reports_a_perturbed_algebra():

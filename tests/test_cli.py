@@ -2,11 +2,12 @@
 and exit codes."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from hochcyc import cli
-from hochcyc.ainfty import BUILTIN_NAMES
+from hochcyc.ainfty import BUILTIN_NAMES, AInfty
 from hochcyc.cli import (
     InstanceParseError,
     build_parser,
@@ -16,8 +17,10 @@ from hochcyc.cli import (
     run,
     serialize_instance,
 )
-from hochcyc.graded import Element
+from hochcyc.graded import Element, GradedModule
 from hochcyc.openclosed import exterior_geometry, structure_rhs, toy_zero_energy
+from hochcyc.scalars import Context, FormalVarSpec, PiGroup, Scalar
+from test_ainfty import _odd_variable_algebra
 
 GOOD_INSTANCE = """
 # a two-generator differential algebra over a rank-1 group
@@ -87,6 +90,39 @@ def test_round_trip_with_a_minus_one_coefficient(tmp_path, capsys):
         {t: e.terms for t, e in A.ops.items()}
     assert main(["check-ainfty", str(path2), "--weight", "2"]) != 2
     assert "error" not in json.loads(capsys.readouterr().out)
+
+
+def _rank_two_algebra():
+    """Unit e and an odd x with mu_2(x, x) = T^[1,1] e over a rank-2 group,
+    whose exponent is written with a comma inside its brackets."""
+    ctx = Context(PiGroup(2, (Fraction(1), Fraction(1)), (0, 2)),
+                  FormalVarSpec(()))
+    mod = GradedModule("rank_two", ("e", "x"), (0, 1), ctx)
+    T = Scalar.monomial(ctx, 1, (1, 1), ())
+    return AInfty(mod, {("e", "e"): Element.generator(mod, "e"),
+                        ("e", "x"): Element.generator(mod, "x"),
+                        ("x", "e"): Element.generator(mod, "x", -1),
+                        ("x", "x"): Element(mod, {"e": T})}, unit="e")
+
+
+@pytest.mark.parametrize("make", [
+    _rank_two_algebra, lambda: _odd_variable_algebra(2, mu3=True)[0]],
+    ids=["rank_two", "odd_t"])
+def test_round_trip_of_rank_two_exponents_and_odd_variables(make, tmp_path,
+                                                            capsys):
+    """A T^[b1,b2] coefficient and a TVARS section serialize to text that
+    parses back to the same algebra and that ``check-ainfty`` reads."""
+    A = make()
+    path = tmp_path / "again.txt"
+    path.write_text(serialize_instance(A))
+    B = parse_instance(str(path))
+    assert B.module.ctx.pi == A.module.ctx.pi
+    assert B.module.ctx.tvars == A.module.ctx.tvars
+    assert {t: e.terms for t, e in B.ops.items()} == \
+        {t: e.terms for t, e in A.ops.items()}
+    code = main(["check-ainfty", str(path), "--weight", "2"])
+    assert "error" not in json.loads(capsys.readouterr().out)
+    assert code != 2
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)

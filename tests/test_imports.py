@@ -1,7 +1,9 @@
 """Lint: every name imported by a module of the package is used in it,
 every module-level private function is referenced somewhere in the package,
-the naive homology oracle references none of the engine's kernels, and no
-module but ``ainfty`` reads an algebra's compiled table or image caches."""
+the naive homology oracle references none of the engine's kernels and is the
+only caller of ``graded.rotate``, no module but ``ainfty`` reads an
+algebra's compiled table or image caches, and in ``ainfty`` only
+``front_insertions`` reads the table."""
 
 import ast
 from pathlib import Path
@@ -20,7 +22,8 @@ ORACLE = ("naive_oracle", "naive_diff_vector", "_quotient_spanning",
           "bareiss", "matrix_rank")
 ENGINE = frozenset({"row_reduce", "nullspace", "mat_mul", "boundary_matrix",
                     "apply_images", "canonical_form", "diff_basis",
-                    "variant_images", "squares_to_zero"})
+                    "variant_images", "squares_to_zero", "t_word",
+                    "rotations"})
 
 
 def _imported(tree):
@@ -148,6 +151,15 @@ def _internals_read(tree):
                    if isinstance(node, ast.Attribute)} & ALGEBRA_INTERNALS)
 
 
+def _readers(tree, attr):
+    """The functions of ``tree`` that load the attribute ``attr``."""
+    return sorted({fn.name for fn in ast.walk(tree)
+                   if isinstance(fn, ast.FunctionDef)
+                   for node in ast.walk(fn)
+                   if isinstance(node, ast.Attribute) and node.attr == attr
+                   and isinstance(node.ctx, ast.Load)})
+
+
 def test_only_the_operator_core_reads_the_table_and_caches():
     found = {p.name: _internals_read(ast.parse(p.read_text(encoding="utf-8")))
              for p in MODULES if p.name != "ainfty.py"}
@@ -155,9 +167,35 @@ def test_only_the_operator_core_reads_the_table_and_caches():
     assert not found, f"modules reading the algebra's table or caches: {found}"
     core = ast.parse((PACKAGE / "ainfty.py").read_text(encoding="utf-8"))
     assert _internals_read(core) == sorted(ALGEBRA_INTERNALS)
+    assert _readers(core, "table") == ["front_insertions"]
 
 
 def test_lint_sees_a_module_read_the_caches():
     tree = ast.parse("def f(A, t):\n    return A._diff_cache.get(t)\n"
                      "def g(A, t):\n    return A.table[t], A.den, table\n")
     assert _internals_read(tree) == ["_diff_cache", "table"]
+
+
+def _callers(tree, name):
+    """The functions of ``tree`` that read the name ``name``."""
+    return sorted(fn.name for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef) and name in _used(fn))
+
+
+def test_lint_sees_a_second_table_reader_and_rotate_caller():
+    tree = ast.parse("class K:\n    def __init__(self):\n"
+                     "        self.table = {}\n"
+                     "def f(A, t):\n    return A.table.get(t)\n"
+                     "def g(t, d):\n    return rotate(t, d, 1)\n")
+    assert _readers(tree, "table") == ["f"]
+    assert _callers(tree, "rotate") == ["g"]
+
+
+def test_only_the_oracle_calls_rotate():
+    """The engine reads every rotation sign from ``graded.rotations``; the
+    oracle's image of 1 - t alone uses the independent ``graded.rotate``,
+    so one sign error cannot reach both."""
+    found = [(p.name, fn) for p in MODULES
+             for fn in _callers(ast.parse(p.read_text(encoding="utf-8")),
+                                "rotate")]
+    assert found == [("homology.py", "_quotient_spanning")]

@@ -505,6 +505,24 @@ def test_zero_energy_chain_map(n, variant):
     assert rep.ok, rep.failures[:3]
 
 
+def test_chain_map_residual_stops_at_a_broken_structure_equation():
+    """An unsymmetrized random family breaks the structure equation on
+    basis tuples, so the sweep reports stage "structure" failures after its
+    84 tuples of weight 1 to 3 and never reaches the chain-map law; the
+    symmetrized family passes both stages."""
+    A = builtin_algebras("exterior(2)")
+    target = random_target(A.module.ctx, seed=7)
+    cap = Cap(0, 3, 0)
+    raw = random_cyclic_p(A, target, 0, max_weight=3, seed=0,
+                          symmetrize=False)
+    rep = chain_map_residual(raw, A, Variant.HOCHSCHILD, cap)
+    assert rep.checked == 4 + 16 + 64
+    assert [f["stage"] for f in rep.failures] == ["structure"] * 6
+    sym = random_cyclic_p(A, target, 0, max_weight=3, seed=0)
+    rep = chain_map_residual(sym, A, Variant.HOCHSCHILD, cap)
+    assert rep.ok and rep.checked == 2 * (4 + 16 + 64)
+
+
 @pytest.mark.parametrize("n", [0, 1])
 def test_zero_energy_reduced_needs_zeta_quotient(n):
     A, geom = exterior_geometry(n)
@@ -539,6 +557,18 @@ def test_theorem5_extension(n):
     rep = chain_map_residual(P, A, Variant.EXTENDED_CONNES, Cap(4, 3, 4),
                              sphere=sphere)
     assert rep.ok, rep.failures[:3]
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_theorem5_needs_the_extension(n):
+    """Without the eta-extension p satisfies the structure equation but is
+    no chain map on the extended cyclic complex: the chain-map law fails on
+    the weight-zero generator, and only there."""
+    A, p, sphere = theorem5_toy(n)
+    rep = chain_map_residual(p, A, Variant.EXTENDED_CONNES, Cap(4, 3, 4),
+                             sphere=sphere)
+    assert [(f["stage"], f["tuple"]) for f in rep.failures] == [
+        ("chain-map", ())]
 
 
 @pytest.mark.parametrize("n", [0, 1])

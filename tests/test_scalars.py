@@ -151,7 +151,8 @@ def test_parse_errors(ctx):
     with pytest.raises(ScalarParseError):
         parse_scalar(ctx, "T^[1] * t0")  # wrong beta length
     # a sign leads a term, never a factor, and a term has one sign
-    for text in ("2*-t0", "t0 - -t1", "-", "--3"):
+    for text in ("2*-t0", "t0 - -t1", "-", "--3", "2*-3", "2 * -3",
+                 "1/2*-1", "3*-1/2"):
         with pytest.raises(ScalarParseError):
             parse_scalar(ctx, text)
 
