@@ -49,7 +49,12 @@ from .ainfty import (
     builtin_algebras,
     unit_check,
 )
-from .complexes import Variant, dsquare_sweep, t_lemma_check
+from .complexes import (
+    UNIT_KILLING_VARIANTS,
+    Variant,
+    dsquare_sweep,
+    t_lemma_check,
+)
 from .homology import Truncation, homology, naive_oracle
 from .openclosed import (
     axiom_suite,
@@ -104,7 +109,8 @@ def _parse_element_expr(module: GradedModule, text: str, line: int) -> Element:
     for chunk in re.split(r",(?![^\[]*\])", text):
         chunk = chunk.strip()
         if not chunk:
-            continue
+            raise InstanceParseError(
+                f"empty term in right-hand side {text.strip()!r}", line=line)
         if "*" in chunk:
             coeff_text, _, gen = chunk.rpartition("*")
             gen = gen.strip()
@@ -274,10 +280,17 @@ def _cap(args) -> Cap:
                var_total=args.vars)
 
 
-def _variants(args):
-    if args.variant == "all":
-        return list(Variant)
-    return [Variant(args.variant)]
+def _variants(args, A: AInfty, report) -> list[Variant]:
+    """The variant named, or for ``all`` every variant the instance admits;
+    without a unit the unit-killing ones are listed with the reason under
+    the report's ``not_applicable`` instead."""
+    if args.variant != "all":
+        return [Variant(args.variant)]
+    admitted = [v for v in Variant
+                if A.unit is not None or v not in UNIT_KILLING_VARIANTS]
+    report["not_applicable"] = {v.value: "requires a unital algebra"
+                                for v in Variant if v not in admitted}
+    return admitted
 
 
 def _report_base(args, command):
@@ -311,7 +324,7 @@ def cmd_check_ainfty(args, report):
 
 def cmd_dsquare(args, report):
     A = load_algebra(args.instance)
-    for v in _variants(args):
+    for v in _variants(args, A, report):
         rep = dsquare_sweep(A, v, _cap(args))
         _add_check(report, f"dsquare:{v.value}", rep.ok, rep.failures[:5])
 
@@ -326,7 +339,7 @@ def cmd_homology(args, report):
     A = load_algebra(args.instance)
     trunc = Truncation(_cap(args), args.dmin, args.dmax)
     report["betti"] = {}
-    for v in _variants(args):
+    for v in _variants(args, A, report):
         h = homology(A, v, trunc)
         entry = h.summary()
         if args.oracle:

@@ -166,19 +166,6 @@ class Element(LinearCombination):
         return min((s.valuation() for s in self.terms.values()),
                    default=INFINITY)
 
-    def parity_parts(self) -> dict:
-        """The nonzero even and odd parts as ``{degree parity: Element}``;
-        a monomial m on the generator g has parity |g| + |m|."""
-        ctx, degree = self.module.ctx, self.module.degree
-        parts: dict = {}
-        for g, s in self.terms.items():
-            for m, c in s.terms.items():
-                par = (degree(g) + ctx.mono_parity(m)) % 2
-                parts.setdefault(par, {}).setdefault(g, {})[m] = c
-        return {par: Element._raw(self.module, {
-                    g: Scalar._raw(ctx, t) for g, t in part.items()})
-                for par, part in parts.items()}
-
     def __repr__(self):
         if not self.terms:
             return "Element(0)"

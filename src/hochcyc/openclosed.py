@@ -5,8 +5,8 @@ q_{empty,l} of ``SphereTermProvider`` are all ``OCFamily`` tables (the one
 class, defined in ``ainfty``), evaluated by its ``eval_word`` and
 ``eval_tuple``.  This module adds
 
-* the structure-equation right-hand side expander, with one boundary word
-  and one evaluation of p per interior subset J,
+* the structure-equation right-hand side expander, on generator tuples
+  with one boundary word and one evaluation of p per interior subset J,
 * the combinatorial rewrite identity expressing p o d_hoch through rotations,
 * chain-map residual sweeps over the complex variants (including the
   zeta-quotient target and the weight-zero extension),
@@ -119,7 +119,7 @@ def theorem_rhs_rotations(p: OCFamily, A: AInfty, w: Word,
     for tup, c in w.items():
         if not tup:
             raise ValueError("rewrite identity needs weight >= 1")
-        part = structure_rhs(Q, p, None, tup, (), cap)[0].scalar_left(
+        part = _generator_rhs(Q, p, None, tup, (), cap).scalar_left(
             c.twist() if p.n % 2 else c, cap)
         out = out + (-part if (p.n + 1) % 2 else part)
     return out
@@ -190,52 +190,48 @@ def structure_rhs(Q: OCFamily, p: OCFamily, sphere: SphereTermProvider | None,
                   gamma_I )
     + [k=0] (-1)^{|gamma|} q_{empty,l+1}(gamma (x) zeta).
 
-    p is linear: the composite terms of one J are summed on one word, q
-    coefficients in front, and p is evaluated once per J.  The equation is
-    multilinear in gamma, so each interior input is split into its even and
-    odd parts and the right-hand sides of the homogeneous parts are summed.
-    Returns (Element, term_count)."""
+    It is evaluated on generator tuples, whose parities are generator
+    degrees, and extended by multilinearity: gamma expands once into tuples
+    itup with front coefficients c, and as p(alpha; c itup) = c p(alpha;
+    itup) while d(c x) = twist(c) d(x), each adds twist(c) times the
+    right-hand side on itup.  Returns (Element, term_count)."""
     alpha = tuple(alpha)
     k, l = len(alpha), len(gamma)
     if k == 0 and sphere is None:
         raise ValueError("k = 0 requires a sphere-term provider")
     out = Element.zero(p.target.module)
-    for parts in itertools.product(*(g.parity_parts().items()
-                                     for g in gamma)):
-        out = out + _homogeneous_rhs(Q, p, sphere, alpha,
-                                     [el for _, el in parts],
-                                     [par for par, _ in parts], cap)
+    for itup, c in word_from_factors(p.target.module, gamma, shifted=False,
+                                     cap=cap).items():
+        part = _generator_rhs(Q, p, sphere, alpha, itup, cap)
+        out = out + part.scalar_left(c.twist(), cap)
     return out, 1 + max(k, 1) * (k + 1) * 2 ** l + (k == 0)
 
 
-def _homogeneous_rhs(Q: OCFamily, p: OCFamily,
-                     sphere: SphereTermProvider | None, alpha, gamma, gpars,
-                     cap: Cap | None) -> Element:
-    """``structure_rhs`` on interior inputs of degree parities ``gpars``."""
-    mod = p.module
-    k, l = len(alpha), len(gamma)
-    n = p.n
-    out = Element.zero(p.target.module)
+def _generator_rhs(Q: OCFamily, p: OCFamily,
+                   sphere: SphereTermProvider | None, alpha, itup,
+                   cap: Cap | None) -> Element:
+    """``structure_rhs`` on the interior generator tuple ``itup``."""
+    mod, tmod = p.module, p.target.module
+    k, l = len(alpha), len(itup)
+    gamma = [Element.generator(tmod, g) for g in itup]
+    gpars = [tmod.degree(g) % 2 for g in itup]
     gtotal = sum(gpars) % 2
+    out = Element.zero(tmod)
 
     # interior-differential term p(alpha; d gamma)
     for j in range(l):
-        sgn = sum(gpars[:j]) % 2
         dg = p.target.d(gamma[j])
-        if dg.is_zero():
-            continue
-        glist = gamma[:j] + [dg] + gamma[j + 1:]
-        part = p.eval_tuple(alpha, glist, cap)
-        out = out + (-part if sgn else part)
+        if dg:
+            part = p.eval_tuple(alpha, gamma[:j] + [dg] + gamma[j + 1:], cap)
+            out = out + (-part if sum(gpars[:j]) % 2 else part)
 
-    # composite terms, one word per J; without interior inputs q is read
-    # uncapped, as eval_word caps every product and energies only add
+    # composite terms, one word per J; q is read uncapped, as eval_word caps
+    # every product and energies only add
     orbit = rotations(alpha, [mod.degree(g) for g in alpha])
     words: dict = {}
     for j, k2, J in structure_terms(k, l):
         rot, s1 = orbit[j]
-        q_el = (Q.eval_tuple(rot[:k2], [gamma[i] for i in J], cap) if J
-                else Q.ops.get((rot[:k2], ())))
+        q_el = Q.ops.get((rot[:k2], tuple(itup[i] for i in J)))
         if q_el:
             accumulate(words.setdefault(J, {}), (
                 ((g,) + rot[k2:], -c if s1 else c) for g, c in q_el.items()))
@@ -243,7 +239,7 @@ def _homogeneous_rhs(Q: OCFamily, p: OCFamily,
         I = [i for i in range(l) if i not in J]
         gJpar = sum(gpars[i] for i in J) % 2
         sgn = (gtotal + shuffle_sign(gpars, I, list(J))
-               + (n + 1) * (gJpar + 1)) % 2
+               + (p.n + 1) * (gJpar + 1)) % 2
         part = p.eval_word(Word._raw(mod, table), [gamma[i] for i in I], cap)
         out = out + (-part if sgn else part)
 

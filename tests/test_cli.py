@@ -170,6 +170,41 @@ def test_dsquare_command_builtin():
     report, code = _run(["dsquare", "dual_numbers", "--weight", "3"])
     assert code == 0
     assert len(report["checks"]) == 6
+    assert report["not_applicable"] == {}
+
+
+NON_UNITAL = "BASIS\nx y\nDEGREES\n1 2\nMU 2\nx x -> y\n"
+UNIT_KILLING = ["normalized_hochschild", "reduced_connes",
+                "extended_reduced_connes"]
+
+
+@pytest.mark.parametrize("command", ["homology", "dsquare"])
+def test_variant_all_runs_the_variants_a_non_unital_instance_admits(
+        tmp_path, command):
+    """``--variant all`` runs the three variants that need no unit and lists
+    the unit-killing ones as not applicable; named alone, one of those is
+    still an error."""
+    path = tmp_path / "nonunital.txt"
+    path.write_text(NON_UNITAL)
+    argv = [command, str(path), "--weight", "3"]
+    argv += ["--oracle"] if command == "homology" else []
+    report, code = _run(argv)
+    assert code == 0, report.get("error")
+    assert report["not_applicable"] == {
+        v: "requires a unital algebra" for v in UNIT_KILLING}
+    ran = ["hochschild", "connes", "extended_connes"]
+    prefix = "oracle" if command == "homology" else "dsquare"
+    assert [c["name"] for c in report["checks"]] == [
+        f"{prefix}:{v}" for v in ran]
+    assert all(c["ok"] for c in report["checks"])
+    if command == "homology":
+        assert list(report["betti"]) == ran
+    for v in UNIT_KILLING:
+        report, code = _run([command, str(path), "--weight", "3",
+                             "--variant", v])
+        assert code == 1
+        assert report["error"] == f"variant {v} requires a unital algebra"
+        assert "not_applicable" not in report
 
 
 def test_t_lemma_command():
@@ -331,18 +366,34 @@ def test_parse_error_exit_2(tmp_path, capsys):
     ("BASIS\ne x\nDEGREES\n0 1\nMU 2\ne x -> x\ne e -> 1 * x\n"
      "e e -> 1 * e\n", 7),
     ("BASIS\ne y\nDEGREES\n0 2\nMU 0\n-> 1 * y\n", 6),
+    ("BASIS\ne x\nDEGREES\n0 0\nMU 2\ne x -> x,\n", 6),
+    ("BASIS\ne x\nDEGREES\n0 0\nMU 2\ne e -> e\nx x ->\n", 7),
+    ("BASIS\ne x\nDEGREES\n0 0\nMU 2\ne x -> , x\n", 6),
+    ("BASIS\ne x\nDEGREES\n0 0\nMU 2\ne x -> 2 * z\n", 6),
+    ("BASIS\ne\nDEGREES\n0\nMU\ne e -> e\n", 5),
+    ("BASIS\ne\nDEGREES\n0\nMU 2\ne e -> e\ne -> e\n", 7),
+    ("BASIS\ne\nMU 2\ne e -> e\n", None),
+    ("DEGREES\n0\n", None),
 ], ids=["degree", "degree-count", "duplicate-generator", "tvar", "pi-rank",
         "mu-arity", "zero-denominator", "odd-square", "t-exponent",
         "q-section", "p-section", "geometry-section", "unknown-unit",
         "empty-unit", "negative-arity", "mu-degree-law",
-        "curvature-valuation"])
+        "curvature-valuation", "trailing-comma", "empty-right-hand-side",
+        "leading-comma", "unknown-output", "mu-without-arity",
+        "mu-input-count", "no-degrees", "no-basis"])
 def test_malformed_instance_exit_2_with_line(tmp_path, capsys, text, line):
+    """Each malformed file is a parse error at its line; a missing BASIS or
+    DEGREES section belongs to no line."""
     path = tmp_path / "bad.txt"
     path.write_text(text)
     code = main(["check-ainfty", str(path), "--weight", "1"])
     out = capsys.readouterr()
     assert code == 2
-    assert json.loads(out.out)["error"].startswith(f"line {line}: ")
+    error = json.loads(out.out)["error"]
+    if line is None:
+        assert error == "BASIS and DEGREES sections are required"
+    else:
+        assert error.startswith(f"line {line}: ")
     assert "Traceback" not in out.out + out.err
 
 

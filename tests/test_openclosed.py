@@ -26,6 +26,7 @@ from hochcyc.openclosed import (
     ExtendedOC,
     OCFamily,
     SphereTermProvider,
+    ToyGeometry,
     axiom_suite,
     build_divisor_family,
     chain_map_residual,
@@ -462,6 +463,34 @@ def test_structure_rhs_sums_the_parity_parts_of_an_interior_input():
         assert bool(parts[0][0] and parts[1][0]) is (Q is q)
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_structure_rhs_is_multilinear_in_two_mixed_parity_inputs(n):
+    """Both interior inputs carry the mixed-parity coefficient one + t0, so
+    the right-hand side is the sum of the per-term reference over the four
+    combinations of homogeneous parts.  Every term is bilinear in the two
+    coefficients, so the part of t0 and t0 vanishes (t0^2 = 0) and the
+    other three do not.  The even w comes first, so the expanded
+    coefficient (1 + t0)^2 = 1 + 2 t0 keeps an odd part."""
+    ctx, mod, target, ops = _linearity_fixture()
+    tmod = target.module
+    p = OCFamily(mod, target, n, {
+        **ops, (("y", "x"), ("v",)): Element.generator(tmod, "w"),
+        (("y", "x"), ("w",)): Element.generator(tmod, "u", 3)})
+    Q = OCFamily(mod, ChainComplex(mod, {}), 0, {
+        ((), ("v",)): Element.generator(mod, "y"),
+        ((), ("w",)): Element.generator(mod, "y", -2),
+        ((), ("w", "v")): Element.generator(mod, "y")})
+    one, t0 = Scalar.one(ctx), Scalar.monomial(ctx, 1, (), (1,))
+    parts = [_structure_rhs_reference(Q, p, None, ("x",), [
+                 Element(tmod, {"w": a}), Element(tmod, {"v": b})])
+             for a, b in itertools.product((one, t0), repeat=2)]
+    got, count = structure_rhs(Q, p, None, ("x",), [
+        Element(tmod, {"w": one + t0}), Element(tmod, {"v": one + t0})])
+    assert got == sum((part for part, _ in parts), Element.zero(tmod))
+    assert {c for _, c in parts} == {count}
+    assert [bool(part) for part, _ in parts] == [True, True, True, False]
+
+
 @pytest.mark.parametrize("name", BUILTIN_NAMES + ("odd_t",))
 def test_rotation_rewrite_matches_the_per_term_reference(name):
     """On unsymmetrized families the rewrite's right-hand side is mostly
@@ -753,3 +782,50 @@ def test_axiom_suite_flags_a_broken_unit_law():
     assert not res["unit"]["ok"]
     assert [f["tuple"] for f in res["unit"]["failures"]] == [("e",),
                                                              ("e", "a1")]
+
+
+def _odd_variable_geometry(n):
+    """``odd_t`` (one odd variable t0, no unit) with its degree-n shifted
+    copy as the ambient complex and the shift as the push-forward."""
+    A, _ = _odd_variable_algebra(1)
+    L = ChainComplex(A.module, {})
+    Xmod = GradedModule("shifted_odd_t",
+                        tuple("X" + g for g in A.module.basis),
+                        tuple(d + n for d in A.module.degrees), A.module.ctx)
+    push = {g: Element.generator(Xmod, "X" + g) for g in A.module.basis}
+    return A, ToyGeometry(L, ChainComplex(Xmod, {}), push, n)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_axiom_suite_checks_the_fundamental_class_over_a_formal_variable(n):
+    """Over a ring with a formal variable the zero-energy family does not
+    depend on t0; a value with a t0 term is reported at its key."""
+    A, geom = _odd_variable_geometry(n)
+    assert A.module.ctx.tvars.count == 1
+    p, _, sphere = toy_zero_energy(geom, A)
+    res = axiom_suite(p, A, geom=geom, zeta=sphere.zeta)
+    assert res["fundamental_class"] == {"ok": True, "failures": []}
+    t0 = Scalar.monomial(A.module.ctx, 1, (0,), (1,))
+    key = (("e", "e"), ())
+    broken = OCFamily(p.module, p.target, n, {
+        **p.ops, key: Element(p.target.module, {"Xe": t0})})
+    res = axiom_suite(broken, A, geom=geom, zeta=sphere.zeta)
+    assert res["fundamental_class"] == {"ok": False, "failures": [
+        {"key": key, "generator": "Xe"}]}
+
+
+def test_sphere_operation_must_be_a_chain_map():
+    """dH = -Z, but q1 sends H to H2 and Z to zero: d q1(H) = -Z2 while
+    q1(dH) = 0."""
+    _, p, _ = theorem5_toy(0)
+    H2 = Element.generator(p.target.module, "H2")
+    with pytest.raises(ValueError, match="^q1 is not a chain map at 'H'$"):
+        SphereTermProvider(p.target, {"H": H2}, zeta=H2)
+
+
+def test_push_forward_must_raise_degrees_by_n():
+    _, geom = exterior_geometry(1)
+    Xe = Element.generator(geom.X.module, "Xe")
+    with pytest.raises(ValueError,
+                       match="^push does not have degree 1 at 'a1'$"):
+        ToyGeometry(geom.L, geom.X, {**geom.push, "a1": Xe}, 1)
