@@ -4,12 +4,16 @@ Provides the coderivation (hat) extension of the operations to the tensor
 coalgebra, the structure-relation residual mu-hat o mu-hat, strict-unit
 validation, and a small library of built-in algebras.  This module is the
 one operator core: it alone reads the compiled table of an algebra and its
-image caches.  Operator images on basis tuples are exact integers over the
-algebra's one denominator.  mu-hat (``hat_basis``) and the Hochschild
+image caches.  An operator image on a basis tuple is one flat tuple of
+(output tuple, monomial, numerator) triples, exact integers over the
+algebra's one denominator, and every tuple it holds comes from the
+algebra's intern table.  mu-hat (``hat_basis``) and the Hochschild
 differential b (``diff_basis``) share x (x) mu-hat(l) on x (x) l, read from
 the cached mu-hat(l), and one rule, ``front_insertions``, for their other
 terms: b's wrap-around terms are the front insertions of the signed
-rotations of the tuple.  ``apply_images`` is the one integer kernel that
+rotations of the tuple.  Each quotient of the Hochschild complex has its
+own cached image per tuple, b merged through the quotient rule once
+(``quotient_basis``).  ``apply_images`` is the one integer kernel that
 applies per-tuple images to a word; ``squares_to_zero`` applies them twice,
 for mu-hat o mu-hat and d o d.  ``OCFamily`` is the one table class and
 evaluator for every operation family with boundary and interior inputs: the
@@ -61,10 +65,15 @@ class AInfty:
     ``(output generator, ((monomial, numerator), ...))`` with the
     coefficient equal to numerator / ``den``.  The operator images
     (``hat_basis``, ``diff_basis``) are built from ``table``, which
-    ``front_insertions`` alone reads, and cached as integers over ``den`` in
-    ``_hat_cache`` and ``_diff_cache``; no other module reads the table or
-    the caches.  Since they derive from ``ops``, ``ops`` is never mutated
-    after construction.  ``qfamily`` is the family q with
+    ``front_insertions`` alone reads, and cached as flat tuples of (output
+    tuple, monomial, numerator) triples over ``den`` in ``_hat_cache`` and
+    ``_diff_cache``.  Per quotient key, ``_class_cache`` holds each tuple's
+    representative and ``_variant_cache`` the image of b through the
+    quotient (``tuple_class``, ``quotient_basis``).  ``_tuples`` interns
+    every tuple the caches hold, so equal tuples are stored once;
+    ``image_counts`` reports the sizes.  No other module reads the table,
+    the caches or the intern table.  Since they derive from ``ops``,
+    ``ops`` is never mutated after construction.  ``qfamily`` is the family q with
     q_{k,0} = mu_k and no interior operations, also built once.
     """
 
@@ -86,10 +95,15 @@ class AInfty:
         self.qfamily = OCFamily(module, ChainComplex(module, {}), 0,
                                 {(t, ()): el for t, el in self.ops.items()})
         # per-instance caches of integer images on basis tuples (uncapped;
-        # truncation happens in the kernel): mu-hat, and the wrap-around
-        # part of the Hochschild differential
-        self._hat_cache: dict[tuple, list] = {}
-        self._diff_cache: dict[tuple, list] = {}
+        # truncation happens in the kernel): mu-hat, the Hochschild
+        # differential b, and per quotient key the classes of tuples and
+        # b followed by the quotient; ``_tuples`` interns every tuple they
+        # hold, so equal tuples are one object
+        self._tuples: dict[tuple, tuple] = {}
+        self._hat_cache: dict[tuple, tuple] = {}
+        self._diff_cache: dict[tuple, tuple] = {}
+        self._class_cache: dict[str, dict] = {}
+        self._variant_cache: dict[str, dict] = {}
 
     # -- structure lookup ----------------------------------------------------
 
@@ -147,7 +161,7 @@ def check_operation(module: GradedModule, tup, el: Element) -> None:
 def add_image(acc: dict, otup, nums, sign) -> None:
     """Add (-1)^sign times the integer coefficient ``nums``, pairs
     (monomial, numerator), into the monomial bucket of the output tuple
-    otup.  Buckets may keep zeros; ``int_images`` drops them."""
+    otup.  Buckets may keep zeros; ``cache_image`` drops them."""
     bucket = acc.get(otup)
     if bucket is None:
         acc[otup] = {m: -n for m, n in nums} if sign else dict(nums)
@@ -159,30 +173,41 @@ def add_image(acc: dict, otup, nums, sign) -> None:
             bucket[m] = bucket.get(m, 0) + n
 
 
-def int_images(acc: dict) -> list:
-    """The nonzero terms of ``acc`` as (output tuple, ((monomial,
-    numerator), ...)) pairs: the cached form of an operator image."""
+def cache_image(A: AInfty, cache: dict, tup, acc: dict) -> tuple:
+    """Store the nonzero terms of ``acc`` in ``cache``, one of the
+    algebra's image caches, as the image of ``tup``: one flat tuple of
+    (output tuple, monomial, numerator) triples, the key and each output
+    tuple taken from the intern table ``A._tuples``."""
+    intern = A._tuples.setdefault
     out = []
     for t, b in acc.items():
-        if 0 in b.values():
-            b = {m: n for m, n in b.items() if n}
-        if b:
-            out.append((t, tuple(b.items())))
-    return out
+        if any(b.values()):
+            t = intern(t, t)
+            for m, n in b.items():
+                if n:
+                    out += (t, m, n)
+    image = cache[intern(tup, tup)] = tuple(out)
+    return image
 
 
-def prefix_images(A: AInfty, x, l) -> list:
-    """x (x) mu-hat(l), the term that mu-hat and the Hochschild differential
-    share on x (x) l, read from the cached ``hat_basis(A, l)``.  On top of
-    its sign in mu-hat(l), each monomial m passes the shifted x with
-    (-1)^{||x|| (1 + |m|)}."""
+def prefix_images(A: AInfty, acc: dict, x, l) -> None:
+    """Add x (x) mu-hat(l), the term that mu-hat and the Hochschild
+    differential share on x (x) l, into ``acc``, read from the cached
+    ``hat_basis(A, l)``.  On top of its sign in mu-hat(l), each monomial m
+    passes the shifted x with (-1)^{||x|| (1 + |m|)}."""
     head = (x,)
-    images = hat_basis(A, l)
-    if A.module.degree(x) % 2:          # ||x|| even
-        return [(head + t, nums) for t, nums in images]
+    flip = not A.module.degree(x) % 2      # ||x|| odd
     parity = A.module.ctx.mono_parity
-    return [(head + t, tuple((m, n if parity(m) else -n) for m, n in nums))
-            for t, nums in images]
+    it = iter(hat_basis(A, l))
+    for t, m, n in zip(it, it, it):
+        if flip and not parity(m):
+            n = -n
+        otup = head + t
+        bucket = acc.get(otup)
+        if bucket is None:
+            acc[otup] = {m: n}
+        else:
+            bucket[m] = bucket.get(m, 0) + n
 
 
 def front_insertions(A: AInfty, acc: dict, rot, least: int, sign) -> None:
@@ -196,59 +221,111 @@ def front_insertions(A: AInfty, acc: dict, rot, least: int, sign) -> None:
                 add_image(acc, (g,) + rot[m:], nums, sign)
 
 
-def hat_basis(A: AInfty, tup) -> list:
+def hat_basis(A: AInfty, tup) -> tuple:
     """The coderivation mu-hat (b' in Loday's notation) on one basis tuple,
-    as (output tuple, ((monomial, numerator), ...)) pairs with integer
-    numerators over ``A.den``, each output tuple named once.  Cached on the
-    algebra.
+    as a flat tuple of (output tuple, monomial, numerator) triples with
+    integer numerators over ``A.den``, each (output tuple, monomial) named
+    once.  Cached on the algebra.
 
     On x (x) l it is every ``front_insertions`` of the tuple, the curvature
     included, plus ``prefix_images`` x (x) mu-hat(l); on the empty tuple it
     is the curvature."""
-    cached = A._hat_cache.get(tup)
-    if cached is None:
+    image = A._hat_cache.get(tup)
+    if image is None:
         acc: dict[tuple, dict] = {}
         front_insertions(A, acc, tup, 0, 0)
         if tup:
-            for otup, nums in prefix_images(A, tup[0], tup[1:]):
-                add_image(acc, otup, nums, 0)
-        cached = A._hat_cache[tup] = int_images(acc)
-    return cached
+            prefix_images(A, acc, tup[0], tup[1:])
+        image = cache_image(A, A._hat_cache, tup, acc)
+    return image
 
 
-def diff_basis(A: AInfty, tup) -> list:
-    """The raw Hochschild differential b on one basis tuple, in the form of
-    ``hat_basis``, except that an output tuple may be named twice.
+def diff_basis(A: AInfty, tup) -> tuple:
+    """The Hochschild differential b on one basis tuple, in the form of
+    ``hat_basis``, cached on the algebra.
 
     On x (x) l it is x (x) mu-hat(l), from ``prefix_images``, plus the
     wrap-around terms: the ``front_insertions`` of each signed rotation of
     the tuple in the orbit ``rotations``, with the sign s_sigma^[1] of the
     rotation.  The rotation by j moves the k - j factors of tup[j:] in
     front of x, and an insertion must reach past them to x; with j = 0 every
-    insertion of positive arity counts.  Only the wrap-around part is cached
-    on the algebra; x (x) mu-hat(l) is read from the coderivation cache on
-    every call.  On the weight-0 generator b is the curvature,
-    ``hat_basis(A, ())``."""
+    insertion of positive arity counts.  Both parts are merged into one
+    image, each (output tuple, monomial) named once.  On the weight-0
+    generator b is the curvature, ``hat_basis(A, ())``."""
     if not tup:
         return hat_basis(A, ())
-    wrap = A._diff_cache.get(tup)
-    if wrap is None:
+    image = A._diff_cache.get(tup)
+    if image is None:
         k = len(tup)
         acc: dict[tuple, dict] = {}
+        prefix_images(A, acc, tup[0], tup[1:])
         orbit = rotations(tup, [A.module.degree(g) for g in tup])
         for j, (rot, s1) in enumerate(orbit):
             front_insertions(A, acc, rot, (k - j) % k + 1, s1)
-        wrap = A._diff_cache[tup] = int_images(acc)
-    return prefix_images(A, tup[0], tup[1:]) + wrap
+        image = cache_image(A, A._diff_cache, tup, acc)
+    return image
+
+
+def tuple_class(A: AInfty, tup, key: str, rule):
+    """``rule(A, tup)``, the ``(representative tuple, sign exponent)`` of a
+    basis tuple in the quotient named ``key``, or ``None`` where it is zero
+    there; computed once per algebra, quotient and tuple and cached."""
+    classes = A._class_cache.get(key)
+    if classes is None:
+        classes = A._class_cache[key] = {}
+    if tup in classes:
+        return classes[tup]
+    intern = A._tuples.setdefault
+    tup = intern(tup, tup)
+    can = rule(A, tup)
+    if can is not None:
+        can = intern(can[0], can[0]), can[1]
+    classes[tup] = can
+    return can
+
+
+def quotient_basis(A: AInfty, tup, key: str, rule) -> tuple:
+    """b on one basis tuple followed by a per-tuple quotient rule on each
+    output tuple, in the form of ``hat_basis``.  ``rule(A, otup)`` gives
+    otup's ``(representative tuple, sign exponent)``, where exponent 1
+    negates the numerator, or ``None``, which drops the term.  Cached on
+    the algebra under the quotient's ``key``, so each quotient has one
+    merged, canonical image per tuple."""
+    cache = A._variant_cache.get(key)
+    if cache is None:
+        cache = A._variant_cache[key] = {}
+    image = cache.get(tup)
+    if image is None:
+        acc: dict[tuple, dict] = {}
+        it = iter(diff_basis(A, tup))
+        for otup, m, n in zip(it, it, it):
+            can = rule(A, otup)
+            if can is not None:
+                add_image(acc, can[0], ((m, n),), can[1])
+        image = cache_image(A, cache, tup, acc)
+    return image
+
+
+def image_counts(A: AInfty) -> dict:
+    """The size of each image cache of the algebra, ``{"tuples": cached
+    tuples, "terms": image triples}``, under ``hat``, ``diff`` and the key
+    of each quotient, and the number of interned tuples."""
+    def count(cache):
+        return {"tuples": len(cache),
+                "terms": sum(len(image) for image in cache.values()) // 3}
+    out = {"hat": count(A._hat_cache), "diff": count(A._diff_cache)}
+    out.update((key, count(cache))
+               for key, cache in sorted(A._variant_cache.items()))
+    out["interned_tuples"] = len(A._tuples)
+    return out
 
 
 def apply_images(A: AInfty, iword: dict, image_of, cap: Cap | None) -> dict:
     """The operator kernel: the odd operator with per-tuple integer images
-    ``image_of(A, tup)`` (over ``A.den``) applied to an integer word
+    ``image_of(A, tup)`` (over ``A.den``), flat tuples of (output tuple,
+    monomial, numerator) triples, applied to an integer word
     ``{tup: {monomial: numerator}}``, as an integer word over the input's
-    denominator times ``A.den``.  An image list may name an output tuple
-    twice; its terms are summed into one bucket.  Output buckets may hold
-    zeros.
+    denominator times ``A.den``.  Output buckets may hold zeros.
 
     A front monomial m passes the operator with (-1)^{|m|}, the sign
     (-1)^{|c|} of a front coefficient c extended linearly.  This is the one
@@ -272,24 +349,24 @@ def apply_images(A: AInfty, iword: dict, image_of, cap: Cap | None) -> dict:
                 cterms.append((m1, row, -n1 if parity(m1) else n1))
         if not cterms:
             continue
-        for otup, nums in image_of(A, tup):
+        it = iter(image_of(A, tup))
+        for otup, m2, n2 in zip(it, it, it):
             bucket = acc.get(otup)
             if bucket is None:
                 bucket = acc[otup] = {}
-            for m2, n2 in nums:
-                for m1, row, n1 in cterms:
-                    hit = row.get(m2)
-                    if hit is None:
-                        hit = mul(m1, m2)
-                        if hit is None or not (cap is None
-                                               or cap.admits(ctx, hit[0])):
-                            hit = False
-                        row[m2] = hit
-                    if not hit:
-                        continue
-                    mono, sign = hit
-                    v = -n1 * n2 if sign else n1 * n2
-                    bucket[mono] = bucket.get(mono, 0) + v
+            for m1, row, n1 in cterms:
+                hit = row.get(m2)
+                if hit is None:
+                    hit = mul(m1, m2)
+                    if hit is None or not (cap is None
+                                           or cap.admits(ctx, hit[0])):
+                        hit = False
+                    row[m2] = hit
+                if not hit:
+                    continue
+                mono, sign = hit
+                v = -n1 * n2 if sign else n1 * n2
+                bucket[mono] = bucket.get(mono, 0) + v
     return acc
 
 

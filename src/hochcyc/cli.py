@@ -15,7 +15,9 @@ Instance file format (hand-writable, one section per header line):
                   directly with ``->``)
 
 The report document records the command, cap, seed, engine version,
-per-check pass/fail with witnesses, Betti tables, and wall-clock timings.
+per-check pass/fail with witnesses (and, for the residual sweeps, the number
+of cases checked), Betti tables, the sizes of the operator-image caches
+(``check-ainfty`` and ``dsquare``), and wall-clock timings.
 Exit codes: 0 all checks pass, 1 a check failed or a computation error
 occurred, 2 usage or parse error.
 """
@@ -47,6 +49,7 @@ from .ainfty import (
     OperationError,
     ainfty_residual,
     builtin_algebras,
+    image_counts,
     unit_check,
 )
 from .complexes import (
@@ -313,26 +316,34 @@ def _add_check(report, name, ok, witnesses=None):
     })
 
 
+def _add_residual(report, name, rep):
+    """A check from a ``ResidualReport``: its verdict, its first five
+    failures and ``checked``, the number of cases it examined."""
+    _add_check(report, name, rep.ok, rep.failures[:5])
+    report["checks"][-1]["checked"] = rep.checked
+
+
 def cmd_check_ainfty(args, report):
     A = load_algebra(args.instance)
-    rep = ainfty_residual(A, _cap(args))
-    _add_check(report, "structure_relations", rep.ok, rep.failures[:5])
+    _add_residual(report, "structure_relations",
+                  ainfty_residual(A, _cap(args)))
     if A.unit is not None:
-        u = unit_check(A)
-        _add_check(report, "strict_unit", u.ok, u.failures[:5])
+        _add_residual(report, "strict_unit", unit_check(A))
+    report["images"] = image_counts(A)
 
 
 def cmd_dsquare(args, report):
     A = load_algebra(args.instance)
     for v in _variants(args, A, report):
-        rep = dsquare_sweep(A, v, _cap(args))
-        _add_check(report, f"dsquare:{v.value}", rep.ok, rep.failures[:5])
+        _add_residual(report, f"dsquare:{v.value}",
+                      dsquare_sweep(A, v, _cap(args)))
+    report["images"] = image_counts(A)
 
 
 def cmd_t_lemma(args, report):
     A = load_algebra(args.instance)
-    rep = t_lemma_check(A, _cap(args), args.trials, seed=args.seed)
-    _add_check(report, "intertwining", rep.ok, rep.failures[:5])
+    _add_residual(report, "intertwining",
+                  t_lemma_check(A, _cap(args), args.trials, seed=args.seed))
 
 
 def cmd_homology(args, report):

@@ -7,7 +7,9 @@ their signed representatives: the weight-zero generator exists only in the
 extended variants, the unit-killing variants drop tuples with the unit in a
 quotiented slot, and a cyclic class is its signed least rotation, zero when
 its stabilizer acts by -1.  The variant differential is b followed by this
-rule on each output tuple (``variant_images``), run by the integer kernel.
+rule on each output tuple (``variant_images``), run by the integer kernel;
+each variant's image of a tuple, and each tuple's representative, is
+computed once per algebra and cached by ``ainfty``.
 """
 
 from __future__ import annotations
@@ -17,11 +19,12 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .scalars import Cap, accumulate
 from .graded import GradedModule, ResidualReport, Word, rotations
 from .ainfty import (AInfty, combine_basis_images, diff_basis, hat_extension,
-                     squares_to_zero)
+                     quotient_basis, squares_to_zero, tuple_class)
 
 
 class Variant(enum.Enum):
@@ -165,13 +168,20 @@ def project(A: AInfty, w: Word, variant: Variant) -> Word:
     return _canonical_terms(w, lambda tup: canonical_form(A, tup, variant))
 
 
+def variant_class(A: AInfty, tup, variant: Variant):
+    """``canonical_form`` of a basis tuple, computed once per algebra,
+    variant and tuple and cached by ``ainfty.tuple_class``."""
+    return tuple_class(A, tup, variant.value,
+                       partial(canonical_form, variant=variant))
+
+
 def is_canonical_tuple(A: AInfty, tup, variant: Variant) -> bool:
     """Whether a basis tuple is its own ``canonical_form`` with sign +1."""
     index = A.module.index
     if (tup and variant in CYCLIC_VARIANTS
             and min(map(index, tup)) != index(tup[0])):
         return False
-    return canonical_form(A, tup, variant) == (tup, 0)
+    return variant_class(A, tup, variant) == (tup, 0)
 
 
 def canonical_tuples(A: AInfty, variant: Variant, max_weight: int):
@@ -199,16 +209,14 @@ def hoch_diff_word(A: AInfty, w: Word, cap: Cap | None = None) -> Word:
 def variant_images(variant: Variant):
     """The per-tuple images of the variant differential for ``apply_images``:
     ``diff_basis`` with each output tuple sent through ``canonical_form``,
-    which acts on tuples only and so commutes with the front sign."""
-    def image_of(A: AInfty, tup) -> list:
-        out = []
-        for otup, nums in diff_basis(A, tup):
-            can = canonical_form(A, otup, variant)
-            if can is not None:
-                out.append((can[0], tuple((m, -n) for m, n in nums)
-                            if can[1] else nums))
-        return out
-    return image_of
+    which acts on tuples only and so commutes with the front sign.  On
+    Hochschild chains that is b itself; every other variant's image is
+    built once per tuple from b by ``ainfty.quotient_basis`` and cached on
+    the algebra."""
+    if variant is Variant.HOCHSCHILD:
+        return diff_basis
+    return partial(quotient_basis, key=variant.value,
+                   rule=partial(variant_class, variant=variant))
 
 
 def hoch_diff(A: AInfty, c: ChainElt, cap: Cap | None = None) -> ChainElt:

@@ -229,7 +229,8 @@ def boundary_matrix(A: AInfty, variant: Variant, dom, cod, cap: Cap,
     (rows, domain, codomain) with rows[i] the sparse row ``{j: n}`` of
     codomain chain i: its coefficient in d(domain chain j) is ``n / A.den``,
     and only nonzero integers ``n`` are stored.  Column j is the integer
-    kernel's image of chain j under ``variant_images``; terms beyond the
+    kernel's image of chain j under ``variant_images``, which are
+    canonicalised once per algebra, variant and tuple; terms beyond the
     weight cap are dropped and flagged."""
     if flags is None:
         flags = set()

@@ -2,6 +2,7 @@
 structure-relation residual, units, and the q-family deformation sums."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,6 @@ from hochcyc.scalars import (
     FormalVarSpec,
     PiGroup,
     Scalar,
-    accumulate,
     mono_degree,
     scalar_mul,
 )
@@ -24,7 +24,8 @@ from hochcyc.graded import (
     Word,
     word_from_factors,
 )
-from hochcyc.complexes import hoch_diff_word
+from hochcyc.complexes import (Variant, dsquare_sweep, hoch_diff_word,
+                               random_word)
 from hochcyc.ainfty import (
     AInfty,
     BUILTIN_NAMES,
@@ -35,7 +36,6 @@ from hochcyc.ainfty import (
     builtin_algebras,
     diff_basis,
     hat_extension,
-    prefix_images,
     unit_check,
 )
 
@@ -296,32 +296,42 @@ def test_hat_extension_is_exact_against_termwise_sum(cap, nvars, mu3):
                        for m in dropped)
 
 
+def _image_terms(image):
+    """A cached image, a flat tuple of (output tuple, monomial, numerator)
+    triples, as {output tuple: {monomial: numerator}}; no (output tuple,
+    monomial) pair may be named twice."""
+    out = {}
+    it = iter(image)
+    for t, m, n in zip(it, it, it):
+        bucket = out.setdefault(t, {})
+        assert m not in bucket, (t, m)
+        bucket[m] = n
+    return out
+
+
 @pytest.mark.parametrize("nvars,mu3", ODD_CASES)
 def test_cached_images_are_integers_over_den(nvars, mu3):
-    """Every cached operator image holds only int numerators, and they are
-    the Fraction reference times ``A.den``: mu-hat as cached, and the
-    Hochschild differential as ``prefix_images`` plus the cached wrap-around
-    part, summed per output tuple."""
+    """Every cached operator image holds only nonzero int numerators, and
+    they are the Fraction reference times ``A.den``: mu-hat, and the
+    Hochschild differential with x (x) mu-hat(l) and the wrap-around terms
+    merged per output tuple."""
     A, w = _odd_variable_algebra(nvars, mu3)
     assert A.den == 6
     hat_extension(A, w)
     hoch_diff_word(A, w)
     assert A._hat_cache and A._diff_cache
     for cache in (A._hat_cache, A._diff_cache):
-        for images in cache.values():
-            for _, nums in images:
-                assert nums and all(type(n) is int and n for _, n in nums)
-    for tup, images in A._hat_cache.items():
+        for image in cache.values():
+            assert len(image) % 3 == 0
+            assert all(type(n) is int and n for n in image[2::3])
+    for tup, image in A._hat_cache.items():
         want = {t: {m: q * A.den for m, q in s.terms.items()}
                 for t, s in _hat_reference(A, tup).items()}
-        assert {t: dict(nums) for t, nums in images} == want
-    for tup, wrap in A._diff_cache.items():
-        got = {}
-        for t, nums in prefix_images(A, tup[0], tup[1:]) + wrap:
-            accumulate(got.setdefault(t, {}), nums)
+        assert _image_terms(image) == want
+    for tup, image in A._diff_cache.items():
         want = {t: {m: q * A.den for m, q in s.terms.items()}
                 for t, s in _diff_reference(A, tup).items()}
-        assert {t: b for t, b in got.items() if b} == want, tup
+        assert _image_terms(image) == want, tup
 
 
 def test_wrap_around_terms_with_colliding_signs():
@@ -335,11 +345,37 @@ def test_wrap_around_terms_with_colliding_signs():
     tup = ("y",) * 4
     one = (mod.ctx.zero_beta, mod.ctx.zero_exps)
     hoch_diff_word(A, Word.basis_word(mod, tup))
-    assert A._diff_cache[tup] == [(("z", "y"), ((one, 1),))]
-    got = {t: dict(nums) for t, nums in diff_basis(A, tup)}
+    assert A._diff_cache[tup] == (("y", "z"), one, -1, ("z", "y"), one, 1)
+    got = _image_terms(diff_basis(A, tup))
     assert got == {("z", "y"): {one: 1}, ("y", "z"): {one: -1}}
     assert _diff_reference(A, tup) == {("z", "y"): Scalar.one(mod.ctx),
                                        ("y", "z"): -Scalar.one(mod.ctx)}
+
+
+def test_equal_tuples_in_the_caches_are_one_object():
+    """Every tuple held by an image cache, key or output, is the one copy
+    in the algebra's intern table: after mu-hat o mu-hat, d o d on every
+    variant and a few words through b, equal tuples are the same object."""
+    A = builtin_algebras("curved_matrix")
+    cap = Cap(energy=3, weight=3, var_total=0)
+    ainfty_residual(A, cap)
+    for variant in Variant:
+        dsquare_sweep(A, variant, cap)
+    rng = random.Random(5)
+    for _ in range(10):
+        hoch_diff_word(A, random_word(A, rng, 3))
+    caches = [A._hat_cache, A._diff_cache, *A._variant_cache.values()]
+    assert all(caches)
+    held = [t for cache in caches for tup, image in cache.items()
+            for t in (tup, *image[0::3])]
+    held += [t for classes in A._class_cache.values()
+             for tup, can in classes.items()
+             for t in (tup, *(can[:1] if can else ()))]
+    first = {}
+    for t in held:
+        assert first.setdefault(t, t) is t, t
+        assert A._tuples[t] is t
+    assert len(first) == len(A._tuples)
 
 
 def test_residual_reports_a_perturbed_algebra():

@@ -164,6 +164,17 @@ def test_check_ainfty_command(instance_path):
     assert "structure_relations" in names and "strict_unit" in names
     assert all(c["ok"] for c in report["checks"])
     assert report["timings"]["total_s"] >= 0
+    checked = {c["name"]: c["checked"] for c in report["checks"]}
+    assert checked["structure_relations"] == 1 + 2 + 4 + 8
+    assert checked["strict_unit"] > 0
+    images = report["images"]
+    assert list(images) == ["hat", "diff", "interned_tuples"]
+    # mu-hat o mu-hat reads mu-hat on every word of weight <= 3, and on
+    # each output word of weight <= 4 that carries a nonzero coefficient
+    assert images["hat"]["tuples"] >= checked["structure_relations"]
+    assert images["hat"]["terms"] > 0
+    assert images["diff"] == {"tuples": 0, "terms": 0}
+    assert images["interned_tuples"] >= images["hat"]["tuples"]
 
 
 def test_dsquare_command_builtin():
@@ -171,6 +182,19 @@ def test_dsquare_command_builtin():
     assert code == 0
     assert len(report["checks"]) == 6
     assert report["not_applicable"] == {}
+    # canonical chains of weight <= 3 (1, 2, 4 and 8 tuples by weight)
+    checked = {c["name"].split(":")[1]: c["checked"]
+               for c in report["checks"]}
+    assert checked["hochschild"] == 2 + 4 + 8
+    assert checked["extended_connes"] == checked["connes"] + 1
+    images = report["images"]
+    assert images["diff"]["tuples"] == checked["hochschild"]
+    # every variant but Hochschild, which reads b's cache, has its own
+    assert sorted(k for k in images if k not in ("hat", "diff",
+                                                 "interned_tuples")) == \
+        sorted(c["name"].split(":")[1] for c in report["checks"]
+               if c["name"] != "dsquare:hochschild")
+    assert images["diff"]["terms"] > 0 and images["connes"]["terms"] > 0
 
 
 NON_UNITAL = "BASIS\nx y\nDEGREES\n1 2\nMU 2\nx x -> y\n"
@@ -211,6 +235,7 @@ def test_t_lemma_command():
     report, code = _run(["t-lemma", "exterior(2)", "--trials", "20",
                          "--weight", "3", "--seed", "1"])
     assert code == 0
+    assert [c["checked"] for c in report["checks"]] == [20]
 
 
 def test_homology_command_with_oracle():

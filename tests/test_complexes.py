@@ -22,6 +22,7 @@ from hochcyc.complexes import (
     ChainElt,
     Variant,
     canonical_form,
+    canonical_tuples,
     connes_canonical,
     connes_preimage,
     dsquare_sweep,
@@ -34,6 +35,7 @@ from hochcyc.complexes import (
     random_word,
     t_lemma_check,
     t_word,
+    variant_images,
 )
 
 from test_ainfty import _odd_variable_algebra
@@ -89,6 +91,37 @@ def test_variant_differential_is_the_projected_hochschild_differential(name):
                                        variant), (variant, cap)
             compared += bool(got.word)
     assert compared, "every differential vanished"
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_cached_variant_images_are_merged_projections(name):
+    """On every canonical chain of every variant up to weight 3, the
+    variant's image is the one cached on the algebra (b's own on Hochschild
+    chains), names each representative once, holds no zero numerator, and
+    equals ``project`` of the raw Hochschild differential."""
+    A = builtin_algebras(name)
+    nonzero = {}
+    for variant in Variant:
+        image_of = variant_images(variant)
+        for tup in canonical_tuples(A, variant, 3):
+            image = image_of(A, tup)
+            cache = (A._diff_cache if variant is Variant.HOCHSCHILD
+                     else A._variant_cache[variant.value])
+            assert cache[tup] is image
+            reps = image[0::3]
+            assert len(set(reps)) == len(reps), (variant, tup)
+            assert all(type(n) is int and n for n in image[2::3])
+            got = {t: {m: Fraction(n, A.den)}
+                   for t, m, n in zip(reps, image[1::3], image[2::3])}
+            want = project(A, hoch_diff_word(A, Word.basis_word(A.module,
+                                                                tup)),
+                           variant)
+            assert got == {t: s.terms for t, s in want.items()}, (variant,
+                                                                  tup)
+            nonzero[variant] = nonzero.get(variant, 0) + bool(image)
+    # only b itself is nonzero on the ground field's chains
+    assert nonzero.pop(Variant.HOCHSCHILD)
+    assert any(nonzero.values()) == (name != "ground_field")
 
 
 def test_dsquare_sweep_reports_a_perturbed_algebra():

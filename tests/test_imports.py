@@ -22,8 +22,8 @@ ORACLE = ("naive_oracle", "naive_diff_vector", "_quotient_spanning",
           "bareiss", "matrix_rank")
 ENGINE = frozenset({"row_reduce", "nullspace", "mat_mul", "boundary_matrix",
                     "apply_images", "canonical_form", "diff_basis",
-                    "variant_images", "squares_to_zero", "t_word",
-                    "rotations"})
+                    "variant_images", "quotient_basis", "variant_class",
+                    "squares_to_zero", "t_word", "rotations"})
 
 
 def _imported(tree):
@@ -140,9 +140,11 @@ def test_lint_sees_the_oracle_reach_into_the_engine():
         ("bareiss", "row_reduce"), ("naive_oracle", "canonical_form")]
 
 
-# the attributes of an algebra that hold its compiled table and image caches:
-# only the operator core reads them
-ALGEBRA_INTERNALS = frozenset({"table", "_hat_cache", "_diff_cache"})
+# the attributes of an algebra that hold its compiled table, its image
+# caches and their intern table: only the operator core reads them
+ALGEBRA_INTERNALS = frozenset({"table", "_tuples", "_hat_cache",
+                               "_diff_cache", "_class_cache",
+                               "_variant_cache"})
 
 
 def _internals_read(tree):
@@ -172,8 +174,11 @@ def test_only_the_operator_core_reads_the_table_and_caches():
 
 def test_lint_sees_a_module_read_the_caches():
     tree = ast.parse("def f(A, t):\n    return A._diff_cache.get(t)\n"
-                     "def g(A, t):\n    return A.table[t], A.den, table\n")
-    assert _internals_read(tree) == ["_diff_cache", "table"]
+                     "def g(A, t):\n    return A.table[t], A.den, table\n"
+                     "def h(A, v, t):\n"
+                     "    return A._variant_cache[v][t], A._tuples[t]\n")
+    assert _internals_read(tree) == ["_diff_cache", "_tuples",
+                                     "_variant_cache", "table"]
 
 
 def _callers(tree, name):
