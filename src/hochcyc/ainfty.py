@@ -4,18 +4,20 @@ Provides the coderivation (hat) extension of the operations to the tensor
 coalgebra, the structure-relation residual mu-hat o mu-hat, strict-unit
 validation, and a small library of built-in algebras.  This module is the
 one operator core: it alone reads the compiled table of an algebra and its
-image caches.  An operator image on a basis tuple is one flat tuple of
-(output tuple, monomial, numerator) triples, exact integers over the
-algebra's one denominator, and every tuple it holds comes from the
-algebra's intern table.  mu-hat (``hat_basis``) and the Hochschild
-differential b (``diff_basis``) share x (x) mu-hat(l) on x (x) l, read from
-the cached mu-hat(l), and one rule, ``front_insertions``, for their other
-terms: b's wrap-around terms are the front insertions of the signed
-rotations of the tuple.  Each quotient of the Hochschild complex has its
-own cached image per tuple, b merged through the quotient rule once
-(``quotient_basis``).  ``apply_images`` is the one integer kernel that
-applies per-tuple images to a word; ``squares_to_zero`` applies them twice,
-for mu-hat o mu-hat and d o d.  ``OCFamily`` is the one table class and
+caches.  An operator image on a basis tuple is one flat tuple of (output
+tuple, monomial, numerator) triples, exact integers over the algebra's one
+denominator; the compiled table holds mu in the same form, and every term
+enters an image through one routine, ``add_term``.  Each algebra keeps one
+image cache keyed by operator, one class cache keyed by quotient, and the
+intern table from which every tuple they hold comes.  mu-hat
+(``hat_basis``) and the Hochschild differential b (``diff_basis``) share
+x (x) mu-hat(l) on x (x) l, read from the cached mu-hat(l), and one rule,
+``front_insertions``, for their other terms: b's wrap-around terms are the
+front insertions of the signed rotations of the tuple.  Each quotient of
+the Hochschild complex has its own cached image per tuple, b merged through
+the quotient rule once (``quotient_basis``).  ``apply_images`` is the one
+integer kernel that applies per-tuple images to a word; ``squares_to_zero``
+applies them twice, for mu-hat o mu-hat and d o d.  ``OCFamily`` is the one table class and
 evaluator for every operation family with boundary and interior inputs: the
 q_{k,l} (``AInfty.qfamily`` and ``DeformedQ``), the open-closed p_{k,l} and
 the closed-sector q_{empty,l} of ``openclosed``.
@@ -26,6 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from collections import defaultdict
 from fractions import Fraction
 
 from .scalars import (
@@ -61,20 +64,20 @@ class AInfty:
 
     The operations are compiled once, at construction, into exact integers:
     ``den`` is the least common multiple of the denominators of every
-    coefficient, and ``table`` maps each key of ``ops`` to a list of
-    ``(output generator, ((monomial, numerator), ...))`` with the
-    coefficient equal to numerator / ``den``.  The operator images
+    coefficient, and ``table`` maps each key of ``ops`` to its image in the
+    form of every cached image: one flat tuple of (output, monomial,
+    numerator) triples, the output the 1-tuple ``(g,)`` of a generator and
+    the coefficient numerator / ``den``.  The operator images
     (``hat_basis``, ``diff_basis``) are built from ``table``, which
-    ``front_insertions`` alone reads, and cached as flat tuples of (output
-    tuple, monomial, numerator) triples over ``den`` in ``_hat_cache`` and
-    ``_diff_cache``.  Per quotient key, ``_class_cache`` holds each tuple's
-    representative and ``_variant_cache`` the image of b through the
-    quotient (``tuple_class``, ``quotient_basis``).  ``_tuples`` interns
-    every tuple the caches hold, so equal tuples are stored once;
+    ``front_insertions`` alone reads, and cached in ``_image_cache`` under
+    ``"hat"``, ``"diff"`` and each quotient key, whose image is b through
+    the quotient (``quotient_basis``); per quotient key, ``_class_cache``
+    holds each tuple's representative (``tuple_class``).  ``_tuples``
+    interns every tuple the caches hold, so equal tuples are stored once;
     ``image_counts`` reports the sizes.  No other module reads the table,
     the caches or the intern table.  Since they derive from ``ops``,
-    ``ops`` is never mutated after construction.  ``qfamily`` is the family q with
-    q_{k,0} = mu_k and no interior operations, also built once.
+    ``ops`` is never mutated after construction.  ``qfamily`` is the family
+    q with q_{k,0} = mu_k and no interior operations, also built once.
     """
 
     def __init__(self, module: GradedModule, ops, unit: str | None = None):
@@ -87,23 +90,19 @@ class AInfty:
         self.den = den = math.lcm(*(q.denominator for el in self.ops.values()
                                     for s in el.terms.values()
                                     for q in s.terms.values()))
-        self.table: dict[tuple, list] = {
-            tup: [(g, tuple((m, q.numerator * (den // q.denominator))
-                            for m, q in s.terms.items()))
-                  for g, s in el.items()]
+        self.table: dict[tuple, tuple] = {
+            tup: tuple(x for g, s in el.items() for m, q in s.terms.items()
+                       for x in ((g,), m,
+                                 q.numerator * (den // q.denominator)))
             for tup, el in self.ops.items()}
         self.qfamily = OCFamily(module, ChainComplex(module, {}), 0,
                                 {(t, ()): el for t, el in self.ops.items()})
-        # per-instance caches of integer images on basis tuples (uncapped;
-        # truncation happens in the kernel): mu-hat, the Hochschild
-        # differential b, and per quotient key the classes of tuples and
-        # b followed by the quotient; ``_tuples`` interns every tuple they
-        # hold, so equal tuples are one object
+        # per-instance caches on basis tuples (uncapped; truncation happens
+        # in the kernel): images by operator name and classes by quotient
+        # key; ``_tuples`` interns every tuple they hold
         self._tuples: dict[tuple, tuple] = {}
-        self._hat_cache: dict[tuple, tuple] = {}
-        self._diff_cache: dict[tuple, tuple] = {}
-        self._class_cache: dict[str, dict] = {}
-        self._variant_cache: dict[str, dict] = {}
+        self._image_cache: defaultdict[str, dict] = defaultdict(dict)
+        self._class_cache: defaultdict[str, dict] = defaultdict(dict)
 
     # -- structure lookup ----------------------------------------------------
 
@@ -158,26 +157,22 @@ def check_operation(module: GradedModule, tup, el: Element) -> None:
 # ---------------------------------------------------------------------------
 
 
-def add_image(acc: dict, otup, nums, sign) -> None:
-    """Add (-1)^sign times the integer coefficient ``nums``, pairs
-    (monomial, numerator), into the monomial bucket of the output tuple
-    otup.  Buckets may keep zeros; ``cache_image`` drops them."""
+def add_term(acc: dict, otup, m, n) -> None:
+    """Add the numerator n at monomial m of the output tuple otup into
+    ``acc``, the one way a term enters an image under construction.
+    Buckets may keep zeros; ``cache_image`` drops them."""
     bucket = acc.get(otup)
     if bucket is None:
-        acc[otup] = {m: -n for m, n in nums} if sign else dict(nums)
-    elif sign:
-        for m, n in nums:
-            bucket[m] = bucket.get(m, 0) - n
+        acc[otup] = {m: n}
     else:
-        for m, n in nums:
-            bucket[m] = bucket.get(m, 0) + n
+        bucket[m] = bucket.get(m, 0) + n
 
 
 def cache_image(A: AInfty, cache: dict, tup, acc: dict) -> tuple:
-    """Store the nonzero terms of ``acc`` in ``cache``, one of the
-    algebra's image caches, as the image of ``tup``: one flat tuple of
-    (output tuple, monomial, numerator) triples, the key and each output
-    tuple taken from the intern table ``A._tuples``."""
+    """Store the nonzero terms of ``acc`` in ``cache``, one operator's
+    part of the algebra's image cache, as the image of ``tup``: one flat
+    tuple of (output tuple, monomial, numerator) triples, the key and each
+    output tuple taken from the intern table ``A._tuples``."""
     intern = A._tuples.setdefault
     out = []
     for t, b in acc.items():
@@ -200,14 +195,7 @@ def prefix_images(A: AInfty, acc: dict, x, l) -> None:
     parity = A.module.ctx.mono_parity
     it = iter(hat_basis(A, l))
     for t, m, n in zip(it, it, it):
-        if flip and not parity(m):
-            n = -n
-        otup = head + t
-        bucket = acc.get(otup)
-        if bucket is None:
-            acc[otup] = {m: n}
-        else:
-            bucket[m] = bucket.get(m, 0) + n
+        add_term(acc, head + t, m, -n if flip and not parity(m) else n)
 
 
 def front_insertions(A: AInfty, acc: dict, rot, least: int, sign) -> None:
@@ -217,32 +205,35 @@ def front_insertions(A: AInfty, acc: dict, rot, least: int, sign) -> None:
     front."""
     for m in A.arities:
         if least <= m <= len(rot):
-            for g, nums in A.table.get(rot[:m], ()):
-                add_image(acc, (g,) + rot[m:], nums, sign)
+            tail = rot[m:]
+            it = iter(A.table.get(rot[:m], ()))
+            for out, mono, n in zip(it, it, it):
+                add_term(acc, out + tail, mono, -n if sign else n)
 
 
 def hat_basis(A: AInfty, tup) -> tuple:
     """The coderivation mu-hat (b' in Loday's notation) on one basis tuple,
     as a flat tuple of (output tuple, monomial, numerator) triples with
     integer numerators over ``A.den``, each (output tuple, monomial) named
-    once.  Cached on the algebra.
+    once.  Cached on the algebra under ``"hat"``.
 
     On x (x) l it is every ``front_insertions`` of the tuple, the curvature
     included, plus ``prefix_images`` x (x) mu-hat(l); on the empty tuple it
     is the curvature."""
-    image = A._hat_cache.get(tup)
+    cache = A._image_cache["hat"]
+    image = cache.get(tup)
     if image is None:
         acc: dict[tuple, dict] = {}
         front_insertions(A, acc, tup, 0, 0)
         if tup:
             prefix_images(A, acc, tup[0], tup[1:])
-        image = cache_image(A, A._hat_cache, tup, acc)
+        image = cache_image(A, cache, tup, acc)
     return image
 
 
 def diff_basis(A: AInfty, tup) -> tuple:
     """The Hochschild differential b on one basis tuple, in the form of
-    ``hat_basis``, cached on the algebra.
+    ``hat_basis``, cached on the algebra under ``"diff"``.
 
     On x (x) l it is x (x) mu-hat(l), from ``prefix_images``, plus the
     wrap-around terms: the ``front_insertions`` of each signed rotation of
@@ -254,7 +245,8 @@ def diff_basis(A: AInfty, tup) -> tuple:
     generator b is the curvature, ``hat_basis(A, ())``."""
     if not tup:
         return hat_basis(A, ())
-    image = A._diff_cache.get(tup)
+    cache = A._image_cache["diff"]
+    image = cache.get(tup)
     if image is None:
         k = len(tup)
         acc: dict[tuple, dict] = {}
@@ -262,7 +254,7 @@ def diff_basis(A: AInfty, tup) -> tuple:
         orbit = rotations(tup, [A.module.degree(g) for g in tup])
         for j, (rot, s1) in enumerate(orbit):
             front_insertions(A, acc, rot, (k - j) % k + 1, s1)
-        image = cache_image(A, A._diff_cache, tup, acc)
+        image = cache_image(A, cache, tup, acc)
     return image
 
 
@@ -270,9 +262,7 @@ def tuple_class(A: AInfty, tup, key: str, rule):
     """``rule(A, tup)``, the ``(representative tuple, sign exponent)`` of a
     basis tuple in the quotient named ``key``, or ``None`` where it is zero
     there; computed once per algebra, quotient and tuple and cached."""
-    classes = A._class_cache.get(key)
-    if classes is None:
-        classes = A._class_cache[key] = {}
+    classes = A._class_cache[key]
     if tup in classes:
         return classes[tup]
     intern = A._tuples.setdefault
@@ -291,9 +281,7 @@ def quotient_basis(A: AInfty, tup, key: str, rule) -> tuple:
     negates the numerator, or ``None``, which drops the term.  Cached on
     the algebra under the quotient's ``key``, so each quotient has one
     merged, canonical image per tuple."""
-    cache = A._variant_cache.get(key)
-    if cache is None:
-        cache = A._variant_cache[key] = {}
+    cache = A._image_cache[key]
     image = cache.get(tup)
     if image is None:
         acc: dict[tuple, dict] = {}
@@ -301,21 +289,21 @@ def quotient_basis(A: AInfty, tup, key: str, rule) -> tuple:
         for otup, m, n in zip(it, it, it):
             can = rule(A, otup)
             if can is not None:
-                add_image(acc, can[0], ((m, n),), can[1])
+                add_term(acc, can[0], m, -n if can[1] else n)
         image = cache_image(A, cache, tup, acc)
     return image
 
 
 def image_counts(A: AInfty) -> dict:
     """The size of each image cache of the algebra, ``{"tuples": cached
-    tuples, "terms": image triples}``, under ``hat``, ``diff`` and the key
-    of each quotient, and the number of interned tuples."""
+    tuples, "terms": image triples}``, under ``hat`` and ``diff``, then the
+    key of each quotient, and the number of interned tuples."""
     def count(cache):
         return {"tuples": len(cache),
                 "terms": sum(len(image) for image in cache.values()) // 3}
-    out = {"hat": count(A._hat_cache), "diff": count(A._diff_cache)}
-    out.update((key, count(cache))
-               for key, cache in sorted(A._variant_cache.items()))
+    caches = A._image_cache
+    keys = ["hat", "diff", *sorted(caches.keys() - {"hat", "diff"})]
+    out = {key: count(caches.get(key, {})) for key in keys}
     out["interned_tuples"] = len(A._tuples)
     return out
 

@@ -450,10 +450,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "coalgebra chain complexes.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_cap(p):
+    def add_cap(p, weight=int):
         p.add_argument("--energy", default="4",
                        help="energy cap (rational, default 4)")
-        p.add_argument("--weight", type=int, default=4,
+        p.add_argument("--weight", type=weight, default=4,
                        help="weight cap (default 4)")
         p.add_argument("--vars", type=int, default=6,
                        help="total formal-variable exponent cap (default 6)")
@@ -475,7 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--trials", type=_at_least(1), default=200)
     p.add_argument("--seed", type=int, default=0)
-    add_cap(p); add_common(p)
+    # random words have weight 1 and up
+    add_cap(p, weight=_at_least(1)); add_common(p)
 
     p = sub.add_parser("homology", help="Betti numbers on a truncation")
     p.add_argument("instance")

@@ -164,8 +164,8 @@ def canonical_form(A: AInfty, tup, variant: Variant):
 
 def project(A: AInfty, w: Word, variant: Variant) -> Word:
     """Full canonicalization for the variant: every term through
-    ``canonical_form``."""
-    return _canonical_terms(w, lambda tup: canonical_form(A, tup, variant))
+    ``variant_class``, the cached ``canonical_form``."""
+    return _canonical_terms(w, lambda tup: variant_class(A, tup, variant))
 
 
 def variant_class(A: AInfty, tup, variant: Variant):

@@ -14,8 +14,8 @@ and an even integer Maslov functional.  The ring carries
 Everything is exact rational arithmetic; no floats.  Coefficients are stored
 as reduced ``Fraction`` values, except in the operator layer: an ``AInfty``
 compiles its operations once into integer numerators over one denominator,
-its per-tuple operator images are cached as flat tuples of (output tuple,
-monomial, integer numerator) triples, and the one operator kernel
+in the form of its cached per-tuple operator images, flat tuples of (output
+tuple, monomial, integer numerator) triples, and the one operator kernel
 (``ainfty.apply_images``) multiplies and sums Python ints.  Its Word
 wrapper (``ainfty.combine_basis_images``) scales a word's coefficients to
 integers over one common denominator and turns each output term back into

@@ -311,24 +311,31 @@ def _image_terms(image):
 
 @pytest.mark.parametrize("nvars,mu3", ODD_CASES)
 def test_cached_images_are_integers_over_den(nvars, mu3):
-    """Every cached operator image holds only nonzero int numerators, and
-    they are the Fraction reference times ``A.den``: mu-hat, and the
-    Hochschild differential with x (x) mu-hat(l) and the wrap-around terms
-    merged per output tuple."""
+    """The compiled table and every cached operator image hold only nonzero
+    int numerators, and they are the Fraction values times ``A.den``: the
+    table's are ``A.ops``, mu-hat's the Fraction reference, and the
+    Hochschild differential's the reference with x (x) mu-hat(l) and the
+    wrap-around terms merged per output tuple."""
     A, w = _odd_variable_algebra(nvars, mu3)
     assert A.den == 6
     hat_extension(A, w)
     hoch_diff_word(A, w)
-    assert A._hat_cache and A._diff_cache
-    for cache in (A._hat_cache, A._diff_cache):
+    hats, diffs = A._image_cache["hat"], A._image_cache["diff"]
+    assert hats and diffs
+    for cache in (A.table, hats, diffs):
         for image in cache.values():
             assert len(image) % 3 == 0
             assert all(type(n) is int and n for n in image[2::3])
-    for tup, image in A._hat_cache.items():
+    assert A.table.keys() == A.ops.keys()
+    for tup, image in A.table.items():
+        want = {(g,): {m: q * A.den for m, q in s.terms.items()}
+                for g, s in A.ops[tup].items()}
+        assert _image_terms(image) == want, tup
+    for tup, image in hats.items():
         want = {t: {m: q * A.den for m, q in s.terms.items()}
                 for t, s in _hat_reference(A, tup).items()}
         assert _image_terms(image) == want
-    for tup, image in A._diff_cache.items():
+    for tup, image in diffs.items():
         want = {t: {m: q * A.den for m, q in s.terms.items()}
                 for t, s in _diff_reference(A, tup).items()}
         assert _image_terms(image) == want, tup
@@ -345,7 +352,8 @@ def test_wrap_around_terms_with_colliding_signs():
     tup = ("y",) * 4
     one = (mod.ctx.zero_beta, mod.ctx.zero_exps)
     hoch_diff_word(A, Word.basis_word(mod, tup))
-    assert A._diff_cache[tup] == (("y", "z"), one, -1, ("z", "y"), one, 1)
+    assert A._image_cache["diff"][tup] == (("y", "z"), one, -1,
+                                           ("z", "y"), one, 1)
     got = _image_terms(diff_basis(A, tup))
     assert got == {("z", "y"): {one: 1}, ("y", "z"): {one: -1}}
     assert _diff_reference(A, tup) == {("z", "y"): Scalar.one(mod.ctx),
@@ -364,8 +372,8 @@ def test_equal_tuples_in_the_caches_are_one_object():
     rng = random.Random(5)
     for _ in range(10):
         hoch_diff_word(A, random_word(A, rng, 3))
-    caches = [A._hat_cache, A._diff_cache, *A._variant_cache.values()]
-    assert all(caches)
+    caches = list(A._image_cache.values())
+    assert all(caches) and len(caches) == 2 + len(Variant) - 1
     held = [t for cache in caches for tup, image in cache.items()
             for t in (tup, *image[0::3])]
     held += [t for classes in A._class_cache.values()

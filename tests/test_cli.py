@@ -470,13 +470,14 @@ def test_non_homogeneous_operation_exit_2_at_its_first_line(tmp_path,
     ["homology", "dual_numbers", "--dmin", "3", "--dmax", "1"],
     ["t-lemma", "dual_numbers", "--trials", "-5"],
     ["t-lemma", "dual_numbers", "--trials", "0"],
+    ["t-lemma", "dual_numbers", "--weight", "0", "--trials", "3"],
     ["sign-lemmas", "--k", "-2", "--trials", "-1"],
     ["sign-lemmas", "--trials", "-1"],
     ["expand-structure", "--k", "-1", "--l", "1"],
     ["expand-structure", "--k", "1", "--l", "-1"],
 ], ids=["energy", "weight", "degree-window", "negative-trials",
-        "zero-trials", "negative-sign-lemma-k", "negative-sign-lemma-trials",
-        "negative-k", "negative-l"])
+        "zero-trials", "zero-t-lemma-weight", "negative-sign-lemma-k",
+        "negative-sign-lemma-trials", "negative-k", "negative-l"])
 def test_malformed_arguments_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)

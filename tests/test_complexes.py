@@ -105,8 +105,8 @@ def test_cached_variant_images_are_merged_projections(name):
         image_of = variant_images(variant)
         for tup in canonical_tuples(A, variant, 3):
             image = image_of(A, tup)
-            cache = (A._diff_cache if variant is Variant.HOCHSCHILD
-                     else A._variant_cache[variant.value])
+            cache = A._image_cache["diff" if variant is Variant.HOCHSCHILD
+                                   else variant.value]
             assert cache[tup] is image
             reps = image[0::3]
             assert len(set(reps)) == len(reps), (variant, tup)

@@ -2,8 +2,9 @@
 every module-level private function is referenced somewhere in the package,
 the naive homology oracle references none of the engine's kernels and is the
 only caller of ``graded.rotate``, no module but ``ainfty`` reads an
-algebra's compiled table or image caches, and in ``ainfty`` only
-``front_insertions`` reads the table."""
+algebra's compiled table or image caches, in ``ainfty`` only
+``front_insertions`` reads the table, and only ``complexes.variant_class``
+calls ``canonical_form``."""
 
 import ast
 from pathlib import Path
@@ -142,9 +143,8 @@ def test_lint_sees_the_oracle_reach_into_the_engine():
 
 # the attributes of an algebra that hold its compiled table, its image
 # caches and their intern table: only the operator core reads them
-ALGEBRA_INTERNALS = frozenset({"table", "_tuples", "_hat_cache",
-                               "_diff_cache", "_class_cache",
-                               "_variant_cache"})
+ALGEBRA_INTERNALS = frozenset({"table", "_tuples", "_image_cache",
+                               "_class_cache"})
 
 
 def _internals_read(tree):
@@ -173,12 +173,12 @@ def test_only_the_operator_core_reads_the_table_and_caches():
 
 
 def test_lint_sees_a_module_read_the_caches():
-    tree = ast.parse("def f(A, t):\n    return A._diff_cache.get(t)\n"
+    tree = ast.parse("def f(A, t):\n    return A._image_cache['diff'][t]\n"
                      "def g(A, t):\n    return A.table[t], A.den, table\n"
                      "def h(A, v, t):\n"
-                     "    return A._variant_cache[v][t], A._tuples[t]\n")
-    assert _internals_read(tree) == ["_diff_cache", "_tuples",
-                                     "_variant_cache", "table"]
+                     "    return A._class_cache[v][t], A._tuples[t]\n")
+    assert _internals_read(tree) == ["_class_cache", "_image_cache",
+                                     "_tuples", "table"]
 
 
 def _callers(tree, name):
@@ -191,9 +191,14 @@ def test_lint_sees_a_second_table_reader_and_rotate_caller():
     tree = ast.parse("class K:\n    def __init__(self):\n"
                      "        self.table = {}\n"
                      "def f(A, t):\n    return A.table.get(t)\n"
-                     "def g(t, d):\n    return rotate(t, d, 1)\n")
+                     "def g(t, d):\n    return rotate(t, d, 1)\n"
+                     "def variant_class(A, t, v):\n"
+                     "    return partial(canonical_form, variant=v)(A, t)\n"
+                     "def project(A, w, v):\n"
+                     "    return [canonical_form(A, t, v) for t in w]\n")
     assert _readers(tree, "table") == ["f"]
     assert _callers(tree, "rotate") == ["g"]
+    assert _callers(tree, "canonical_form") == ["project", "variant_class"]
 
 
 def test_only_the_oracle_calls_rotate():
@@ -204,3 +209,13 @@ def test_only_the_oracle_calls_rotate():
              for fn in _callers(ast.parse(p.read_text(encoding="utf-8")),
                                 "rotate")]
     assert found == [("homology.py", "_quotient_spanning")]
+
+
+def test_only_variant_class_calls_canonical_form():
+    """Every caller reads a tuple's class in a variant through the cached
+    ``variant_class``, so ``canonical_form`` runs once per algebra, variant
+    and tuple."""
+    found = [(p.name, fn) for p in MODULES
+             for fn in _callers(ast.parse(p.read_text(encoding="utf-8")),
+                                "canonical_form")]
+    assert found == [("complexes.py", "variant_class")]
