@@ -9,15 +9,20 @@ tuple, monomial, numerator) triples, exact integers over the algebra's one
 denominator; the compiled table holds mu in the same form, and every term
 enters an image through one routine, ``add_term``.  Each algebra keeps one
 image cache keyed by operator, one class cache keyed by quotient, and the
-intern table from which every tuple they hold comes.  mu-hat
-(``hat_basis``) and the Hochschild differential b (``diff_basis``) share
-x (x) mu-hat(l) on x (x) l, read from the cached mu-hat(l), and one rule,
-``front_insertions``, for their other terms: b's wrap-around terms are the
-front insertions of the signed rotations of the tuple.  Each quotient of
-the Hochschild complex has its own cached image per tuple, b merged through
-the quotient rule once (``quotient_basis``).  ``apply_images`` is the one
-integer kernel that applies per-tuple images to a word; ``squares_to_zero``
-applies them twice, for mu-hat o mu-hat and d o d.  ``OCFamily`` is the one table class and
+intern table from which every tuple they hold comes.  The image cache is
+bounded by the weight cap of the call that needs an image: ``apply_images``
+stores a newly built image only of a tuple within its cap.  The image of a
+longer tuple, an output of a curvature insertion, is built from the cached
+images of shorter ones, applied once and dropped, and neither its tuples nor
+the classes it looks up are stored.  mu-hat (``hat_basis``) and the
+Hochschild differential b (``diff_basis``) share x (x) mu-hat(l) on x (x) l,
+read from the cached mu-hat(l), and one rule, ``front_insertions``, for
+their other terms: b's wrap-around terms are the front insertions of the
+signed rotations of the tuple.  Each quotient of the Hochschild complex has
+its own cached image per tuple, b merged through the quotient rule once
+(``quotient_basis``).  ``apply_images`` is the one integer kernel that
+applies per-tuple images to a word; ``squares_to_zero`` applies them twice,
+for mu-hat o mu-hat and d o d.  ``OCFamily`` is the one table class and
 evaluator for every operation family with boundary and interior inputs: the
 q_{k,l} (``AInfty.qfamily`` and ``DeformedQ``), the open-closed p_{k,l} and
 the closed-sector q_{empty,l} of ``openclosed``.
@@ -28,7 +33,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from collections import defaultdict
 from fractions import Fraction
 
 from .scalars import (
@@ -74,10 +78,14 @@ class AInfty:
     the quotient (``quotient_basis``); per quotient key, ``_class_cache``
     holds each tuple's representative (``tuple_class``).  ``_tuples``
     interns every tuple the caches hold, so equal tuples are stored once;
-    ``image_counts`` reports the sizes.  No other module reads the table,
-    the caches or the intern table.  Since they derive from ``ops``,
-    ``ops`` is never mutated after construction.  ``qfamily`` is the family
-    q with q_{k,0} = mu_k and no interior operations, also built once.
+    ``image_counts`` reports the sizes.  An image or class is stored only
+    when the caller's ``store`` flag is set, which ``apply_images`` sets
+    for tuples within its weight cap, so a capped sweep caches no image
+    above its cap; a stored entry is read whatever the flag says.  No
+    other module reads the table, the caches or the intern table.  Since
+    they derive from ``ops``, ``ops`` is never mutated after construction.
+    ``qfamily`` is the family q with q_{k,0} = mu_k and no interior
+    operations, also built once.
     """
 
     def __init__(self, module: GradedModule, ops, unit: str | None = None):
@@ -97,12 +105,12 @@ class AInfty:
             for tup, el in self.ops.items()}
         self.qfamily = OCFamily(module, ChainComplex(module, {}), 0,
                                 {(t, ()): el for t, el in self.ops.items()})
-        # per-instance caches on basis tuples (uncapped; truncation happens
-        # in the kernel): images by operator name and classes by quotient
-        # key; ``_tuples`` interns every tuple they hold
+        # per-instance caches on basis tuples, filled only within the weight
+        # cap of the call that needs them: images by operator name and
+        # classes by quotient key; ``_tuples`` interns every tuple they hold
         self._tuples: dict[tuple, tuple] = {}
-        self._image_cache: defaultdict[str, dict] = defaultdict(dict)
-        self._class_cache: defaultdict[str, dict] = defaultdict(dict)
+        self._image_cache: dict[str, dict] = {"hat": {}, "diff": {}}
+        self._class_cache: dict[str, dict] = {}
 
     # -- structure lookup ----------------------------------------------------
 
@@ -168,20 +176,26 @@ def add_term(acc: dict, otup, m, n) -> None:
         bucket[m] = bucket.get(m, 0) + n
 
 
-def cache_image(A: AInfty, cache: dict, tup, acc: dict) -> tuple:
-    """Store the nonzero terms of ``acc`` in ``cache``, one operator's
-    part of the algebra's image cache, as the image of ``tup``: one flat
-    tuple of (output tuple, monomial, numerator) triples, the key and each
-    output tuple taken from the intern table ``A._tuples``."""
+def cache_image(A: AInfty, key: str, tup, acc: dict,
+                store: bool = True) -> tuple:
+    """The image of ``tup`` from the nonzero terms of ``acc``: one flat
+    tuple of (output tuple, monomial, numerator) triples.  With ``store``
+    it is stored in the algebra's image cache under the operator's
+    ``key``, the key tuple and each output tuple taken from the intern
+    table ``A._tuples``; without, it is only returned and nothing is
+    interned."""
     intern = A._tuples.setdefault
     out = []
     for t, b in acc.items():
         if any(b.values()):
-            t = intern(t, t)
+            if store:
+                t = intern(t, t)
             for m, n in b.items():
                 if n:
                     out += (t, m, n)
-    image = cache[intern(tup, tup)] = tuple(out)
+    image = tuple(out)
+    if store:
+        A._image_cache.setdefault(key, {})[intern(tup, tup)] = image
     return image
 
 
@@ -211,29 +225,29 @@ def front_insertions(A: AInfty, acc: dict, rot, least: int, sign) -> None:
                 add_term(acc, out + tail, mono, -n if sign else n)
 
 
-def hat_basis(A: AInfty, tup) -> tuple:
+def hat_basis(A: AInfty, tup, store: bool = True) -> tuple:
     """The coderivation mu-hat (b' in Loday's notation) on one basis tuple,
     as a flat tuple of (output tuple, monomial, numerator) triples with
     integer numerators over ``A.den``, each (output tuple, monomial) named
-    once.  Cached on the algebra under ``"hat"``.
+    once.  Read from the algebra's cache under ``"hat"``, or built and,
+    with ``store``, cached there (``cache_image``).
 
     On x (x) l it is every ``front_insertions`` of the tuple, the curvature
     included, plus ``prefix_images`` x (x) mu-hat(l); on the empty tuple it
     is the curvature."""
-    cache = A._image_cache["hat"]
-    image = cache.get(tup)
+    image = A._image_cache["hat"].get(tup)
     if image is None:
         acc: dict[tuple, dict] = {}
         front_insertions(A, acc, tup, 0, 0)
         if tup:
             prefix_images(A, acc, tup[0], tup[1:])
-        image = cache_image(A, cache, tup, acc)
+        image = cache_image(A, "hat", tup, acc, store)
     return image
 
 
-def diff_basis(A: AInfty, tup) -> tuple:
-    """The Hochschild differential b on one basis tuple, in the form of
-    ``hat_basis``, cached on the algebra under ``"diff"``.
+def diff_basis(A: AInfty, tup, store: bool = True) -> tuple:
+    """The Hochschild differential b on one basis tuple, in the form and
+    with the ``store`` flag of ``hat_basis``, cached under ``"diff"``.
 
     On x (x) l it is x (x) mu-hat(l), from ``prefix_images``, plus the
     wrap-around terms: the ``front_insertions`` of each signed rotation of
@@ -244,9 +258,8 @@ def diff_basis(A: AInfty, tup) -> tuple:
     image, each (output tuple, monomial) named once.  On the weight-0
     generator b is the curvature, ``hat_basis(A, ())``."""
     if not tup:
-        return hat_basis(A, ())
-    cache = A._image_cache["diff"]
-    image = cache.get(tup)
+        return hat_basis(A, (), store)
+    image = A._image_cache["diff"].get(tup)
     if image is None:
         k = len(tup)
         acc: dict[tuple, dict] = {}
@@ -254,66 +267,80 @@ def diff_basis(A: AInfty, tup) -> tuple:
         orbit = rotations(tup, [A.module.degree(g) for g in tup])
         for j, (rot, s1) in enumerate(orbit):
             front_insertions(A, acc, rot, (k - j) % k + 1, s1)
-        image = cache_image(A, cache, tup, acc)
+        image = cache_image(A, "diff", tup, acc, store)
     return image
 
 
-def tuple_class(A: AInfty, tup, key: str, rule):
+def tuple_class(A: AInfty, tup, key: str, rule, store: bool = True):
     """``rule(A, tup)``, the ``(representative tuple, sign exponent)`` of a
     basis tuple in the quotient named ``key``, or ``None`` where it is zero
-    there; computed once per algebra, quotient and tuple and cached."""
-    classes = A._class_cache[key]
+    there; read from the class cache, or computed and, with ``store``,
+    cached there once per algebra, quotient and tuple, its tuples
+    interned."""
+    classes = A._class_cache.get(key, ())
     if tup in classes:
         return classes[tup]
+    if not store:
+        return rule(A, tup)
     intern = A._tuples.setdefault
     tup = intern(tup, tup)
     can = rule(A, tup)
     if can is not None:
         can = intern(can[0], can[0]), can[1]
-    classes[tup] = can
+    A._class_cache.setdefault(key, {})[tup] = can
     return can
 
 
-def quotient_basis(A: AInfty, tup, key: str, rule) -> tuple:
+def quotient_basis(A: AInfty, tup, key: str, rule,
+                   store: bool = True) -> tuple:
     """b on one basis tuple followed by a per-tuple quotient rule on each
-    output tuple, in the form of ``hat_basis``.  ``rule(A, otup)`` gives
-    otup's ``(representative tuple, sign exponent)``, where exponent 1
-    negates the numerator, or ``None``, which drops the term.  Cached on
+    output tuple, in the form of ``hat_basis``.  ``rule(A, otup, store=)``
+    gives otup's ``(representative tuple, sign exponent)``, where exponent
+    1 negates the numerator, or ``None``, which drops the term.  Cached on
     the algebra under the quotient's ``key``, so each quotient has one
-    merged, canonical image per tuple."""
-    cache = A._image_cache[key]
-    image = cache.get(tup)
+    merged, canonical image per tuple; ``store`` goes to b, to the rule and
+    to the image."""
+    image = A._image_cache.get(key, {}).get(tup)
     if image is None:
         acc: dict[tuple, dict] = {}
-        it = iter(diff_basis(A, tup))
+        it = iter(diff_basis(A, tup, store))
         for otup, m, n in zip(it, it, it):
-            can = rule(A, otup)
+            can = rule(A, otup, store=store)
             if can is not None:
                 add_term(acc, can[0], m, -n if can[1] else n)
-        image = cache_image(A, cache, tup, acc)
+        image = cache_image(A, key, tup, acc, store)
     return image
 
 
 def image_counts(A: AInfty) -> dict:
     """The size of each image cache of the algebra, ``{"tuples": cached
     tuples, "terms": image triples}``, under ``hat`` and ``diff``, then the
-    key of each quotient, and the number of interned tuples."""
+    key of each quotient; under ``classes`` the number of tuples whose
+    class is cached, per quotient key; and the number of interned
+    tuples."""
     def count(cache):
         return {"tuples": len(cache),
                 "terms": sum(len(image) for image in cache.values()) // 3}
     caches = A._image_cache
     keys = ["hat", "diff", *sorted(caches.keys() - {"hat", "diff"})]
-    out = {key: count(caches.get(key, {})) for key in keys}
+    out = {key: count(caches[key]) for key in keys}
+    out["classes"] = {key: len(classes) for key, classes
+                      in sorted(A._class_cache.items())}
     out["interned_tuples"] = len(A._tuples)
     return out
 
 
 def apply_images(A: AInfty, iword: dict, image_of, cap: Cap | None) -> dict:
     """The operator kernel: the odd operator with per-tuple integer images
-    ``image_of(A, tup)`` (over ``A.den``), flat tuples of (output tuple,
-    monomial, numerator) triples, applied to an integer word
+    ``image_of(A, tup, store=...)`` (over ``A.den``), flat tuples of
+    (output tuple, monomial, numerator) triples, applied to an integer word
     ``{tup: {monomial: numerator}}``, as an integer word over the input's
     denominator times ``A.den``.  Output buckets may hold zeros.
+
+    ``store`` is set when ``cap`` admits the input tuple's weight (always
+    without a cap): a new image of a longer tuple, which a curvature
+    insertion makes from one within the cap, is built, applied here once
+    and dropped, so the caches stay within the cap.
 
     A front monomial m passes the operator with (-1)^{|m|}, the sign
     (-1)^{|c|} of a front coefficient c extended linearly.  This is the one
@@ -337,7 +364,8 @@ def apply_images(A: AInfty, iword: dict, image_of, cap: Cap | None) -> dict:
                 cterms.append((m1, row, -n1 if parity(m1) else n1))
         if not cterms:
             continue
-        it = iter(image_of(A, tup))
+        it = iter(image_of(A, tup, store=cap is None
+                           or len(tup) <= cap.weight))
         for otup, m2, n2 in zip(it, it, it):
             bucket = acc.get(otup)
             if bucket is None:
@@ -402,7 +430,10 @@ def squares_to_zero(A: AInfty, tuples, image_of, cap: Cap,
                     key: str) -> ResidualReport:
     """The odd operator with per-tuple images ``image_of`` applied twice to
     each basis tuple of ``tuples`` and tested for zero on integers; only a
-    failure builds its Word residual, reported under ``key``."""
+    failure builds its Word residual, reported under ``key``.  With
+    ``tuples`` within the weight cap, every image of the first application
+    is cached; in the second, those of the outputs of weight cap + 1, which
+    curvature insertions make, are built and dropped (``apply_images``)."""
     report = ResidualReport()
     one = {(A.module.ctx.zero_beta, A.module.ctx.zero_exps): 1}
     for tup in tuples:

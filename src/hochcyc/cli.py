@@ -308,19 +308,19 @@ def _report_base(args, command):
     }
 
 
-def _add_check(report, name, ok, witnesses=None):
-    report["checks"].append({
-        "name": name,
-        "ok": bool(ok),
-        "witnesses": witnesses or [],
-    })
+def _add_check(report, name, ok, witnesses=None, checked=None):
+    """A check's verdict and witnesses, and ``checked``, the number of
+    cases it examined, where the check counts them."""
+    entry = {"name": name, "ok": bool(ok), "witnesses": witnesses or []}
+    if checked is not None:
+        entry["checked"] = checked
+    report["checks"].append(entry)
 
 
 def _add_residual(report, name, rep):
     """A check from a ``ResidualReport``: its verdict, its first five
-    failures and ``checked``, the number of cases it examined."""
-    _add_check(report, name, rep.ok, rep.failures[:5])
-    report["checks"][-1]["checked"] = rep.checked
+    failures and ``checked``."""
+    _add_check(report, name, rep.ok, rep.failures[:5], rep.checked)
 
 
 def cmd_check_ainfty(args, report):
@@ -409,7 +409,7 @@ def cmd_axioms(args, report):
             if name == "ok":
                 continue
             _add_check(report, f"axiom:n={n}:{name}", entry["ok"],
-                       entry["failures"][:3])
+                       entry["failures"][:3], entry["checked"])
 
 
 def cmd_sign_lemmas(args, report):

@@ -168,11 +168,12 @@ def project(A: AInfty, w: Word, variant: Variant) -> Word:
     return _canonical_terms(w, lambda tup: variant_class(A, tup, variant))
 
 
-def variant_class(A: AInfty, tup, variant: Variant):
-    """``canonical_form`` of a basis tuple, computed once per algebra,
-    variant and tuple and cached by ``ainfty.tuple_class``."""
+def variant_class(A: AInfty, tup, variant: Variant, store: bool = True):
+    """``canonical_form`` of a basis tuple, cached per algebra, variant
+    and tuple by ``ainfty.tuple_class``; without ``store`` a class not yet
+    cached is computed and not stored."""
     return tuple_class(A, tup, variant.value,
-                       partial(canonical_form, variant=variant))
+                       partial(canonical_form, variant=variant), store)
 
 
 def is_canonical_tuple(A: AInfty, tup, variant: Variant) -> bool:

@@ -519,14 +519,18 @@ def _linearity_fixture():
     return ctx, mod, target, ops
 
 
-def _check_boundary_linearity(n: int) -> tuple[bool, list]:
+def _check_boundary_linearity(n: int) -> tuple[int, list]:
+    """The boundary-linearity sign on each slot of the fixture, with and
+    without an interior input: the number of cases and the failures."""
     ctx, mod, target, ops = _linearity_fixture()
     p = OCFamily(mod, target, n, ops)
     a = Scalar.monomial(ctx, 1, (), (1,))  # odd scalar, degree 1
     failures = []
+    checked = 0
     for gamma in ([], [Element.generator(target.module, "v")]):
         gpar = sum(el.degree() for el in gamma) % 2
         for i in range(2):
+            checked += 1
             factors = ["x", "y"]
             base = p.eval_word(Word.basis_word(mod, tuple(factors)), gamma)
             scaled_slot = Element(mod, {factors[i]: a})
@@ -540,19 +544,21 @@ def _check_boundary_linearity(n: int) -> tuple[bool, list]:
             if got != want:
                 failures.append({"axiom": "boundary-linearity", "slot": i,
                                  "gamma": len(gamma)})
-    return not failures, failures
+    return checked, failures
 
 
-def _check_interior_linearity(n: int) -> tuple[bool, list]:
+def _check_interior_linearity(n: int) -> tuple[int, list]:
+    """The interior-linearity sign on each of two interior slots of the
+    fixture: the number of cases and the failures."""
     ctx, mod, target, ops = _linearity_fixture()
     p = OCFamily(mod, target, n, ops)
     a = Scalar.monomial(ctx, 1, (), (1,))
     v = Element.generator(target.module, "v")
     w = Element.generator(target.module, "w")
     word = Word.basis_word(mod, ("x",))
+    gamma = [v, w]
     failures = []
-    for i in range(2):
-        gamma = [v, w]
+    for i in range(len(gamma)):
         base = p.eval_word(word, gamma)
         gamma_a = list(gamma)
         gamma_a[i] = Element(target.module,
@@ -563,55 +569,64 @@ def _check_interior_linearity(n: int) -> tuple[bool, list]:
         want = -want if prefix % 2 else want
         if got != want:
             failures.append({"axiom": "interior-linearity", "slot": i})
-    return not failures, failures
+    return len(gamma), failures
 
 
 def axiom_suite(p: OCFamily, A: AInfty, geom: ToyGeometry,
                 zeta: Element) -> dict:
     """Check the declared contracts of an open-closed family, plus the
     synthetic divisor pass/fail pair and the linearity-sign fixtures.
-    Returns a mapping check-name -> {ok, failures}."""
+    Returns a mapping check-name -> {ok, failures, checked}, where
+    ``checked`` is the number of cases the check examined; a check that
+    examined none passes vacuously."""
     n = p.n
     tmod = p.target.module
     results = {}
 
-    def record(name, ok, failures):
-        results[name] = {"ok": bool(ok), "failures": failures}
+    def record(name, ok, failures, checked):
+        results[name] = {"ok": bool(ok), "failures": failures,
+                         "checked": checked}
 
-    # cyclic symmetry of boundary inputs
-    record("cyclic_symmetry", p.is_cyclic(), [])
+    # cyclic symmetry of boundary inputs, compared at every stored key
+    record("cyclic_symmetry", p.is_cyclic(), [], len(p.ops))
 
     # symmetry of interior inputs (on all stored keys with l >= 2)
     fails = []
+    checked = 0
     for (btup, itup), el in p.ops.items():
         if len(itup) < 2:
             continue
         degs = [tmod.degree(g) for g in itup]
         for perm in itertools.permutations(range(len(itup))):
+            checked += 1
             other = p.p(btup, tuple(itup[i] for i in perm))
             if el != (-other if s_perm(degs, perm) else other):
                 fails.append({"key": (btup, itup), "perm": perm})
-    record("interior_symmetry", not fails, fails)
+    record("interior_symmetry", not fails, fails, checked)
 
     # degree law on degree-2 interior inputs
     fails = []
+    checked = 0
     for (btup, itup), el in p.ops.items():
         if any(tmod.degree(g) != 2 for g in itup):
             continue
         want = sum(A.module.degree(g) for g in btup) + n + 1 - len(btup)
         for g, s in el.items():
+            checked += 1
             if tmod.degree(g) + s.degree() != want:
                 fails.append({"key": (btup, itup), "generator": g})
-    record("degree", not fails, fails)
+    record("degree", not fails, fails, checked)
 
     # unit law: vanishing on unit-containing tuples except weight one
     fails = []
+    checked = 0
     if A.unit is not None:
         e = A.unit
         for w in range(1, 4):
             for tup in itertools.product(A.module.basis, repeat=w):
                 if e not in tup:
                     continue
+                checked += 1
                 val = p.eval_tuple(tup)
                 if w == 1:
                     want = zeta if (n + 1) % 2 == 0 else -zeta
@@ -619,7 +634,7 @@ def axiom_suite(p: OCFamily, A: AInfty, geom: ToyGeometry,
                         fails.append({"tuple": tup, "got": repr(val)})
                 elif not val.is_zero():
                     fails.append({"tuple": tup, "got": repr(val)})
-    record("unit", not fails, fails)
+    record("unit", not fails, fails, checked)
 
     # energy zero: valuation-0 part is the classical push-forward at (1,0)
     fails = []
@@ -633,31 +648,36 @@ def axiom_suite(p: OCFamily, A: AInfty, geom: ToyGeometry,
                 fails.append({"key": (btup, itup)})
         elif not zero_part.is_zero():
             fails.append({"key": (btup, itup)})
-    record("energy_zero", not fails, fails)
+    record("energy_zero", not fails, fails, len(p.ops))
 
-    # fundamental class: no dependence on the distinguished variable t_0
+    # fundamental class: no dependence on the distinguished variable t_0,
+    # checked on each (key, generator) value; none without formal variables
     fails = []
+    checked = 0
     if A.module.ctx.tvars.count > 0:
         for key, el in p.ops.items():
             for g, s in el.items():
+                checked += 1
                 if not s.partial_t(0).is_zero():
                     fails.append({"key": key, "generator": g})
-    record("fundamental_class", not fails, fails)
+    record("fundamental_class", not fails, fails, checked)
 
     # linearity signs, exercised with an odd scalar on a fixture family
-    ok, fails = _check_boundary_linearity(n)
-    record("boundary_linearity", ok, fails)
-    ok, fails = _check_interior_linearity(n)
-    record("interior_linearity", ok, fails)
+    checked, fails = _check_boundary_linearity(n)
+    record("boundary_linearity", not fails, fails, checked)
+    checked, fails = _check_interior_linearity(n)
+    record("interior_linearity", not fails, fails, checked)
 
-    # divisor pass/fail pair on the synthetic area-graded family
+    # divisor pass/fail pair on the synthetic area-graded family, one case
+    # per area level
     _, good_fam = build_divisor_family(good=True)
     ok_good, f_good = divisor_check(good_fam, Fraction, jmax=4)
     _, bad_fam = build_divisor_family(good=False)
     ok_bad, f_bad = divisor_check(bad_fam, Fraction, jmax=4)
-    record("divisor_pass", ok_good, f_good)
+    record("divisor_pass", ok_good, f_good, len(good_fam))
     record("divisor_fail_control", not ok_bad,
-           [] if not ok_bad else [{"note": "corrupted family passed"}])
+           [] if not ok_bad else [{"note": "corrupted family passed"}],
+           len(bad_fam))
 
     results["ok"] = all(v["ok"] for k, v in results.items() if k != "ok")
     return results

@@ -24,8 +24,8 @@ from hochcyc.graded import (
     Word,
     word_from_factors,
 )
-from hochcyc.complexes import (Variant, dsquare_sweep, hoch_diff_word,
-                               random_word)
+from hochcyc.complexes import (UNIT_KILLING_VARIANTS, Variant, dsquare_sweep,
+                               hoch_diff_word, random_word, variant_images)
 from hochcyc.ainfty import (
     AInfty,
     BUILTIN_NAMES,
@@ -35,7 +35,9 @@ from hochcyc.ainfty import (
     ainfty_residual,
     builtin_algebras,
     diff_basis,
+    hat_basis,
     hat_extension,
+    image_counts,
     unit_check,
 )
 
@@ -384,6 +386,63 @@ def test_equal_tuples_in_the_caches_are_one_object():
         assert first.setdefault(t, t) is t, t
         assert A._tuples[t] is t
     assert len(first) == len(A._tuples)
+
+
+@pytest.mark.parametrize("make,cap", [
+    (lambda: builtin_algebras("curved_matrix"), Cap(3, 3, 0)),
+    (lambda: _odd_variable_algebra(2, mu3=True)[0], Cap(3, 3, 2)),
+], ids=["curved_matrix", "odd2-mu3"])
+def test_capped_sweeps_cache_no_image_above_the_weight_cap(make, cap):
+    """The curvature makes mu-hat and b raise the weight by one, so the
+    second application of each sweep reads images of words one longer
+    than the cap; they are built and dropped, and no image cache keeps a
+    tuple above the cap.  (The odd algebra obeys only the degree law, so
+    its residuals need not vanish.)"""
+    A = make()
+    assert A.mu0()
+    ainfty_residual(A, cap)
+    variants = _variants(A)
+    for variant in variants:
+        dsquare_sweep(A, variant, cap)
+    assert len(A._image_cache) == 1 + len(variants)
+    for key, cache in A._image_cache.items():
+        assert cache, key
+        assert max(map(len, cache)) == cap.weight, key
+
+
+def _variants(A):
+    """The variants the algebra admits: the unit-killing ones need a
+    unit."""
+    return [v for v in Variant
+            if A.unit is not None or v not in UNIT_KILLING_VARIANTS]
+
+
+def _store_case(name):
+    if name.startswith("odd"):
+        return _odd_variable_algebra(int(name[3]), mu3=name.endswith("mu3"))[0]
+    return builtin_algebras(name)
+
+
+@pytest.mark.parametrize("name", [*BUILTIN_NAMES, "odd1", "odd2", "odd2-mu3"])
+def test_an_image_built_without_store_equals_the_stored_one(name):
+    """For every tuple up to weight 4, mu-hat, b and each variant's image
+    built with ``store=False``, on an algebra that holds the images of
+    every shorter tuple, equal the images that a second algebra stores,
+    and leave every cache as it was: ``image_counts`` does not change."""
+    A, B = _store_case(name), _store_case(name)
+    operators = [hat_basis, *map(variant_images, _variants(A))]
+    assert diff_basis in operators
+    for w in range(5):
+        tuples = list(itertools.product(A.module.basis, repeat=w))
+        for tup in tuples:
+            before = image_counts(A)
+            built = [image_of(A, tup, store=False) for image_of in operators]
+            assert image_counts(A) == before, tup
+            assert built == [image_of(B, tup) for image_of in operators], tup
+        for tup in tuples:
+            for image_of in operators:
+                image_of(A, tup)
+    assert image_counts(A) == image_counts(B)
 
 
 def test_residual_reports_a_perturbed_algebra():

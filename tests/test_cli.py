@@ -168,13 +168,27 @@ def test_check_ainfty_command(instance_path):
     assert checked["structure_relations"] == 1 + 2 + 4 + 8
     assert checked["strict_unit"] > 0
     images = report["images"]
-    assert list(images) == ["hat", "diff", "interned_tuples"]
-    # mu-hat o mu-hat reads mu-hat on every word of weight <= 3, and on
-    # each output word of weight <= 4 that carries a nonzero coefficient
-    assert images["hat"]["tuples"] >= checked["structure_relations"]
+    assert list(images) == ["hat", "diff", "classes", "interned_tuples"]
+    # mu-hat o mu-hat caches mu-hat on every word of weight <= 3; this
+    # algebra has no curvature, so no output word is longer
+    assert images["hat"]["tuples"] == checked["structure_relations"]
     assert images["hat"]["terms"] > 0
     assert images["diff"] == {"tuples": 0, "terms": 0}
+    assert images["classes"] == {}
     assert images["interned_tuples"] >= images["hat"]["tuples"]
+
+
+def test_check_ainfty_caches_nothing_above_the_weight_cap():
+    """The curvature of curved_matrix makes mu-hat raise the weight of a
+    word by one, so mu-hat o mu-hat at weight 3 also applies mu-hat to
+    147 words of weight 4; their images are built and dropped, and only
+    the 1 + 4 + 16 + 64 words within the cap keep theirs."""
+    report, code = _run(["check-ainfty", "curved_matrix",
+                         "--weight", "3", "--energy", "3"])
+    assert code == 0
+    checked = {c["name"]: c["checked"] for c in report["checks"]}
+    assert checked["structure_relations"] == 85
+    assert report["images"]["hat"]["tuples"] == 85
 
 
 def test_dsquare_command_builtin():
@@ -190,10 +204,14 @@ def test_dsquare_command_builtin():
     images = report["images"]
     assert images["diff"]["tuples"] == checked["hochschild"]
     # every variant but Hochschild, which reads b's cache, has its own
-    assert sorted(k for k in images if k not in ("hat", "diff",
+    quotients = sorted(c["name"].split(":")[1] for c in report["checks"]
+                       if c["name"] != "dsquare:hochschild")
+    assert sorted(k for k in images if k not in ("hat", "diff", "classes",
                                                  "interned_tuples")) == \
-        sorted(c["name"].split(":")[1] for c in report["checks"]
-               if c["name"] != "dsquare:hochschild")
+        quotients
+    # each variant caches the class of every tuple its sweep enumerates
+    assert sorted(images["classes"]) == sorted(quotients + ["hochschild"])
+    assert images["classes"]["hochschild"] >= checked["hochschild"]
     assert images["diff"]["terms"] > 0 and images["connes"]["terms"] > 0
 
 
@@ -323,6 +341,18 @@ def test_axioms_command():
     report, code = _run(["axioms"])
     assert code == 0
     assert all(c["ok"] for c in report["checks"])
+    checked = {c["name"]: c["checked"] for c in report["checks"]}
+    for n in (0, 1):
+        # the toy family has four keys, all with l = 0, over a ring with
+        # no formal variable: interior symmetry and the fundamental class
+        # pass vacuously, and the count shows it
+        assert checked[f"axiom:n={n}:interior_symmetry"] == 0
+        assert checked[f"axiom:n={n}:fundamental_class"] == 0
+        assert checked[f"axiom:n={n}:cyclic_symmetry"] == 4
+        assert checked[f"axiom:n={n}:energy_zero"] == 4
+        assert checked[f"axiom:n={n}:unit"] > 0
+        assert checked[f"axiom:n={n}:boundary_linearity"] == 4
+        assert checked[f"axiom:n={n}:interior_linearity"] == 2
 
 
 def test_sign_lemmas_command():

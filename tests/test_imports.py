@@ -214,7 +214,7 @@ def test_only_the_oracle_calls_rotate():
 def test_only_variant_class_calls_canonical_form():
     """Every caller reads a tuple's class in a variant through the cached
     ``variant_class``, so ``canonical_form`` runs once per algebra, variant
-    and tuple."""
+    and stored tuple."""
     found = [(p.name, fn) for p in MODULES
              for fn in _callers(ast.parse(p.read_text(encoding="utf-8")),
                                 "canonical_form")]

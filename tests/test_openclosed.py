@@ -762,11 +762,14 @@ def test_axiom_suite_checks_interior_symmetry(koszul):
     fam = OCFamily(p.module, p.target, p.n, {
         **p.ops, key: val, swapped: -val if koszul else val})
     res = axiom_suite(fam, A, geom=geom, zeta=sphere.zeta)
+    # each of the two keys is compared under both permutations
     if koszul:
-        assert res["interior_symmetry"] == {"ok": True, "failures": []}
+        assert res["interior_symmetry"] == {"ok": True, "failures": [],
+                                            "checked": 4}
     else:
         assert res["interior_symmetry"] == {"ok": False, "failures": [
-            {"key": key, "perm": (1, 0)}, {"key": swapped, "perm": (1, 0)}]}
+            {"key": key, "perm": (1, 0)}, {"key": swapped, "perm": (1, 0)}],
+            "checked": 4}
 
 
 def test_axiom_suite_flags_a_broken_unit_law():
@@ -799,19 +802,23 @@ def _odd_variable_geometry(n):
 @pytest.mark.parametrize("n", [0, 1])
 def test_axiom_suite_checks_the_fundamental_class_over_a_formal_variable(n):
     """Over a ring with a formal variable the zero-energy family does not
-    depend on t0; a value with a t0 term is reported at its key."""
+    depend on t0, checked on every (key, generator) value of p; a value
+    with a t0 term is reported at its key."""
     A, geom = _odd_variable_geometry(n)
     assert A.module.ctx.tvars.count == 1
     p, _, sphere = toy_zero_energy(geom, A)
     res = axiom_suite(p, A, geom=geom, zeta=sphere.zeta)
-    assert res["fundamental_class"] == {"ok": True, "failures": []}
+    values = sum(len(el.terms) for el in p.ops.values())
+    assert values > 0
+    assert res["fundamental_class"] == {"ok": True, "failures": [],
+                                        "checked": values}
     t0 = Scalar.monomial(A.module.ctx, 1, (0,), (1,))
     key = (("e", "e"), ())
     broken = OCFamily(p.module, p.target, n, {
         **p.ops, key: Element(p.target.module, {"Xe": t0})})
     res = axiom_suite(broken, A, geom=geom, zeta=sphere.zeta)
     assert res["fundamental_class"] == {"ok": False, "failures": [
-        {"key": key, "generator": "Xe"}]}
+        {"key": key, "generator": "Xe"}], "checked": values + 1}
 
 
 def test_sphere_operation_must_be_a_chain_map():
