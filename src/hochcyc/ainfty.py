@@ -21,11 +21,13 @@ their other terms: b's wrap-around terms are the front insertions of the
 signed rotations of the tuple.  Each quotient of the Hochschild complex has
 its own cached image per tuple, b merged through the quotient rule once
 (``quotient_basis``).  ``apply_images`` is the one integer kernel that
-applies per-tuple images to a word; ``squares_to_zero`` applies them twice,
-for mu-hat o mu-hat and d o d.  ``OCFamily`` is the one table class and
-evaluator for every operation family with boundary and interior inputs: the
-q_{k,l} (``AInfty.qfamily`` and ``DeformedQ``), the open-closed p_{k,l} and
-the closed-sector q_{empty,l} of ``openclosed``.
+applies per-tuple images to a word; it reads and writes integer words over
+one denominator, monomial-major, ``{monomial: {tuple: numerator}}``.
+``squares_to_zero`` applies the images twice, for mu-hat o mu-hat and
+d o d.  ``OCFamily`` is the one table class and evaluator for every
+operation family with boundary and interior inputs: the q_{k,l}
+(``AInfty.qfamily`` and ``DeformedQ``), the open-closed p_{k,l} and the
+closed-sector q_{empty,l} of ``openclosed``.
 """
 
 from __future__ import annotations
@@ -333,69 +335,68 @@ def image_counts(A: AInfty) -> dict:
 def apply_images(A: AInfty, iword: dict, image_of, cap: Cap | None) -> dict:
     """The operator kernel: the odd operator with per-tuple integer images
     ``image_of(A, tup, store=...)`` (over ``A.den``), flat tuples of
-    (output tuple, monomial, numerator) triples, applied to an integer word
-    ``{tup: {monomial: numerator}}``, as an integer word over the input's
-    denominator times ``A.den``.  Output buckets may hold zeros.
+    (output tuple, monomial, numerator) triples, applied to an integer word,
+    as an integer word over the input's denominator times ``A.den``.  An
+    integer word is monomial-major, ``{monomial: {tuple: numerator}}``, in
+    and out; output numerators may be zero.
 
     ``store`` is set when ``cap`` admits the input tuple's weight (always
     without a cap): a new image of a longer tuple, which a curvature
     insertion makes from one within the cap, is built, applied here once
-    and dropped, so the caches stay within the cap.
+    and dropped, so the caches stay within the cap.  Each image is fetched
+    once per call, however many front monomials its tuple carries.
 
     A front monomial m passes the operator with (-1)^{|m|}, the sign
     (-1)^{|c|} of a front coefficient c extended linearly.  This is the one
     place where front coefficients and images multiply and where the cap
-    filters; each pair of monomials is multiplied and tested against
-    ``cap`` once per call."""
+    filters: each pair of monomials is multiplied and tested against
+    ``cap`` once per call, and the verdict names the output dict of the
+    product monomial, so an image term costs one dict update."""
     ctx = A.module.ctx
     mul = ctx.mono_mul
     parity = ctx.mono_parity
-    # per front monomial m1: {m2: (product monomial, sign exponent)}, or
-    # False where the product vanishes or the cap drops it
-    rows: dict = {}
-    acc: dict[tuple, dict] = {}
-    for tup, terms in iword.items():
-        cterms = []
-        for m1, n1 in terms.items():
-            if n1:
-                row = rows.get(m1)
-                if row is None:
-                    row = rows[m1] = {}
-                cterms.append((m1, row, -n1 if parity(m1) else n1))
-        if not cterms:
-            continue
-        it = iter(image_of(A, tup, store=cap is None
-                           or len(tup) <= cap.weight))
-        for otup, m2, n2 in zip(it, it, it):
-            bucket = acc.get(otup)
-            if bucket is None:
-                bucket = acc[otup] = {}
-            for m1, row, n1 in cterms:
+    images: dict = {}
+    acc: dict = {}
+    for m1, terms in iword.items():
+        # m2 -> (output dict of m1 * m2, sign exponent), or False where the
+        # product vanishes or the cap drops it
+        row: dict = {}
+        odd = parity(m1)
+        for tup, n1 in terms.items():
+            if not n1:
+                continue
+            image = images.get(tup)
+            if image is None:
+                image = images[tup] = image_of(
+                    A, tup, store=cap is None or len(tup) <= cap.weight)
+            pos, neg = (-n1, n1) if odd else (n1, -n1)
+            it = iter(image)
+            for otup, m2, n2 in zip(it, it, it):
                 hit = row.get(m2)
                 if hit is None:
                     hit = mul(m1, m2)
-                    if hit is None or not (cap is None
-                                           or cap.admits(ctx, hit[0])):
+                    if hit is not None and (cap is None
+                                            or cap.admits(ctx, hit[0])):
+                        hit = acc.setdefault(hit[0], {}), hit[1]
+                    else:
                         hit = False
                     row[m2] = hit
-                if not hit:
-                    continue
-                mono, sign = hit
-                v = -n1 * n2 if sign else n1 * n2
-                bucket[mono] = bucket.get(mono, 0) + v
+                if hit:
+                    out, sign = hit
+                    out[otup] = out.get(otup, 0) + (neg if sign else pos) * n2
     return acc
 
 
 def int_word_to_word(module: GradedModule, acc: dict, den: int) -> Word:
-    """An integer word over ``den`` as a Word: one reduced Fraction per
-    nonzero output term."""
+    """A monomial-major integer word ``{monomial: {tuple: numerator}}`` over
+    ``den`` as a Word: one reduced Fraction per nonzero term."""
+    out: dict = {}
+    for m, b in acc.items():
+        for t, n in b.items():
+            if n:
+                out.setdefault(t, {})[m] = Fraction(n, den)
     ctx = module.ctx
-    out = {}
-    for t, b in acc.items():
-        b = {m: Fraction(n, den) for m, n in b.items() if n}
-        if b:
-            out[t] = Scalar._raw(ctx, b)
-    return Word._raw(module, out)
+    return Word._raw(module, {t: Scalar._raw(ctx, c) for t, c in out.items()})
 
 
 def combine_basis_images(A: AInfty, w: Word, image_of,
@@ -403,7 +404,8 @@ def combine_basis_images(A: AInfty, w: Word, image_of,
     """Apply an odd operator given by per-tuple integer images to a word.
 
     The Word -> integer -> Word wrapper of ``apply_images``: the word's
-    coefficients are scaled to integers over one common denominator, the
+    coefficients are scaled to integers over one common denominator and
+    regrouped monomial-major, ``{monomial: {tuple: numerator}}``, the
     kernel runs on integers, and each surviving output term becomes one
     reduced ``Fraction``."""
     den = 1
@@ -412,9 +414,10 @@ def combine_basis_images(A: AInfty, w: Word, image_of,
             d = q.denominator
             if den % d:
                 den = math.lcm(den, d)
-    iword = {tup: {m: q.numerator * (den // q.denominator)
-                   for m, q in c.terms.items()}
-             for tup, c in w.terms.items()}
+    iword: dict = {}
+    for tup, c in w.terms.items():
+        for m, q in c.terms.items():
+            iword.setdefault(m, {})[tup] = q.numerator * (den // q.denominator)
     return int_word_to_word(A.module, apply_images(A, iword, image_of, cap),
                             den * A.den)
 
@@ -429,15 +432,17 @@ def hat_extension(A: AInfty, w: Word, cap: Cap | None = None) -> Word:
 def squares_to_zero(A: AInfty, tuples, image_of, cap: Cap,
                     key: str) -> ResidualReport:
     """The odd operator with per-tuple images ``image_of`` applied twice to
-    each basis tuple of ``tuples`` and tested for zero on integers; only a
-    failure builds its Word residual, reported under ``key``.  With
+    each basis tuple of ``tuples`` and tested for zero on integers: the
+    kernel starts from the monomial-major word ``{1: {tup: 1}}`` and runs
+    twice on integer words.  Only a failure builds its Word residual,
+    reported under ``key``.  With
     ``tuples`` within the weight cap, every image of the first application
     is cached; in the second, those of the outputs of weight cap + 1, which
     curvature insertions make, are built and dropped (``apply_images``)."""
     report = ResidualReport()
-    one = {(A.module.ctx.zero_beta, A.module.ctx.zero_exps): 1}
+    one = (A.module.ctx.zero_beta, A.module.ctx.zero_exps)
     for tup in tuples:
-        res = apply_images(A, apply_images(A, {tup: one}, image_of, cap),
+        res = apply_images(A, apply_images(A, {one: {tup: 1}}, image_of, cap),
                            image_of, cap)
         report.checked += 1
         if any(any(b.values()) for b in res.values()):

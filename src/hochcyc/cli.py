@@ -279,8 +279,7 @@ def load_algebra(name_or_path: str) -> AInfty:
 
 
 def _cap(args) -> Cap:
-    return Cap(energy=Fraction(args.energy), weight=args.weight,
-               var_total=args.vars)
+    return Cap(energy=args.energy, weight=args.weight, var_total=args.vars)
 
 
 def _variants(args, A: AInfty, report) -> list[Variant]:
@@ -443,6 +442,20 @@ def _at_least(least: int):
     return count
 
 
+def _energy(text):
+    """An argparse type: a nonnegative rational such as ``4`` or ``1/2``,
+    so that a malformed energy cap is an error of the option that names
+    it."""
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"not a rational number: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hochcyc",
@@ -451,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_cap(p, weight=int):
-        p.add_argument("--energy", default="4",
+        p.add_argument("--energy", type=_energy, default="4",
                        help="energy cap (rational, default 4)")
         p.add_argument("--weight", type=weight, default=4,
                        help="weight cap (default 4)")
@@ -534,7 +547,7 @@ def main(argv=None) -> int:
             cap = _cap(args)
             if hasattr(args, "dmin"):
                 Truncation(cap, args.dmin, args.dmax)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         parser.error(str(exc))
     # open the report file first, so an unwritable path is a usage error
     # before any work is done

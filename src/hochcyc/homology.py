@@ -229,7 +229,8 @@ def boundary_matrix(A: AInfty, variant: Variant, dom, cod, cap: Cap,
     (rows, domain, codomain) with rows[i] the sparse row ``{j: n}`` of
     codomain chain i: its coefficient in d(domain chain j) is ``n / A.den``,
     and only nonzero integers ``n`` are stored.  Column j is the integer
-    kernel's image of chain j under ``variant_images``, which are
+    kernel's image of chain j under ``variant_images``, read
+    monomial-major as the kernel returns it; the images are
     canonicalised once per algebra, variant and tuple; terms beyond the
     weight cap are dropped and flagged."""
     if flags is None:
@@ -238,9 +239,9 @@ def boundary_matrix(A: AInfty, variant: Variant, dom, cod, cap: Cap,
     rows: list[dict] = [{} for _ in cod]
     image_of = variant_images(variant)
     for j, (mono, tup) in enumerate(dom):
-        image = apply_images(A, {tup: {mono: 1}}, image_of, cap)
-        for key, n in [((m, rep), n) for rep, bucket in image.items()
-                       for m, n in bucket.items() if n]:
+        image = apply_images(A, {mono: {tup: 1}}, image_of, cap)
+        for key, n in [((m, rep), n) for m, column in image.items()
+                       for rep, n in column.items() if n]:
             if len(key[1]) > cap.weight:
                 flags.add("weight-cap")
                 continue

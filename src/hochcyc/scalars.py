@@ -16,14 +16,16 @@ as reduced ``Fraction`` values, except in the operator layer: an ``AInfty``
 compiles its operations once into integer numerators over one denominator,
 in the form of its cached per-tuple operator images, flat tuples of (output
 tuple, monomial, integer numerator) triples, and the one operator kernel
-(``ainfty.apply_images``) multiplies and sums Python ints.  Its Word
+(``ainfty.apply_images``) multiplies and sums Python ints on integer words
+keyed monomial first, ``{monomial: {tuple: numerator}}``.  Its Word
 wrapper (``ainfty.combine_basis_images``) scales a word's coefficients to
-integers over one common denominator and turns each output term back into
-one reduced ``Fraction``.  Monomial valuation, parity and product are
-``Context`` methods, memoized per context.  A ``Cap`` decides in one place,
-``Cap.admits``, which monomials a truncated computation keeps; the others
-are silently dropped by the arithmetic, so downstream identities are exact up
-to the cap, which callers record in their reports.
+integers over one common denominator, regroups them by monomial, and turns
+each output term back into one reduced ``Fraction``.  Monomial valuation,
+parity and product are ``Context`` methods, memoized per context.  A
+``Cap`` decides in one place, ``Cap.admits``, which monomials a truncated
+computation keeps; the others are silently dropped by the arithmetic, so
+downstream identities are exact up to the cap, which callers record in
+their reports.
 
 Signs have one rule: an odd operator, or a crossing past an odd stretch of
 tensor slots, passes a coefficient c as ``c.twist()``, (-1)^{|c|} per

@@ -4,6 +4,7 @@ structure-relation residual, units, and the q-family deformation sums."""
 import itertools
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -24,8 +25,9 @@ from hochcyc.graded import (
     Word,
     word_from_factors,
 )
-from hochcyc.complexes import (UNIT_KILLING_VARIANTS, Variant, dsquare_sweep,
-                               hoch_diff_word, random_word, variant_images)
+from hochcyc.complexes import (UNIT_KILLING_VARIANTS, Variant, canonical_form,
+                               dsquare_sweep, hoch_diff_word, random_word,
+                               variant_images)
 from hochcyc.ainfty import (
     AInfty,
     BUILTIN_NAMES,
@@ -33,11 +35,13 @@ from hochcyc.ainfty import (
     OCFamily,
     _insertion_patterns,
     ainfty_residual,
+    apply_images,
     builtin_algebras,
     diff_basis,
     hat_basis,
     hat_extension,
     image_counts,
+    int_word_to_word,
     unit_check,
 )
 
@@ -343,6 +347,112 @@ def test_cached_images_are_integers_over_den(nvars, mu3):
         assert _image_terms(image) == want, tup
 
 
+def _termwise(A, word, reference, cap, rule=None):
+    """The odd operator on a Word summed term by term with Fractions: each
+    front monomial c of ``word`` at tuple tup, times each term s of
+    ``reference(A, tup)``, passing with (-1)^{|c|}, the product capped;
+    with ``rule`` each output tuple goes through it first."""
+    mod = A.module
+    out = Word.zero(mod)
+    for tup, coeff in word.items():
+        for m, q in coeff.terms.items():
+            front = Scalar(mod.ctx, {m: q})
+            sign = -1 if mod.ctx.mono_parity(m) else 1
+            for otup, s in reference(A, tup).items():
+                if rule is not None:
+                    can = rule(A, otup)
+                    if can is None:
+                        continue
+                    otup, s = can[0], -s if can[1] else s
+                prod = scalar_mul(front, s, cap).scale(sign)
+                out = out + Word(mod, {otup: prod})
+    return out
+
+
+def _kernel_case(name):
+    """An algebra, a cap, (tuple, monomial, numerator) triples of an
+    integer word over 6, and the tuple every product of whose terms the
+    cap drops.  The words carry several monomials per tuple and an
+    explicit zero numerator beside a nonzero one at the same monomial."""
+    if name == "curved_matrix":
+        A = builtin_algebras(name)
+
+        def T(k):
+            return ((k,), ())
+        triples = [(("K", "F"), T(0), 3), (("K", "F"), T(1), -2),
+                   (("G",), T(1), 5), (("F", "G", "K"), T(1), 0),
+                   (("F", "G", "K"), T(2), 1), (("I", "G"), T(3), 7)]
+        return A, Cap(2, 4, 0), triples, ("I", "G")
+    A = _odd_variable_algebra(2, mu3=True)[0]
+
+    def m(b, *e):
+        return ((b,), e)
+    # ("x", "e") carries monomials of both parities; ("e", "x", "x") only
+    # t0 t1, whose variable total the cap drops
+    triples = [(("x", "e"), m(0, 0, 0), 2), (("x", "e"), m(1, 0, 1), -3),
+               (("y",), m(1, 0, 0), 0), (("e", "x"), m(1, 0, 0), 1),
+               (("x", "x", "e"), m(0, 1, 0), 4), (("e",), m(2, 0, 0), -1),
+               (("e", "x", "x"), m(0, 1, 1), 5)]
+    return A, Cap(Fraction(3, 2), 4, 1), triples, ("e", "x", "x")
+
+
+@pytest.mark.parametrize("name", ["curved_matrix", "odd2-mu3"])
+def test_kernel_on_integer_words_is_exact_against_termwise_sums(name):
+    """``apply_images`` on a monomial-major integer word equals the
+    termwise Fraction sums of ``_hat_reference`` (applied twice) and of
+    ``_diff_reference``, through the Hochschild and the cyclic quotient,
+    capped and uncapped: T-powers on ``curved_matrix``, Koszul signs of odd
+    front monomials and odd variables on the odd algebra.  A zero numerator
+    adds nothing and reads no image, each image is read once per call, and
+    a tuple whose products the cap all drops adds nothing under the cap."""
+    A, capped, triples, dropped = _kernel_case(name)
+    mod = A.module
+    iword: dict = {}
+    fractions: dict = {}
+    for tup, mono, n in triples:
+        iword.setdefault(mono, {})[tup] = n
+        fractions.setdefault(tup, {})[mono] = Fraction(n, 6)
+    assert any(0 in b.values() and any(b.values()) for b in iword.values())
+    assert name == "curved_matrix" or {
+        mod.ctx.mono_parity(mono) for mono in fractions[triples[1][0]]
+    } == {0, 1}
+    word = Word(mod, {t: Scalar(mod.ctx, c) for t, c in fractions.items()})
+
+    for cap in (None, capped):
+        once = apply_images(A, iword, hat_basis, cap)
+        twice = apply_images(A, once, hat_basis, cap)
+        ref_once = _termwise(A, word, _hat_reference, cap)
+        assert int_word_to_word(mod, once, 6 * A.den) == ref_once
+        assert ref_once and _termwise(A, ref_once, _hat_reference, cap) \
+            == int_word_to_word(mod, twice, 6 * A.den * A.den)
+        for variant in (Variant.HOCHSCHILD, Variant.CONNES):
+            got = apply_images(A, iword, variant_images(variant), cap)
+            want = _termwise(A, word, _diff_reference, cap,
+                             partial(canonical_form, variant=variant))
+            assert want and int_word_to_word(mod, got, 6 * A.den) == want
+    # each image is read once per call, however many front monomials its
+    # tuple carries
+    fetched = []
+
+    def counted(A, tup, store):
+        fetched.append(tup)
+        return hat_basis(A, tup, store=store)
+    apply_images(A, iword, counted, capped)
+    assert len(fetched) == len(set(fetched)) < len(triples)
+    lone = Word(mod, {dropped: word.terms[dropped]})
+    assert _termwise(A, lone, _hat_reference, None)
+    assert not _termwise(A, lone, _hat_reference, capped)
+    assert not any(any(b.values()) for b in apply_images(
+        A, {m: {dropped: 1} for m in word.terms[dropped].terms},
+        hat_basis, capped).values())
+    # a zero numerator is skipped before its tuple's image is read
+    B = _kernel_case(name)[0]
+    before = image_counts(B)
+    assert apply_images(B, {triples[0][1]: {triples[0][0]: 0}}, hat_basis,
+                        capped) == {}
+    assert image_counts(B) == before
+
+
 def test_wrap_around_terms_with_colliding_signs():
     """With |y| = 0, |z| = -1 and mu_3(y, y, y) = z, three wrap-around terms
     of b(y (x) y (x) y (x) y) land on z (x) y: the rotations by 0 and 2 with
@@ -408,6 +518,15 @@ def test_capped_sweeps_cache_no_image_above_the_weight_cap(make, cap):
     for key, cache in A._image_cache.items():
         assert cache, key
         assert max(map(len, cache)) == cap.weight, key
+
+
+def test_cached_hat_images_of_a_curved_residual_sweep():
+    """The footprint of the image cache after crit 01's sweep at weight 5 is
+    pinned, so that a change to the kernel cannot change what is
+    cached."""
+    A = builtin_algebras("curved_matrix")
+    assert not ainfty_residual(A, Cap(6, 5, 0)).failures
+    assert image_counts(A)["hat"] == {"tuples": 1365, "terms": 14489}
 
 
 def _variants(A):

@@ -516,6 +516,23 @@ def test_malformed_arguments_exit_2(capsys, argv):
     assert "usage:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("energy,reason", [
+    ("1/0", "not a rational number: '1/0'"),
+    ("abc", "not a rational number: 'abc'"),
+    ("-1", "must be nonnegative, got -1"),
+], ids=["zero-denominator", "not-a-number", "negative"])
+def test_malformed_energy_is_an_error_of_the_option(capsys, energy, reason):
+    """A malformed energy cap is reported by the subcommand's parser under
+    the option's name, like a malformed ``--trials``."""
+    with pytest.raises(SystemExit) as exc:
+        main(["check-ainfty", "curved_matrix", "--energy", energy])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "usage: hochcyc check-ainfty" in err
+    assert err.splitlines()[-1] == (
+        f"hochcyc check-ainfty: error: argument --energy: {reason}")
+
+
 @pytest.mark.parametrize("where", ["directory", "missing-parent"])
 def test_unwritable_output_exit_2_before_running(tmp_path, capsys,
                                                  monkeypatch, where):
