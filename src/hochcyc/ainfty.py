@@ -27,7 +27,10 @@ one denominator, monomial-major, ``{monomial: {tuple: numerator}}``.
 d o d.  ``OCFamily`` is the one table class and evaluator for every
 operation family with boundary and interior inputs: the q_{k,l}
 (``AInfty.qfamily`` and ``DeformedQ``), the open-closed p_{k,l} and the
-closed-sector q_{empty,l} of ``openclosed``.
+closed-sector q_{empty,l} of ``openclosed``.  A family holds its values as
+compiled images, keyed by (boundary tuple, interior tuple), and runs on the
+same kernel: ``apply_images`` takes the operator's parity, odd for mu-hat
+and b, n + 1 + |interior tuple| for a family.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import itertools
 import math
 import re
 from fractions import Fraction
+from types import MappingProxyType
 
 from .scalars import (
     INFINITY,
@@ -45,8 +49,6 @@ from .scalars import (
     PiGroup,
     Scalar,
     TRIVIAL_CONTEXT,
-    accumulate,
-    scalar_mul,
 )
 from .graded import (
     ChainComplex,
@@ -68,12 +70,10 @@ class AInfty:
     total shifted degree by one, equivalently the unshifted degree by
     ``2 - k``.
 
-    The operations are compiled once, at construction, into exact integers:
-    ``den`` is the least common multiple of the denominators of every
-    coefficient, and ``table`` maps each key of ``ops`` to its image in the
-    form of every cached image: one flat tuple of (output, monomial,
-    numerator) triples, the output the 1-tuple ``(g,)`` of a generator and
-    the coefficient numerator / ``den``.  The operator images
+    The operations are compiled once, at construction, into exact integers
+    over one denominator ``den`` (``compile_table``): ``table`` maps each
+    key of ``ops`` to its image in the form of every cached image.  The
+    operator images
     (``hat_basis``, ``diff_basis``) are built from ``table``, which
     ``front_insertions`` alone reads, and cached in ``_image_cache`` under
     ``"hat"``, ``"diff"`` and each quotient key, whose image is b through
@@ -87,7 +87,7 @@ class AInfty:
     other module reads the table, the caches or the intern table.  Since
     they derive from ``ops``, ``ops`` is never mutated after construction.
     ``qfamily`` is the family q with q_{k,0} = mu_k and no interior
-    operations, also built once.
+    operations, holding the images of ``table``.
     """
 
     def __init__(self, module: GradedModule, ops, unit: str | None = None):
@@ -97,16 +97,11 @@ class AInfty:
         self.arities = frozenset(map(len, self.ops))
         self.unit = unit
         self.validate()
-        self.den = den = math.lcm(*(q.denominator for el in self.ops.values()
-                                    for s in el.terms.values()
-                                    for q in s.terms.values()))
-        self.table: dict[tuple, tuple] = {
-            tup: tuple(x for g, s in el.items() for m, q in s.terms.items()
-                       for x in ((g,), m,
-                                 q.numerator * (den // q.denominator)))
-            for tup, el in self.ops.items()}
-        self.qfamily = OCFamily(module, ChainComplex(module, {}), 0,
-                                {(t, ()): el for t, el in self.ops.items()})
+        table, self.den = compile_table(self.ops)
+        self.table: dict[tuple, tuple] = table
+        self.qfamily = OCFamily.from_images(
+            module, ChainComplex(module, {}), 0,
+            {(t, ()): image for t, image in table.items()}, self.den)
         # per-instance caches on basis tuples, filled only within the weight
         # cap of the call that needs them: images by operator name and
         # classes by quotient key; ``_tuples`` interns every tuple they hold
@@ -132,6 +127,19 @@ class AInfty:
             check_operation(self.module, tup, el)
         if self.unit is not None and self.unit not in self.module.basis:
             raise ValueError(f"unit {self.unit!r} is not a generator")
+
+
+def compile_table(ops: dict) -> tuple[dict, int]:
+    """``(table, den)``: ``den`` the least common multiple of the
+    denominators of the Element values, and ``table`` the key of each
+    nonzero value mapped to one flat tuple of (output, monomial, numerator)
+    triples, the output the 1-tuple ``(g,)`` of a generator."""
+    ops = {key: el for key, el in ops.items() if el}
+    den = math.lcm(*(q.denominator for el in ops.values()
+                     for s in el.terms.values() for q in s.terms.values()))
+    return {key: tuple(x for g, s in el.items() for m, q in s.terms.items()
+                       for x in ((g,), m, q.numerator * (den // q.denominator)))
+            for key, el in ops.items()}, den
 
 
 class OperationError(ValueError):
@@ -332,13 +340,15 @@ def image_counts(A: AInfty) -> dict:
     return out
 
 
-def apply_images(A: AInfty, iword: dict, image_of, cap: Cap | None) -> dict:
-    """The operator kernel: the odd operator with per-tuple integer images
-    ``image_of(A, tup, store=...)`` (over ``A.den``), flat tuples of
-    (output tuple, monomial, numerator) triples, applied to an integer word,
-    as an integer word over the input's denominator times ``A.den``.  An
-    integer word is monomial-major, ``{monomial: {tuple: numerator}}``, in
-    and out; output numerators may be zero.
+def apply_images(A, iword: dict, image_of, cap: Cap | None,
+                 odd: bool = True) -> dict:
+    """The operator kernel: the operator of parity ``odd`` with per-tuple
+    integer images ``image_of(A, tup, store=...)`` (over ``A.den``), flat
+    tuples of (output tuple, monomial, numerator) triples, applied to an
+    integer word, as an integer word over the input's denominator times
+    ``A.den``.  An integer word is monomial-major, ``{monomial: {tuple:
+    numerator}}``, in and out; output numerators may be zero.  ``A`` is an
+    algebra or an ``OCFamily``.
 
     ``store`` is set when ``cap`` admits the input tuple's weight (always
     without a cap): a new image of a longer tuple, which a curvature
@@ -346,12 +356,13 @@ def apply_images(A: AInfty, iword: dict, image_of, cap: Cap | None) -> dict:
     and dropped, so the caches stay within the cap.  Each image is fetched
     once per call, however many front monomials its tuple carries.
 
-    A front monomial m passes the operator with (-1)^{|m|}, the sign
-    (-1)^{|c|} of a front coefficient c extended linearly.  This is the one
-    place where front coefficients and images multiply and where the cap
-    filters: each pair of monomials is multiplied and tested against
-    ``cap`` once per call, and the verdict names the output dict of the
-    product monomial, so an image term costs one dict update."""
+    A front monomial m passes an odd operator with (-1)^{|m|}, the sign
+    (-1)^{|c|} of a front coefficient c extended linearly, and an even one
+    unsigned.  This is the one place where front coefficients and images
+    multiply and where the cap filters: each pair of monomials is
+    multiplied and tested against ``cap`` once per call, and the verdict
+    names the output dict of the product monomial, so an image term costs
+    one dict update."""
     ctx = A.module.ctx
     mul = ctx.mono_mul
     parity = ctx.mono_parity
@@ -361,7 +372,7 @@ def apply_images(A: AInfty, iword: dict, image_of, cap: Cap | None) -> dict:
         # m2 -> (output dict of m1 * m2, sign exponent), or False where the
         # product vanishes or the cap drops it
         row: dict = {}
-        odd = parity(m1)
+        flip = odd and parity(m1)
         for tup, n1 in terms.items():
             if not n1:
                 continue
@@ -369,7 +380,7 @@ def apply_images(A: AInfty, iword: dict, image_of, cap: Cap | None) -> dict:
             if image is None:
                 image = images[tup] = image_of(
                     A, tup, store=cap is None or len(tup) <= cap.weight)
-            pos, neg = (-n1, n1) if odd else (n1, -n1)
+            pos, neg = (-n1, n1) if flip else (n1, -n1)
             it = iter(image)
             for otup, m2, n2 in zip(it, it, it):
                 hit = row.get(m2)
@@ -399,25 +410,32 @@ def int_word_to_word(module: GradedModule, acc: dict, den: int) -> Word:
     return Word._raw(module, {t: Scalar._raw(ctx, c) for t, c in out.items()})
 
 
-def combine_basis_images(A: AInfty, w: Word, image_of,
-                         cap: Cap | None) -> Word:
-    """Apply an odd operator given by per-tuple integer images to a word.
-
-    The Word -> integer -> Word wrapper of ``apply_images``: the word's
-    coefficients are scaled to integers over one common denominator and
-    regrouped monomial-major, ``{monomial: {tuple: numerator}}``, the
-    kernel runs on integers, and each surviving output term becomes one
-    reduced ``Fraction``."""
+def integer_word(terms: dict) -> tuple[dict, int]:
+    """The terms ``{tuple: Scalar}`` of a word as an integer word
+    ``(iword, den)``: the coefficients scaled to integers over their one
+    common denominator ``den`` and regrouped monomial-major,
+    ``{monomial: {tuple: numerator}}``."""
     den = 1
-    for c in w.terms.values():
+    for c in terms.values():
         for q in c.terms.values():
             d = q.denominator
             if den % d:
                 den = math.lcm(den, d)
     iword: dict = {}
-    for tup, c in w.terms.items():
+    for tup, c in terms.items():
         for m, q in c.terms.items():
             iword.setdefault(m, {})[tup] = q.numerator * (den // q.denominator)
+    return iword, den
+
+
+def combine_basis_images(A: AInfty, w: Word, image_of,
+                         cap: Cap | None) -> Word:
+    """Apply an odd operator given by per-tuple integer images to a word.
+
+    The Word -> integer -> Word wrapper of ``apply_images``: the word
+    becomes an ``integer_word``, the kernel runs on integers, and each
+    surviving output term becomes one reduced ``Fraction``."""
+    iword, den = integer_word(w.terms)
     return int_word_to_word(A.module, apply_images(A, iword, image_of, cap),
                             den * A.den)
 
@@ -511,58 +529,98 @@ class OCFamily:
     q_{empty,l}.
 
     ``ops`` maps pairs (boundary tuple, interior tuple) of basis tuples to
-    nonzero target Elements; k and l are the two tuples' lengths.  ``n`` is
-    the ambient-dimension parameter entering all signs.  A front scalar
-    coefficient c passes the operator as twist^{n+1+|interior|}(c), the
-    sign (-1)^{|c| (n+1+|interior|)} extended linearly, so that together with
-    the tensor-slot Koszul moves the boundary-linearity sign comes out as
-    (-1)^{|a| (n+1 + ||alpha_(<i)|| + |gamma|)}."""
+    target Elements; k and l are the two tuples' lengths.  They are
+    compiled once (``compile_table``) and not kept: ``images`` maps each
+    key of a nonzero value to its flat (output, monomial, numerator)
+    triples over ``den``, the form of an algebra's ``table``, and
+    ``from_images`` takes such images as they are.  ``ops``, a read-only
+    view, and ``p`` decode them.  Boundary and target share one
+    coefficient context, as the kernel multiplies the monomials of both.
+    ``n`` is the ambient-dimension parameter entering all signs.  A front
+    scalar coefficient c passes the operator as twist^{n+1+|interior|}(c),
+    the sign (-1)^{|c| (n+1+|interior|)} extended linearly, so that together
+    with the tensor-slot Koszul moves the boundary-linearity sign comes out
+    as (-1)^{|a| (n+1 + ||alpha_(<i)|| + |gamma|)}: on an interior tuple the
+    family is a kernel operator of parity n + 1 + its degree."""
 
     def __init__(self, module: GradedModule, target: ChainComplex, n: int,
                  ops):
-        self.module = module
-        self.target = target
-        self.n = n
-        self.ops: dict[tuple, Element] = {
-            (tuple(b), tuple(i)): el for (b, i), el in ops.items() if el}
+        if module.ctx != target.module.ctx:
+            raise ValueError("boundary and target contexts differ")
+        self.module, self.target, self.n = module, target, n
+        self.images, self.den = compile_table(
+            {(tuple(b), tuple(i)): el for (b, i), el in ops.items()})
+
+    @classmethod
+    def from_images(cls, module: GradedModule, target: ChainComplex, n: int,
+                    images: dict, den: int) -> "OCFamily":
+        fam = cls(module, target, n, {})
+        fam.images, fam.den = images, den
+        return fam
+
+    @property
+    def ops(self):
+        return MappingProxyType({key: self.p(*key) for key in self.images})
 
     def p(self, btup, itup=()) -> Element:
-        return (self.ops.get((tuple(btup), tuple(itup)))
-                or Element.zero(self.target.module))
+        it = iter(self.images.get((tuple(btup), tuple(itup)), ()))
+        acc: dict = {}
+        for t, m, n in zip(it, it, it):
+            acc.setdefault(m, {})[t] = n
+        return self.element(acc, self.den)
+
+    def element(self, acc: dict, den: int) -> Element:
+        """A kernel output of the family over ``den`` as a target Element."""
+        tmod = self.target.module
+        word = int_word_to_word(tmod, acc, den)
+        return Element._raw(tmod, {t[0]: c for t, c in word.terms.items()})
 
     # -- evaluation ----------------------------------------------------------
+
+    def apply(self, iword: dict, itup: tuple, odd: bool,
+              cap: Cap | None) -> dict:
+        """The kernel on an integer boundary word with the images at
+        (boundary tuple, interior tuple ``itup``), ``odd`` the parity
+        n + 1 + |itup|."""
+        def image_of(F, tup, store):
+            return F.images.get((tup, itup), ())
+        return apply_images(self, iword, image_of, cap, odd)
 
     def eval_word(self, w: Word, interior=(), cap: Cap | None = None) -> Element:
         """The family on a boundary word and a list of interior Elements: the
         one place where a coefficient passes the family.  The interior inputs
-        expand by ``word_from_factors`` (unshifted) in their own module.  With
-        bc the boundary and ic the expansion coefficient of interior tuple
-        itup, the table value is multiplied by ic . twist^{n+1+|itup|}(bc)."""
-        out = Element.zero(self.target.module)
-        # (interior tuple, parity of n + 1 + its degree, coefficient); with
-        # no interior inputs one term without a coefficient, so the boundary
-        # coefficient is used as it is rather than multiplied by one
-        iterms = [((), (self.n + 1) % 2, None)]
+        expand once, by ``word_from_factors`` (unshifted) in their own module
+        (``eval_expanded``); with bc the boundary and ic the expansion
+        coefficient of interior tuple itup, the value is multiplied by
+        ic . twist^{n+1+|itup|}(bc).  The kernel caps each product, so the
+        sum is capped, as energies only add."""
         if interior:
             imod = interior[0].module
-            iword = word_from_factors(imod, interior, shifted=False, cap=cap)
-            iterms = [(t, (self.n + 1 + sum(map(imod.degree, t))) % 2, c)
-                      for t, c in iword.items()]
-        for btup, bc in w.items():
-            for itup, odd, ic in iterms:
-                el = self.ops.get((btup, itup))
-                if el is None:
-                    continue
-                coeff = bc.twist() if odd else bc
-                if ic is not None:
-                    coeff = scalar_mul(ic, coeff, cap)
-                # each product is capped, so their sum is
-                out = out + el.scalar_left(coeff, cap)
-        return out
+            return self.eval_expanded(w, word_from_factors(
+                imod, interior, shifted=False, cap=cap).terms, imod, cap)
+        iword, den = integer_word(w.terms)
+        return self.element(self.apply(iword, (), (self.n + 1) % 2, cap),
+                            den * self.den)
+
+    def eval_expanded(self, w: Word, interior: dict, imod: GradedModule,
+                      cap: Cap | None) -> Element:
+        """The family on a boundary word and an expanded interior word
+        ``{tuple over imod: coefficient}``: one ``apply`` per interior tuple
+        gives that tuple's image, and one even kernel call multiplies the
+        interior coefficients in front."""
+        iword, den = integer_word(w.terms)
+
+        def image_of(F, itup, store):
+            acc = F.apply(iword, itup,
+                          (F.n + 1 + sum(map(imod.degree, itup))) % 2, cap)
+            return tuple(x for m, row in acc.items() for t, c in row.items()
+                         if c for x in (t, m, c))
+        gword, gden = integer_word(interior)
+        return self.element(apply_images(self, gword, image_of, cap, False),
+                            den * self.den * gden)
 
     def eval_tuple(self, btup, interior=(), cap: Cap | None = None) -> Element:
-        """The family on a basis boundary tuple; without interior inputs a
-        table lookup."""
+        """The family on a basis boundary tuple."""
         if not interior:
             return self.p(btup).truncate(cap)
         return self.eval_word(Word.basis_word(self.module, btup), interior, cap)
@@ -571,36 +629,42 @@ class OCFamily:
 
     def is_cyclic(self) -> bool:
         """Whether p(rot_j alpha; gamma) = (-1)^{s_sigma^[1]} p(alpha; gamma)
-        for every rotation; exactly when averaging leaves the table as it is."""
+        for every rotation; exactly when averaging leaves the values (not
+        the numerators, whose denominator it changes) as they are."""
         return self.symmetrized().ops == self.ops
 
     def symmetrized(self) -> "OCFamily":
         """Group average over rotations of the boundary tuple, with the cyclic
-        signs; exact over the rationals, and the result is cyclic.
+        signs; exact, and the result is cyclic.
 
-        Each orbit is walked once: its signed values are summed on one
-        ``{generator: {monomial: Fraction}}`` table, divided by the orbit
-        length once, and the average or its negation stored at every key."""
+        Each orbit is walked once: its signed numerators are summed, and the
+        sum or its negation stored at every key.  The orbit lengths fold into
+        the denominator, ``den`` times their least common multiple L, so an
+        orbit of length r contributes its sum times L / r, with no
+        division."""
         degs = dict(zip(self.module.basis, self.module.degrees))
-        tmod = self.target.module
-        new_ops = {}
-        for btup, itup in self.ops:
-            if (btup, itup) in new_ops:
+        images = self.images
+        fold = math.lcm(*(max(len(b), 1) for b, _ in images))
+        out: dict = {}
+        for btup, itup in images:
+            if (btup, itup) in out:
                 continue
             orbit = rotations(btup, [degs[g] for g in btup])
-            table: dict = {}
+            sums: dict = {}
             for rot, s1 in orbit:
-                val = self.ops.get((rot, itup))
-                for g, s in (val.terms.items() if val is not None else ()):
-                    accumulate(table.setdefault(g, {}), (
-                        (m, -c if s1 else c) for m, c in s.terms.items()))
-            avg = Element._raw(tmod, {g: Scalar._raw(tmod.ctx, {
-                m: c / len(orbit) for m, c in t.items()})
-                for g, t in table.items() if t})
-            neg = -avg if any(s1 for _, s1 in orbit) else None
-            for rot, s1 in orbit:
-                new_ops[(rot, itup)] = neg if s1 else avg
-        return OCFamily(self.module, self.target, self.n, new_ops)
+                it = iter(images.get((rot, itup), ()))
+                for o, m, n in zip(it, it, it):
+                    add_term(sums, o, m, -n if s1 else n)
+            f = fold // len(orbit)
+            terms = [(o, m, n * f) for o, row in sums.items()
+                     for m, n in row.items() if n]
+            if terms:
+                avg = tuple(x for t in terms for x in t)
+                neg = tuple(x for o, m, n in terms for x in (o, m, -n))
+                for rot, s1 in orbit:
+                    out[(rot, itup)] = neg if s1 else avg
+        return OCFamily.from_images(self.module, self.target, self.n, out,
+                                    self.den * fold)
 
 
 def _insertion_patterns(k: int, s: int):

@@ -463,12 +463,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "coalgebra chain complexes.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_cap(p, weight=int):
+    def add_cap(p, weight=_at_least(0)):
         p.add_argument("--energy", type=_energy, default="4",
                        help="energy cap (rational, default 4)")
         p.add_argument("--weight", type=weight, default=4,
                        help="weight cap (default 4)")
-        p.add_argument("--vars", type=int, default=6,
+        p.add_argument("--vars", type=_at_least(0), default=6,
                        help="total formal-variable exponent cap (default 6)")
 
     def add_common(p):
@@ -542,13 +542,11 @@ def run(args) -> tuple[dict, int]:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:  # a malformed cap or degree window is a usage error
-        if hasattr(args, "energy"):
-            cap = _cap(args)
-            if hasattr(args, "dmin"):
-                Truncation(cap, args.dmin, args.dmax)
-    except ValueError as exc:
-        parser.error(str(exc))
+    if hasattr(args, "dmin"):  # a malformed degree window is a usage error
+        try:
+            Truncation(_cap(args), args.dmin, args.dmax)
+        except ValueError as exc:
+            parser.error(str(exc))
     # open the report file first, so an unwritable path is a usage error
     # before any work is done
     out = contextlib.nullcontext()

@@ -2,11 +2,14 @@
 (algebra elements) and l interior inputs (target-complex elements) to a
 target cochain complex.  The p_{k,l}, the q_{k,l} and the closed-sector
 q_{empty,l} of ``SphereTermProvider`` are all ``OCFamily`` tables (the one
-class, defined in ``ainfty``), evaluated by its ``eval_word`` and
+class, defined in ``ainfty``): compiled integer images over one
+denominator, evaluated on the operator kernel by ``eval_word`` and
 ``eval_tuple``.  This module adds
 
+* random families written straight into integer images,
 * the structure-equation right-hand side expander, on generator tuples
-  with one boundary word and one evaluation of p per interior subset J,
+  with one integer word of q's images and one kernel call of p per
+  interior subset J,
 * the combinatorial rewrite identity expressing p o d_hoch through rotations,
 * chain-map residual sweeps over the complex variants (including the
   zeta-quotient target and the weight-zero extension),
@@ -85,19 +88,22 @@ def random_cyclic_p(A: AInfty, target: ChainComplex, n: int,
                     max_weight: int, seed: int = 0,
                     symmetrize: bool = True) -> OCFamily:
     """Three random integer terms per weight, summed on a plain ``{boundary
-    tuple: {generator: int}}`` table, then rotation-averaged with signs."""
+    tuple: {generator: int}}`` table and written straight into the family's
+    images as integer numerators over denominator 1, then rotation-averaged
+    with signs (``OCFamily.symmetrized``)."""
     rng = random.Random(seed)
-    table: dict = {}
+    rows: dict = {}
     basis, tmod = A.module.basis, target.module
     for k in range(1, max_weight + 1):
         for _ in range(3):
             btup = tuple([rng.choice(basis) for _ in range(k)])
-            accumulate(table.setdefault(btup, {}),
+            accumulate(rows.setdefault(btup, {}),
                        [(rng.choice(tmod.basis), rng.randint(-3, 3))])
-    ops = {(btup, ()): Element._raw(tmod, {
-        g: Scalar.rational(tmod.ctx, c) for g, c in row.items()})
-        for btup, row in table.items()}
-    raw = OCFamily(A.module, target, n, ops)
+    one = (tmod.ctx.zero_beta, tmod.ctx.zero_exps)
+    outs = {g: (g,) for g in tmod.basis}
+    raw = OCFamily.from_images(A.module, target, n, {
+        (btup, ()): tuple(x for g, c in row.items() for x in (outs[g], one, c))
+        for btup, row in rows.items() if row}, 1)
     return raw.symmetrized() if symmetrize else raw
 
 
@@ -207,46 +213,70 @@ def structure_rhs(Q: OCFamily, p: OCFamily, sphere: SphereTermProvider | None,
     return out, 1 + max(k, 1) * (k + 1) * 2 ** l + (k == 0)
 
 
+def _slot_terms(terms: dict, prefix, el: Element, suffix, par: int) -> None:
+    """Add (-1)^par prefix (x) el (x) suffix into ``terms`` ``{interior
+    tuple: Scalar}``, the generators of ``prefix`` of degree parity
+    ``par``: el's coefficient c at h goes to prefix + (h,) + suffix as
+    (-1)^par twist^par(c)."""
+    for h, c in el.items():
+        accumulate(terms, [(prefix + (h,) + suffix, -c.twist() if par else c)])
+
+
 def _generator_rhs(Q: OCFamily, p: OCFamily,
                    sphere: SphereTermProvider | None, alpha, itup,
                    cap: Cap | None) -> Element:
-    """``structure_rhs`` on the interior generator tuple ``itup``."""
+    """``structure_rhs`` on the interior generator tuple ``itup``, read from
+    the images of q and p with no interior expansion: per interior subset J
+    one signed integer word from ``Q.images``, passed through p in one
+    kernel call, and d gamma or zeta in an interior slot as an interior
+    word for ``eval_expanded``."""
     mod, tmod = p.module, p.target.module
     k, l = len(alpha), len(itup)
-    gamma = [Element.generator(tmod, g) for g in itup]
     gpars = [tmod.degree(g) % 2 for g in itup]
     gtotal = sum(gpars) % 2
     out = Element.zero(tmod)
 
-    # interior-differential term p(alpha; d gamma)
-    for j in range(l):
-        dg = p.target.d(gamma[j])
-        if dg:
-            part = p.eval_tuple(alpha, gamma[:j] + [dg] + gamma[j + 1:], cap)
-            out = out + (-part if sum(gpars[:j]) % 2 else part)
-
-    # composite terms, one word per J; q is read uncapped, as eval_word caps
-    # every product and energies only add
+    # composite terms; q is read uncapped, as the kernel caps every product
+    # and energies only add.  J -> (gamma_J, sign, word)
     orbit = rotations(alpha, [mod.degree(g) for g in alpha])
     words: dict = {}
     for j, k2, J in structure_terms(k, l):
+        if J not in words:
+            I = [i for i in range(l) if i not in J]
+            words[J] = (tuple(itup[i] for i in J), (
+                gtotal + shuffle_sign(gpars, I, list(J))
+                + (p.n + 1) * (sum(gpars[i] for i in J) + 1)) % 2, {})
+        iJ, sgn, word = words[J]
         rot, s1 = orbit[j]
-        q_el = Q.ops.get((rot[:k2], tuple(itup[i] for i in J)))
-        if q_el:
-            accumulate(words.setdefault(J, {}), (
-                ((g,) + rot[k2:], -c if s1 else c) for g, c in q_el.items()))
-    for J, table in words.items():
-        I = [i for i in range(l) if i not in J]
-        gJpar = sum(gpars[i] for i in J) % 2
-        sgn = (gtotal + shuffle_sign(gpars, I, list(J))
-               + (p.n + 1) * (gJpar + 1)) % 2
-        part = p.eval_word(Word._raw(mod, table), [gamma[i] for i in I], cap)
-        out = out + (-part if sgn else part)
+        tail = rot[k2:]
+        it = iter(Q.images.get((rot[:k2], iJ), ()))
+        for g, m, n in zip(it, it, it):
+            row = word.setdefault(m, {})
+            row[g + tail] = row.get(g + tail, 0) + (-n if s1 != sgn else n)
+    for J, (_, _, word) in words.items():
+        if word:
+            iI = tuple(g for i, g in enumerate(itup) if i not in J)
+            part = p.apply(word, iI, (p.n + 1 + sum(map(tmod.degree, iI))) % 2,
+                           cap)
+            out = out + p.element(part, Q.den * p.den)
 
-    # sphere term
+    # interior-differential term p(alpha; d gamma)
+    dgamma: dict = {}
+    for j, g in enumerate(itup):
+        if g in p.target.diff:
+            _slot_terms(dgamma, itup[:j], p.target.diff[g], itup[j + 1:],
+                        sum(gpars[:j]) % 2)
+    if dgamma:
+        out = out + p.eval_expanded(Word.basis_word(mod, alpha), dgamma, tmod,
+                                    cap)
+
+    # sphere term (-1)^{|gamma|} q_{empty,l+1}(gamma (x) zeta)
     if k == 0:
-        part = sphere.q_empty(gamma + [sphere.zeta], cap)
-        out = out + (-part if gtotal else part)
+        zterms: dict = {}
+        _slot_terms(zterms, itup, sphere.zeta, (), gtotal)
+        q = sphere.family
+        out = out + q.eval_expanded(Word.basis_word(q.module, ()), zterms,
+                                    tmod, cap)
     return out
 
 
@@ -581,6 +611,7 @@ def axiom_suite(p: OCFamily, A: AInfty, geom: ToyGeometry,
     examined none passes vacuously."""
     n = p.n
     tmod = p.target.module
+    ops = p.ops
     results = {}
 
     def record(name, ok, failures, checked):
@@ -588,12 +619,12 @@ def axiom_suite(p: OCFamily, A: AInfty, geom: ToyGeometry,
                          "checked": checked}
 
     # cyclic symmetry of boundary inputs, compared at every stored key
-    record("cyclic_symmetry", p.is_cyclic(), [], len(p.ops))
+    record("cyclic_symmetry", p.is_cyclic(), [], len(ops))
 
     # symmetry of interior inputs (on all stored keys with l >= 2)
     fails = []
     checked = 0
-    for (btup, itup), el in p.ops.items():
+    for (btup, itup), el in ops.items():
         if len(itup) < 2:
             continue
         degs = [tmod.degree(g) for g in itup]
@@ -607,7 +638,7 @@ def axiom_suite(p: OCFamily, A: AInfty, geom: ToyGeometry,
     # degree law on degree-2 interior inputs
     fails = []
     checked = 0
-    for (btup, itup), el in p.ops.items():
+    for (btup, itup), el in ops.items():
         if any(tmod.degree(g) != 2 for g in itup):
             continue
         want = sum(A.module.degree(g) for g in btup) + n + 1 - len(btup)
@@ -638,7 +669,7 @@ def axiom_suite(p: OCFamily, A: AInfty, geom: ToyGeometry,
 
     # energy zero: valuation-0 part is the classical push-forward at (1,0)
     fails = []
-    for (btup, itup), el in p.ops.items():
+    for (btup, itup), el in ops.items():
         zero_part = el.truncate(Cap(0, 0, 0))
         if len(btup) == 1 and not itup:
             g = btup[0]
@@ -648,14 +679,14 @@ def axiom_suite(p: OCFamily, A: AInfty, geom: ToyGeometry,
                 fails.append({"key": (btup, itup)})
         elif not zero_part.is_zero():
             fails.append({"key": (btup, itup)})
-    record("energy_zero", not fails, fails, len(p.ops))
+    record("energy_zero", not fails, fails, len(ops))
 
     # fundamental class: no dependence on the distinguished variable t_0,
     # checked on each (key, generator) value; none without formal variables
     fails = []
     checked = 0
     if A.module.ctx.tvars.count > 0:
-        for key, el in p.ops.items():
+        for key, el in ops.items():
             for g, s in el.items():
                 checked += 1
                 if not s.partial_t(0).is_zero():

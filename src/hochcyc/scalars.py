@@ -13,11 +13,13 @@ and an even integer Maslov functional.  The ring carries
 
 Everything is exact rational arithmetic; no floats.  Coefficients are stored
 as reduced ``Fraction`` values, except in the operator layer: an ``AInfty``
-compiles its operations once into integer numerators over one denominator,
-in the form of its cached per-tuple operator images, flat tuples of (output
-tuple, monomial, integer numerator) triples, and the one operator kernel
-(``ainfty.apply_images``) multiplies and sums Python ints on integer words
-keyed monomial first, ``{monomial: {tuple: numerator}}``.  Its Word
+and every operation family (``ainfty.OCFamily``) compile their operations
+once into integer numerators over one denominator, in the form of the
+cached per-tuple operator images, flat tuples of (output tuple, monomial,
+integer numerator) triples, and the one operator kernel
+(``ainfty.apply_images``), given the operator's parity, multiplies and sums
+Python ints on integer words keyed monomial first, ``{monomial: {tuple:
+numerator}}``.  Its Word
 wrapper (``ainfty.combine_basis_images``) scales a word's coefficients to
 integers over one common denominator, regroups them by monomial, and turns
 each output term back into one reduced ``Fraction``.  Monomial valuation,

@@ -533,6 +533,24 @@ def test_malformed_energy_is_an_error_of_the_option(capsys, energy, reason):
         f"hochcyc check-ainfty: error: argument --energy: {reason}")
 
 
+@pytest.mark.parametrize("argv", [["check-ainfty", "dual_numbers"],
+                                  ["dsquare", "dual_numbers"],
+                                  ["verify-theorems"]],
+                         ids=lambda argv: argv[0])
+@pytest.mark.parametrize("option", ["--weight", "--vars"])
+def test_negative_cap_is_an_error_of_the_option(capsys, argv, option):
+    """A negative weight or variable cap is reported by the subcommand's
+    parser under the option's name, like a negative ``--energy``."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [option, "-1"])
+    err = capsys.readouterr().err
+    prog = f"hochcyc {argv[0]}"
+    assert exc.value.code == 2
+    assert f"usage: {prog}" in err
+    assert err.splitlines()[-1] == (
+        f"{prog}: error: argument {option}: must be at least 0, got -1")
+
+
 @pytest.mark.parametrize("where", ["directory", "missing-parent"])
 def test_unwritable_output_exit_2_before_running(tmp_path, capsys,
                                                  monkeypatch, where):

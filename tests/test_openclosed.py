@@ -4,6 +4,7 @@ toy instantiations, the weight-zero extension, and the axiom suite."""
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -235,6 +236,29 @@ def test_symmetrized_matches_per_key_orbit_average(name):
     assert ("u1" in avg) == (name == "odd_t")
 
 
+def test_families_store_integer_images_only():
+    """A symmetrized random family keeps no Element, Scalar or Fraction:
+    each image is a flat tuple of ((g,), monomial, int) triples over an int
+    denominator.  q of an algebra holds the algebra's compiled images
+    themselves."""
+    A = builtin_algebras("curved_matrix")
+    target = random_target(A.module.ctx, seed=1)
+    p = random_cyclic_p(A, target, 1, max_weight=5, seed=3)
+    assert set(vars(p)) == {"module", "target", "n", "images", "den"}
+    assert type(p.den) is int and p.den > 1 and p.images
+    for key, image in p.images.items():
+        assert type(image) is tuple and image and len(image) % 3 == 0, key
+        it = iter(image)
+        for out, (beta, exps), n in zip(it, it, it):
+            assert type(out) is tuple and out[0] in target.module.basis
+            assert len(out) == 1 and type(n) is int and n
+            assert all(type(x) is int for x in beta + exps)
+    Q = A.qfamily
+    assert Q.images.keys() == {(t, ()) for t in A.table}
+    assert all(Q.images[(t, ())] is image for t, image in A.table.items())
+    assert Q.den == A.den
+
+
 # -- structure equation and chain maps on the zero-energy toy ----------------
 
 
@@ -281,6 +305,43 @@ def _parity(el):
     return pars.pop() if pars else 0
 
 
+def test_family_contexts_must_agree():
+    """The kernel multiplies boundary and target monomials, so a family
+    over two coefficient contexts is refused."""
+    A = builtin_algebras("curved_matrix")
+    with pytest.raises(ValueError, match="contexts differ"):
+        OCFamily(A.module, random_target(TRIVIAL_CONTEXT, seed=1), 0, {})
+
+
+def _eval_reference(p, w, interior=(), cap=None):
+    """The family on a boundary word and a list of interior Elements, summed
+    term by term with Scalars from its decoded values, independently of the
+    integer kernel.  The interior inputs expand by ``word_from_factors``
+    (unshifted) in their own module; with bc the boundary and ic the
+    expansion coefficient of interior tuple itup, the value at (boundary
+    tuple, itup) is multiplied by ic . twist^{n+1+|itup|}(bc), each product
+    capped."""
+    out = Element.zero(p.target.module)
+    # (interior tuple, parity of n + 1 + its degree, coefficient); with no
+    # interior inputs one term without a coefficient
+    iterms = [((), (p.n + 1) % 2, None)]
+    if interior:
+        imod = interior[0].module
+        iword = word_from_factors(imod, interior, shifted=False, cap=cap)
+        iterms = [(t, (p.n + 1 + sum(map(imod.degree, t))) % 2, c)
+                  for t, c in iword.items()]
+    for btup, bc in w.items():
+        for itup, odd, ic in iterms:
+            el = p.p(btup, itup)
+            if not el:
+                continue
+            coeff = bc.twist() if odd else bc
+            if ic is not None:
+                coeff = scalar_mul(ic, coeff, cap)
+            out = out + el.scalar_left(coeff, cap)
+    return out
+
+
 def _interior_differential_term(p, alpha, gamma, cap=None):
     """The term p(alpha; d gamma) of the structure equation: d on each
     homogeneous interior input, with the sign of passing the ones before."""
@@ -288,7 +349,8 @@ def _interior_differential_term(p, alpha, gamma, cap=None):
     for j, g in enumerate(gamma):
         dg = p.target.d(g)
         if dg:
-            part = p.eval_tuple(alpha, gamma[:j] + [dg] + gamma[j + 1:], cap)
+            part = _eval_reference(p, Word.basis_word(p.module, alpha),
+                                   gamma[:j] + [dg] + gamma[j + 1:], cap)
             out = out + (-part if sum(map(_parity, gamma[:j])) % 2 else part)
     return out
 
@@ -309,7 +371,8 @@ def _structure_rhs_reference(Q, p, sphere, alpha, gamma=(), cap=None):
     for j, k2, J in structure_terms(k, l):
         count += 1
         rot, s1 = orbit[j]
-        q_el = Q.eval_tuple(rot[:k2], [gamma[i] for i in J], cap)
+        q_el = _eval_reference(Q, Word.basis_word(mod, rot[:k2]),
+                               [gamma[i] for i in J], cap)
         if q_el.is_zero():
             continue
         I = [i for i in range(l) if i not in J]
@@ -317,11 +380,13 @@ def _structure_rhs_reference(Q, p, sphere, alpha, gamma=(), cap=None):
         sgn = (s1 + gtotal + shuffle_sign(gpars, I, list(J))
                + (p.n + 1) * (gJpar + 1)) % 2
         word = word_from_factors(mod, [q_el] + list(rot[k2:]), cap=cap)
-        part = p.eval_word(word, [gamma[i] for i in I], cap)
+        part = _eval_reference(p, word, [gamma[i] for i in I], cap)
         out = out + (-part if sgn else part)
     if k == 0:
         count += 1
-        part = sphere.q_empty(gamma + [sphere.zeta], cap)
+        q = sphere.family
+        part = _eval_reference(q, Word.basis_word(q.module, ()),
+                               gamma + [sphere.zeta], cap)
         out = out + (-part if gtotal else part)
     return out, count
 
@@ -489,6 +554,102 @@ def test_structure_rhs_is_multilinear_in_two_mixed_parity_inputs(n):
     assert got == sum((part for part, _ in parts), Element.zero(tmod))
     assert {c for _, c in parts} == {count}
     assert [bool(part) for part, _ in parts] == [True, True, True, False]
+
+
+def _random_scalar(rng, ctx):
+    """One to three monomials T^b t^e with b <= 2 and each formal variable
+    of exponent 0 or 1, and rational coefficients."""
+    return Scalar(ctx, {((rng.randint(0, 2),), tuple(
+        rng.randint(0, 1) for _ in range(ctx.tvars.count))):
+        Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2, 3)))
+        for _ in range(rng.randint(1, 3))})
+
+
+def _random_element(rng, mod, size=2):
+    return Element(mod, {rng.choice(mod.basis): _random_scalar(rng, mod.ctx)
+                         for _ in range(size)})
+
+
+@pytest.mark.parametrize("name", ["curved_matrix", "odd_t"])
+@pytest.mark.parametrize("n", [0, 1])
+def test_eval_word_matches_the_termwise_reference(name, n):
+    """The kernel evaluation equals the termwise reference on random
+    families, raw and symmetrized, with values and coefficients carrying
+    T-powers (``curved_matrix``) or odd formal variables (``odd_t``), on
+    interior inputs of even, odd and mixed parity, under every reference
+    cap and uncapped."""
+    A = (_odd_variable_algebra(2)[0] if name == "odd_t"
+         else builtin_algebras(name))
+    mod, ctx = A.module, A.module.ctx
+    tmod = GradedModule("eval_target", ("u", "v", "w"), (0, 1, 2), ctx)
+    target = ChainComplex(tmod, {})
+    rng = random.Random(17 + n)
+
+    def btup():
+        return tuple(rng.choice(mod.basis) for _ in range(rng.randint(0, 3)))
+
+    gammas = [[], [Element(tmod, {"u": _random_scalar(rng, ctx)})],
+              [Element(tmod, {"v": _random_scalar(rng, ctx)})],
+              [_random_element(rng, tmod), _random_element(rng, tmod)]]
+    nonzero = interior = 0
+    for trial in range(4):
+        raw = OCFamily(mod, target, n, {
+            (btup(), tuple(rng.choice(tmod.basis)
+                           for _ in range(rng.randint(0, 2)))):
+            _random_element(rng, tmod) for _ in range(40)})
+        for p in (raw, raw.symmetrized()):
+            keys = [b for b, _ in p.images]
+            for cap in REFERENCE_CAPS:
+                w = Word(mod, {rng.choice(keys): _random_scalar(rng, ctx)
+                               for _ in range(4)})
+                w = w + Word(mod, {btup(): _random_scalar(rng, ctx)})
+                for gamma in gammas:
+                    got = p.eval_word(w, gamma, cap)
+                    assert got == _eval_reference(p, w, gamma, cap), (
+                        trial, cap, len(gamma))
+                    tup = rng.choice(keys)
+                    assert p.eval_tuple(tup, gamma, cap) == _eval_reference(
+                        p, Word.basis_word(mod, tup), gamma, cap)
+                    nonzero += bool(got)
+                    interior += bool(got) and bool(gamma)
+    assert nonzero > 40 and interior > 15, (nonzero, interior)
+
+
+def test_structure_rhs_expands_its_interior_inputs_once(monkeypatch):
+    """p and q are read on interior generator tuples from their images, so
+    a ``structure_rhs`` call on the interior toy at k = 3, l = 2 expands
+    the caller's interior Elements once, counted wherever the package
+    imports ``word_from_factors``; the result is the per-term reference."""
+    from hochcyc import graded
+
+    modules = [m for name, m in sys.modules.items()
+               if name.startswith("hochcyc") and m is not None
+               and hasattr(m, "word_from_factors")]
+    assert graded in modules and len(modules) >= 3
+    calls = []
+    real = graded.word_from_factors
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    cap = Cap(4, 4, 4)
+    nonzero = 0
+    for n in (0, 1):
+        A, Qi, pi, sphere, gammas = _interior_toy(n)
+        for alpha in itertools.product(A.module.basis, repeat=3):
+            for gamma in gammas[3:]:
+                want = _structure_rhs_reference(Qi, pi, sphere, alpha, gamma,
+                                                cap)
+                with monkeypatch.context() as mp:
+                    for m in modules:
+                        mp.setattr(m, "word_from_factors", counted)
+                    calls.clear()
+                    got = structure_rhs(Qi, pi, sphere, alpha, gamma, cap)
+                assert got == want, (n, alpha)
+                assert len(calls) == 1, (n, alpha, len(calls))
+                nonzero += bool(got[0])
+    assert nonzero >= 6, nonzero
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES + ("odd_t",))
