@@ -28,7 +28,8 @@ d o d.  ``OCFamily`` is the one table class and evaluator for every
 operation family with boundary and interior inputs: the q_{k,l}
 (``AInfty.qfamily`` and ``DeformedQ``), the open-closed p_{k,l} and the
 closed-sector q_{empty,l} of ``openclosed``.  A family holds its values as
-compiled images, keyed by (boundary tuple, interior tuple), and runs on the
+compiled images, keyed by interior tuple, then by boundary tuple (the one
+row of ``AInfty.qfamily`` is the algebra's table itself), and runs on the
 same kernel: ``apply_images`` takes the operator's parity, odd for mu-hat
 and b, n + 1 + |interior tuple| for a family.
 """
@@ -87,7 +88,8 @@ class AInfty:
     other module reads the table, the caches or the intern table.  Since
     they derive from ``ops``, ``ops`` is never mutated after construction.
     ``qfamily`` is the family q with q_{k,0} = mu_k and no interior
-    operations, holding the images of ``table``.
+    operations, whose one row, at the empty interior tuple, is ``table``
+    itself.
     """
 
     def __init__(self, module: GradedModule, ops, unit: str | None = None):
@@ -100,8 +102,7 @@ class AInfty:
         table, self.den = compile_table(self.ops)
         self.table: dict[tuple, tuple] = table
         self.qfamily = OCFamily.from_images(
-            module, ChainComplex(module, {}), 0,
-            {(t, ()): image for t, image in table.items()}, self.den)
+            module, ChainComplex(module, {}), 0, {(): table}, self.den)
         # per-instance caches on basis tuples, filled only within the weight
         # cap of the call that needs them: images by operator name and
         # classes by quotient key; ``_tuples`` interns every tuple they hold
@@ -531,11 +532,14 @@ class OCFamily:
     ``ops`` maps pairs (boundary tuple, interior tuple) of basis tuples to
     target Elements; k and l are the two tuples' lengths.  They are
     compiled once (``compile_table``) and not kept: ``images`` maps each
-    key of a nonzero value to its flat (output, monomial, numerator)
-    triples over ``den``, the form of an algebra's ``table``, and
+    interior tuple to its row, which maps each boundary tuple of a nonzero
+    value to its flat (output, monomial, numerator) triples over ``den``;
+    a row has the form of an algebra's ``table``, and q of an algebra has
+    the table itself as its row at the empty interior tuple.
     ``from_images`` takes such images as they are.  ``ops``, a read-only
-    view, and ``p`` decode them.  Boundary and target share one
-    coefficient context, as the kernel multiplies the monomials of both.
+    view whose keys are grouped by interior tuple, and ``p`` decode them.
+    Boundary and target share one coefficient context, as the kernel
+    multiplies the monomials of both.
     ``n`` is the ambient-dimension parameter entering all signs.  A front
     scalar coefficient c passes the operator as twist^{n+1+|interior|}(c),
     the sign (-1)^{|c| (n+1+|interior|)} extended linearly, so that together
@@ -548,8 +552,11 @@ class OCFamily:
         if module.ctx != target.module.ctx:
             raise ValueError("boundary and target contexts differ")
         self.module, self.target, self.n = module, target, n
-        self.images, self.den = compile_table(
+        table, self.den = compile_table(
             {(tuple(b), tuple(i)): el for (b, i), el in ops.items()})
+        self.images: dict[tuple, dict] = {}
+        for (b, i), image in table.items():
+            self.images.setdefault(i, {})[b] = image
 
     @classmethod
     def from_images(cls, module: GradedModule, target: ChainComplex, n: int,
@@ -560,10 +567,11 @@ class OCFamily:
 
     @property
     def ops(self):
-        return MappingProxyType({key: self.p(*key) for key in self.images})
+        return MappingProxyType({(b, i): self.p(b, i) for i, row
+                                 in self.images.items() for b in row})
 
     def p(self, btup, itup=()) -> Element:
-        it = iter(self.images.get((tuple(btup), tuple(itup)), ()))
+        it = iter(self.images.get(tuple(itup), {}).get(tuple(btup), ()))
         acc: dict = {}
         for t, m, n in zip(it, it, it):
             acc.setdefault(m, {})[t] = n
@@ -579,11 +587,13 @@ class OCFamily:
 
     def apply(self, iword: dict, itup: tuple, odd: bool,
               cap: Cap | None) -> dict:
-        """The kernel on an integer boundary word with the images at
-        (boundary tuple, interior tuple ``itup``), ``odd`` the parity
-        n + 1 + |itup|."""
+        """The kernel on an integer boundary word with the row of images at
+        the interior tuple ``itup``, fetched once per call, ``odd`` the
+        parity n + 1 + |itup|."""
+        row = self.images.get(itup, {})
+
         def image_of(F, tup, store):
-            return F.images.get((tup, itup), ())
+            return row.get(tup, ())
         return apply_images(self, iword, image_of, cap, odd)
 
     def eval_word(self, w: Word, interior=(), cap: Cap | None = None) -> Element:
@@ -598,6 +608,8 @@ class OCFamily:
             imod = interior[0].module
             return self.eval_expanded(w, word_from_factors(
                 imod, interior, shifted=False, cap=cap).terms, imod, cap)
+        if not any(t in self.images.get((), ()) for t in w.terms):
+            return Element.zero(self.target.module)
         iword, den = integer_word(w.terms)
         return self.element(self.apply(iword, (), (self.n + 1) % 2, cap),
                             den * self.den)
@@ -607,7 +619,11 @@ class OCFamily:
         """The family on a boundary word and an expanded interior word
         ``{tuple over imod: coefficient}``: one ``apply`` per interior tuple
         gives that tuple's image, and one even kernel call multiplies the
-        interior coefficients in front."""
+        interior coefficients in front.  A word none of whose tuples has
+        an image at an interior tuple gives zero with no kernel call."""
+        if not any(t in self.images.get(i, ()) for i in interior
+                   for t in w.terms):
+            return Element.zero(self.target.module)
         iword, den = integer_word(w.terms)
 
         def image_of(F, itup, store):
@@ -637,32 +653,37 @@ class OCFamily:
         """Group average over rotations of the boundary tuple, with the cyclic
         signs; exact, and the result is cyclic.
 
-        Each orbit is walked once: its signed numerators are summed, and the
-        sum or its negation stored at every key.  The orbit lengths fold into
+        Row by row, per interior tuple, each orbit is walked once: its
+        signed numerators are summed, and the sum or its negation stored at
+        every boundary tuple of the orbit.  The orbit lengths fold into
         the denominator, ``den`` times their least common multiple L, so an
         orbit of length r contributes its sum times L / r, with no
         division."""
         degs = dict(zip(self.module.basis, self.module.degrees))
-        images = self.images
-        fold = math.lcm(*(max(len(b), 1) for b, _ in images))
+        fold = math.lcm(*(max(len(b), 1) for row in self.images.values()
+                          for b in row))
         out: dict = {}
-        for btup, itup in images:
-            if (btup, itup) in out:
-                continue
-            orbit = rotations(btup, [degs[g] for g in btup])
-            sums: dict = {}
-            for rot, s1 in orbit:
-                it = iter(images.get((rot, itup), ()))
-                for o, m, n in zip(it, it, it):
-                    add_term(sums, o, m, -n if s1 else n)
-            f = fold // len(orbit)
-            terms = [(o, m, n * f) for o, row in sums.items()
-                     for m, n in row.items() if n]
-            if terms:
-                avg = tuple(x for t in terms for x in t)
-                neg = tuple(x for o, m, n in terms for x in (o, m, -n))
+        for itup, row in self.images.items():
+            done: dict = {}
+            for btup in row:
+                if btup in done:
+                    continue
+                orbit = rotations(btup, [degs[g] for g in btup])
+                sums: dict = {}
                 for rot, s1 in orbit:
-                    out[(rot, itup)] = neg if s1 else avg
+                    it = iter(row.get(rot, ()))
+                    for o, m, n in zip(it, it, it):
+                        add_term(sums, o, m, -n if s1 else n)
+                f = fold // len(orbit)
+                terms = [(o, m, n * f) for o, b in sums.items()
+                         for m, n in b.items() if n]
+                if terms:
+                    avg = tuple(x for t in terms for x in t)
+                    neg = tuple(x for o, m, n in terms for x in (o, m, -n))
+                    for rot, s1 in orbit:
+                        done[rot] = neg if s1 else avg
+            if done:
+                out[itup] = done
         return OCFamily.from_images(self.module, self.target, self.n, out,
                                     self.den * fold)
 
@@ -714,7 +735,14 @@ class DeformedQ:
         cap = self.cap
         out = Element.zero(self.Q.target.module)
         s_max = self._max_insert(self.b)
-        t_extra_max = self._max_insert(self.gamma)
+        # each interior list, with ``extra`` copies of gamma, expands once
+        interiors = []
+        for extra in range(0, self._max_insert(self.gamma) + 1):
+            interior = list(itups) + [self.gamma] * extra
+            imod = interior[0].module if interior else None
+            terms = interior and word_from_factors(
+                imod, interior, shifted=False, cap=cap).terms
+            interiors.append((imod, terms, Fraction(1, math.factorial(extra))))
         for s in range(0, s_max + 1):
             for pattern in _insertion_patterns(k, s):
                 factors = [self.b] * pattern[0]
@@ -722,10 +750,10 @@ class DeformedQ:
                     factors += [g] + [self.b] * m
                 bword = word_from_factors(self.Q.module, factors,
                                           shifted=True, cap=cap)
-                for extra in range(0, t_extra_max + 1):
-                    interior = list(itups) + [self.gamma] * extra
-                    part = self.Q.eval_word(bword, interior, cap)
-                    out = out + part.scale(Fraction(1, math.factorial(extra)))
+                for imod, terms, c in interiors:
+                    part = (self.Q.eval_word(bword, cap=cap) if imod is None
+                            else self.Q.eval_expanded(bword, terms, imod, cap))
+                    out = out + part.scale(c)
         return out
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
@@ -49,14 +48,13 @@ UNIT_KILLING_VARIANTS = frozenset({
 })
 
 
-@dataclass
 class ChainElt:
     """A chain: an underlying word plus the variant it lives in.  For
     quotient variants the word is kept in canonical form.  The weight-zero
     generator of the extended variants is the empty tuple."""
 
-    word: Word
-    variant: Variant
+    def __init__(self, word: Word, variant: Variant):
+        self.word, self.variant = word, variant
 
     def is_zero(self):
         return self.word.is_zero()

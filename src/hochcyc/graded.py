@@ -21,18 +21,18 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .scalars import INFINITY, Cap, Context, Scalar, accumulate, scalar_mul
 
 
-@dataclass
 class ResidualReport:
     """Outcome of a verification sweep: how many cases were checked and a
     witness for each one that failed."""
 
-    checked: int = 0
-    failures: list = field(default_factory=list)
+    def __init__(self, checked: int = 0, failures: list | None = None):
+        self.checked = checked
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self) -> bool:
@@ -44,20 +44,17 @@ class ResidualReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GradedModule:
+class GradedModule(namedtuple("GradedModule", "name basis degrees ctx")):
     """Finite-basis graded module; generators are named, degrees unshifted."""
 
-    name: str
-    basis: tuple[str, ...]
-    degrees: tuple[int, ...]
-    ctx: Context
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(set(self.basis)) != len(self.basis):
+    def __new__(cls, name: str, basis, degrees, ctx: Context):
+        if len(set(basis)) != len(basis):
             raise ValueError("generator names must be unique")
-        if len(self.degrees) != len(self.basis):
+        if len(degrees) != len(basis):
             raise ValueError("one degree per generator")
+        return super().__new__(cls, name, basis, degrees, ctx)
 
     def index(self, gen: str) -> int:
         return self.basis.index(gen)

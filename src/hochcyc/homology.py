@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .scalars import Cap, Monomial, accumulate, mono_degree
@@ -158,15 +158,13 @@ def mat_mul(a, b):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Truncation:
-    cap: Cap
-    d_min: int
-    d_max: int
+class Truncation(namedtuple("Truncation", "cap d_min d_max")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.d_min > self.d_max:
+    def __new__(cls, cap: Cap, d_min: int, d_max: int):
+        if d_min > d_max:
             raise ValueError("empty degree window")
+        return super().__new__(cls, cap, d_min, d_max)
 
 
 def attained_monomials(A: AInfty, cap: Cap) -> list[Monomial]:
@@ -251,16 +249,17 @@ def boundary_matrix(A: AInfty, variant: Variant, dom, cod, cap: Cap,
     return rows, dom, cod
 
 
-@dataclass
 class HomologyReport:
-    variant: Variant
-    trunc: Truncation
-    dims: dict = field(default_factory=dict)
-    betti: dict = field(default_factory=dict)
-    ranks: dict = field(default_factory=dict)
-    # degree -> one [(Fraction, (monomial, tuple)), ...] per kernel vector
-    representatives: dict = field(default_factory=dict)
-    flags: set = field(default_factory=set)
+    def __init__(self, variant: Variant, trunc: Truncation, dims=None,
+                 betti=None, ranks=None, representatives=None, flags=None):
+        self.variant, self.trunc = variant, trunc
+        self.dims = {} if dims is None else dims
+        self.betti = {} if betti is None else betti
+        self.ranks = {} if ranks is None else ranks
+        # degree -> one [(Fraction, (monomial, tuple)), ...] per kernel vector
+        self.representatives = ({} if representatives is None
+                                else representatives)
+        self.flags = set() if flags is None else flags
 
     def summary(self):
         return {

@@ -3,10 +3,10 @@
 target cochain complex.  The p_{k,l}, the q_{k,l} and the closed-sector
 q_{empty,l} of ``SphereTermProvider`` are all ``OCFamily`` tables (the one
 class, defined in ``ainfty``): compiled integer images over one
-denominator, evaluated on the operator kernel by ``eval_word`` and
-``eval_tuple``.  This module adds
+denominator, one row per interior tuple, evaluated on the operator kernel
+by ``eval_word`` and ``eval_tuple``.  This module adds
 
-* random families written straight into integer images,
+* random families written straight into a row of integer images,
 * the structure-equation right-hand side expander, on generator tuples
   with one integer word of q's images and one kernel call of p per
   interior subset J,
@@ -24,7 +24,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import Cap, Context, FormalVarSpec, PiGroup, Scalar, accumulate
@@ -89,8 +88,9 @@ def random_cyclic_p(A: AInfty, target: ChainComplex, n: int,
                     symmetrize: bool = True) -> OCFamily:
     """Three random integer terms per weight, summed on a plain ``{boundary
     tuple: {generator: int}}`` table and written straight into the family's
-    images as integer numerators over denominator 1, then rotation-averaged
-    with signs (``OCFamily.symmetrized``)."""
+    one row of images, at the empty interior tuple, as integer numerators
+    over denominator 1, then rotation-averaged with signs
+    (``OCFamily.symmetrized``)."""
     rng = random.Random(seed)
     rows: dict = {}
     basis, tmod = A.module.basis, target.module
@@ -101,9 +101,9 @@ def random_cyclic_p(A: AInfty, target: ChainComplex, n: int,
                        [(rng.choice(tmod.basis), rng.randint(-3, 3))])
     one = (tmod.ctx.zero_beta, tmod.ctx.zero_exps)
     outs = {g: (g,) for g in tmod.basis}
-    raw = OCFamily.from_images(A.module, target, n, {
-        (btup, ()): tuple(x for g, c in row.items() for x in (outs[g], one, c))
-        for btup, row in rows.items() if row}, 1)
+    raw = OCFamily.from_images(A.module, target, n, {(): {
+        btup: tuple(x for g, c in row.items() for x in (outs[g], one, c))
+        for btup, row in rows.items() if row}}, 1)
     return raw.symmetrized() if symmetrize else raw
 
 
@@ -144,7 +144,6 @@ def theorem1_rewrite_check(p: OCFamily, A: AInfty, w: Word,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class SphereTermProvider:
     """The closed-sector operations q_{empty,l} on the target complex, the
     distinguished class zeta (the push-forward of the unit), and optionally a
@@ -152,12 +151,9 @@ class SphereTermProvider:
     ``q1`` on generators and held as the ``OCFamily`` ``family`` with no
     boundary inputs; q_{empty,l} is zero for every other l."""
 
-    target: ChainComplex
-    q1: dict  # generator of target -> Element of target
-    zeta: Element
-    eta: Element | None = None
-
-    def __post_init__(self):
+    def __init__(self, target: ChainComplex, q1: dict, zeta: Element,
+                 eta: Element | None = None):
+        self.target, self.q1, self.zeta, self.eta = target, q1, zeta, eta
         for g in self.q1:
             if g not in self.target.module.basis:
                 raise ValueError(f"unknown generator {g!r} in q1")
@@ -237,19 +233,19 @@ def _generator_rhs(Q: OCFamily, p: OCFamily,
     out = Element.zero(tmod)
 
     # composite terms; q is read uncapped, as the kernel caps every product
-    # and energies only add.  J -> (gamma_J, sign, word)
+    # and energies only add.  J -> (q's images at gamma_J, sign, word)
     orbit = rotations(alpha, [mod.degree(g) for g in alpha])
     words: dict = {}
     for j, k2, J in structure_terms(k, l):
         if J not in words:
             I = [i for i in range(l) if i not in J]
-            words[J] = (tuple(itup[i] for i in J), (
+            words[J] = (Q.images.get(tuple(itup[i] for i in J), {}), (
                 gtotal + shuffle_sign(gpars, I, list(J))
                 + (p.n + 1) * (sum(gpars[i] for i in J) + 1)) % 2, {})
-        iJ, sgn, word = words[J]
+        qrow, sgn, word = words[J]
         rot, s1 = orbit[j]
         tail = rot[k2:]
-        it = iter(Q.images.get((rot[:k2], iJ), ()))
+        it = iter(qrow.get(rot[:k2], ()))
         for g, m, n in zip(it, it, it):
             row = word.setdefault(m, {})
             row[g + tail] = row.get(g + tail, 0) + (-n if s1 != sgn else n)
@@ -415,18 +411,13 @@ def chain_map_residual(p, A: AInfty, variant: Variant, cap: Cap,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class ToyGeometry:
     """Finite stand-in for an inclusion of spaces: source complex L, ambient
-    complex X, a degree-n push-forward chain map, and the codimension
-    parameter n."""
+    complex X, a degree-n push-forward chain map ``push`` (generator of L
+    -> Element of X), and the codimension parameter n."""
 
-    L: ChainComplex
-    X: ChainComplex
-    push: dict  # generator of L -> Element of X
-    n: int
-
-    def __post_init__(self):
+    def __init__(self, L: ChainComplex, X: ChainComplex, push: dict, n: int):
+        self.L, self.X, self.push, self.n = L, X, push, n
         _check_chain_map("push", self.push, self.L, self.X, self.n)
 
     def push_el(self, el: Element) -> Element:

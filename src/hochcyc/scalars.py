@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 #: Valuation of the zero scalar.  The paper's infimum runs over a nonempty
@@ -48,8 +48,7 @@ INFINITY = math.inf
 Monomial = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class PiGroup:
+class PiGroup(namedtuple("PiGroup", "rank omega maslov")):
     """The group Pi presented as Z^rank with area and Maslov functionals.
 
     ``omega`` and ``maslov`` list the values of the two functionals on the
@@ -57,17 +56,16 @@ class PiGroup:
     even degree for every ``beta``.
     """
 
-    rank: int
-    omega: tuple[Fraction, ...]
-    maslov: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.omega) != self.rank or len(self.maslov) != self.rank:
+    def __new__(cls, rank: int, omega, maslov):
+        if len(omega) != rank or len(maslov) != rank:
             raise ValueError("omega and maslov need one value per generator")
-        object.__setattr__(self, "omega", tuple(Fraction(w) for w in self.omega))
-        for m in self.maslov:
+        omega = tuple(Fraction(w) for w in omega)
+        for m in maslov:
             if m % 2 != 0:
                 raise ValueError("maslov values must be even")
+        return super().__new__(cls, rank, omega, maslov)
 
     def area(self, beta) -> Fraction:
         return sum((c * w for c, w in zip(beta, self.omega)), Fraction(0))
@@ -76,31 +74,36 @@ class PiGroup:
         return sum(c * m for c, m in zip(beta, self.maslov))
 
 
-@dataclass(frozen=True)
-class FormalVarSpec:
+class FormalVarSpec(namedtuple("FormalVarSpec", "degrees")):
     """Degrees of the formal variables t_0, ..., t_N."""
 
-    degrees: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def count(self) -> int:
         return len(self.degrees)
 
 
-@dataclass(frozen=True)
 class Context:
     """Shared coefficient-ring data: the group Pi and the formal variables,
     with per-instance memo caches of monomial valuation, parity and product
     that take no part in equality or hashing."""
 
-    pi: PiGroup
-    tvars: FormalVarSpec
-    _vcache: dict = field(default_factory=dict, init=False, compare=False,
-                          repr=False)
-    _pcache: dict = field(default_factory=dict, init=False, compare=False,
-                          repr=False)
-    _mcache: dict = field(default_factory=dict, init=False, compare=False,
-                          repr=False)
+    __slots__ = ("pi", "tvars", "_vcache", "_pcache", "_mcache")
+
+    def __init__(self, pi: PiGroup, tvars: FormalVarSpec):
+        self.pi, self.tvars = pi, tvars
+        self._vcache, self._pcache, self._mcache = {}, {}, {}
+
+    def __eq__(self, other):
+        return (type(other) is Context
+                and (self.pi, self.tvars) == (other.pi, other.tvars))
+
+    def __hash__(self):
+        return hash((self.pi, self.tvars))
+
+    def __repr__(self):
+        return f"Context(pi={self.pi!r}, tvars={self.tvars!r})"
 
     @property
     def zero_beta(self) -> tuple[int, ...]:
@@ -141,18 +144,16 @@ class Context:
             return out
 
 
-@dataclass(frozen=True)
-class Cap:
+class Cap(namedtuple("Cap", "energy weight var_total")):
     """Finite truncation data: energy bound, tensor weight bound, variable bound."""
 
-    energy: Fraction
-    weight: int
-    var_total: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "energy", Fraction(self.energy))
-        if self.energy < 0 or self.weight < 0 or self.var_total < 0:
+    def __new__(cls, energy, weight: int, var_total: int):
+        energy = Fraction(energy)
+        if energy < 0 or weight < 0 or var_total < 0:
             raise ValueError("cap components must be nonnegative")
+        return super().__new__(cls, energy, weight, var_total)
 
     def admits(self, ctx: Context, mono) -> bool:
         """Whether a monomial survives the cap: valuation at most ``energy``

@@ -621,6 +621,48 @@ def test_deformed_q_inserts_b_in_every_gap():
     assert D.apply(("K",)) == expect.truncate(cap)
 
 
+def test_deformed_q_expands_its_interior_inputs_once(monkeypatch):
+    """``DeformedQ.apply`` expands each interior list once, not once per
+    insertion pattern of b, and sums what one ``eval_word`` per pattern
+    gives: zero for q of the algebra, which has no interior operations,
+    and a nonzero value once q has some."""
+    from hochcyc import ainfty
+
+    A = builtin_algebras("curved_matrix")
+    cap = Cap(energy=3, weight=6, var_total=0)
+    T = Scalar.monomial(A.module.ctx, 1, (1,), ())
+    b = Element(A.module, {"G": T})  # valuation 1: up to 3 copies
+    K = Element.generator(A.module, "K")
+    Qi = OCFamily(A.module, A.qfamily.target, 0, {
+        **A.qfamily.ops, (("K", "F"), ("K",)): Element(A.module, {"F": T}),
+        (("K", "G", "F"), ("K",)): Element.generator(A.module, "I")})
+    real = ainfty.word_from_factors
+    unshifted = []
+
+    def counted(*args, **kwargs):
+        unshifted.append(kwargs.get("shifted", True) is False)
+        return real(*args, **kwargs)
+
+    for Q in (A.qfamily, Qi):
+        D = DeformedQ(Q, b, Element.zero(A.module), cap)
+        want = Element.zero(A.module)
+        patterns = 0
+        for s in range(4):
+            for before, between, after in _insertion_patterns(2, s):
+                factors = ([b] * before + ["K"] + [b] * between + ["F"]
+                           + [b] * after)
+                bword = word_from_factors(A.module, factors, cap=cap)
+                want = want + Q.eval_word(bword, [K], cap)
+                patterns += 1
+        unshifted.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(ainfty, "word_from_factors", counted)
+            got = D.apply(("K", "F"), [K])
+        assert patterns == 20 and sum(unshifted) == 1
+        assert got == want
+        assert bool(got) is (Q is Qi)
+
+
 @pytest.mark.parametrize("coeff", ["t1", "T"])
 def test_deformed_curvature_is_weight_one_part_of_mu_hat_exp_b(coeff):
     """q^b_0 = sum_s mu_s(b, ..., b), the weight-one part of mu-hat(e^b):

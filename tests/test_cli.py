@@ -2,7 +2,11 @@
 and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -573,3 +577,16 @@ def test_output_file(tmp_path, capsys, instance_path):
     doc = json.loads(out.read_text())
     assert doc["command"] == "dsquare"
     capsys.readouterr()
+
+
+def test_cli_import_loads_no_dataclasses_or_introspection():
+    """``import hochcyc.cli`` in a fresh interpreter, with only ``src`` on
+    the path, loads none of ``dataclasses`` and the ``inspect``, ``ast``
+    and ``dis`` modules that it would bring in."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, hochcyc.cli; print(sorted({'dataclasses', 'inspect',"
+            " 'ast', 'dis'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]", out.stdout

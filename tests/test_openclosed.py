@@ -238,24 +238,31 @@ def test_symmetrized_matches_per_key_orbit_average(name):
 
 def test_families_store_integer_images_only():
     """A symmetrized random family keeps no Element, Scalar or Fraction:
-    each image is a flat tuple of ((g,), monomial, int) triples over an int
-    denominator.  q of an algebra holds the algebra's compiled images
-    themselves."""
+    its images are keyed by interior tuple, then boundary tuple, and each
+    is a flat tuple of ((g,), monomial, int) triples over an int
+    denominator.  q of an algebra holds the algebra's compiled table
+    itself as its one row."""
     A = builtin_algebras("curved_matrix")
     target = random_target(A.module.ctx, seed=1)
     p = random_cyclic_p(A, target, 1, max_weight=5, seed=3)
     assert set(vars(p)) == {"module", "target", "n", "images", "den"}
     assert type(p.den) is int and p.den > 1 and p.images
-    for key, image in p.images.items():
-        assert type(image) is tuple and image and len(image) % 3 == 0, key
-        it = iter(image)
-        for out, (beta, exps), n in zip(it, it, it):
-            assert type(out) is tuple and out[0] in target.module.basis
-            assert len(out) == 1 and type(n) is int and n
-            assert all(type(x) is int for x in beta + exps)
+    assert list(p.images) == [()]
+    for itup, row in p.images.items():
+        assert type(itup) is tuple and row
+        for btup, image in row.items():
+            assert type(btup) is tuple and all(g in A.module.basis
+                                               for g in btup)
+            assert type(image) is tuple and image and len(image) % 3 == 0
+            it = iter(image)
+            for out, (beta, exps), n in zip(it, it, it):
+                assert type(out) is tuple and out[0] in target.module.basis
+                assert len(out) == 1 and type(n) is int and n
+                assert all(type(x) is int for x in beta + exps)
+    _, _, pi, _, _ = _interior_toy(0)
+    assert len(pi.images) > 1 and set(pi.images) == {i for _, i in pi.ops}
     Q = A.qfamily
-    assert Q.images.keys() == {(t, ()) for t in A.table}
-    assert all(Q.images[(t, ())] is image for t, image in A.table.items())
+    assert Q.images == {(): A.table} and Q.images[()] is A.table
     assert Q.den == A.den
 
 
@@ -598,7 +605,7 @@ def test_eval_word_matches_the_termwise_reference(name, n):
                            for _ in range(rng.randint(0, 2)))):
             _random_element(rng, tmod) for _ in range(40)})
         for p in (raw, raw.symmetrized()):
-            keys = [b for b, _ in p.images]
+            keys = [b for b, _ in p.ops]
             for cap in REFERENCE_CAPS:
                 w = Word(mod, {rng.choice(keys): _random_scalar(rng, ctx)
                                for _ in range(4)})
@@ -613,6 +620,41 @@ def test_eval_word_matches_the_termwise_reference(name, n):
                     nonzero += bool(got)
                     interior += bool(got) and bool(gamma)
     assert nonzero > 40 and interior > 15, (nonzero, interior)
+
+
+def test_eval_makes_no_kernel_call_on_a_word_without_images(monkeypatch):
+    """A boundary word none of whose tuples has an image at the interior
+    tuples of the call is zero before any kernel call: the interior
+    toy's p on words outside its keys, with and without interior inputs,
+    and the sphere family, which has no boundary-only row, on the empty
+    word.  A word with an image still reaches the kernel."""
+    from hochcyc import ainfty
+
+    A, _, pi, sphere, gammas = _interior_toy(1)
+    mod, cap = A.module, Cap(4, 4, 4)
+    keys = {b for b, _ in pi.ops}
+    missing = [t for w in range(1, 4)
+               for t in itertools.product(mod.basis, repeat=w)
+               if t not in keys]
+    one = Scalar.one(mod.ctx)
+    w = Word(mod, {t: one for t in missing[:3]})
+    calls = []
+    real = ainfty.apply_images
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ainfty, "apply_images", counted)
+    for gamma in gammas:
+        got = pi.eval_word(w, gamma, cap)
+        assert not got and got == _eval_reference(pi, w, gamma, cap)
+    q = sphere.family
+    assert () not in q.images and not q.eval_word(Word.basis_word(q.module,
+                                                                  ()))
+    assert calls == []
+    btup = next(b for b, i in pi.ops if i == ())
+    assert pi.eval_word(Word.basis_word(mod, btup), cap=cap) and calls
 
 
 def test_structure_rhs_expands_its_interior_inputs_once(monkeypatch):

@@ -19,6 +19,8 @@ from hochcyc.scalars import (
     scalar_mul,
     scalar_to_str,
 )
+from hochcyc.graded import GradedModule
+from hochcyc.homology import Truncation
 
 
 @pytest.fixture
@@ -160,3 +162,79 @@ def test_parse_errors(ctx):
 def test_maslov_must_be_even():
     with pytest.raises(ValueError, match="even"):
         PiGroup(1, (Fraction(1),), (1,))
+
+
+_CTX_REPR = ("Context(pi=PiGroup(rank=0, omega=(), maslov=()), "
+             "tvars=FormalVarSpec(degrees=()))")
+
+# (positional construction, keyword construction, repr) of each value type
+VALUE_TYPES = [
+    (lambda: Cap(1, 2, 3),
+     lambda: Cap(energy=Fraction(1), weight=2, var_total=3),
+     "Cap(energy=Fraction(1, 1), weight=2, var_total=3)"),
+    (lambda: PiGroup(1, (1,), (2,)),
+     lambda: PiGroup(rank=1, omega=(Fraction(1),), maslov=(2,)),
+     "PiGroup(rank=1, omega=(Fraction(1, 1),), maslov=(2,))"),
+    (lambda: FormalVarSpec((0, 1)),
+     lambda: FormalVarSpec(degrees=(0, 1)),
+     "FormalVarSpec(degrees=(0, 1))"),
+    (lambda: GradedModule("m", ("x",), (1,), TRIVIAL_CONTEXT),
+     lambda: GradedModule(name="m", basis=("x",), degrees=(1,),
+                          ctx=Context(PiGroup(0, (), ()), FormalVarSpec(()))),
+     f"GradedModule(name='m', basis=('x',), degrees=(1,), ctx={_CTX_REPR})"),
+    (lambda: Truncation(Cap("1/2", 2, 0), -1, 2),
+     lambda: Truncation(cap=Cap(Fraction(1, 2), 2, 0), d_min=-1, d_max=2),
+     "Truncation(cap=Cap(energy=Fraction(1, 2), weight=2, var_total=0), "
+     "d_min=-1, d_max=2)"),
+]
+
+
+@pytest.mark.parametrize("positional, keyword, text", VALUE_TYPES,
+                         ids=[text.split("(")[0] for *_, text in VALUE_TYPES])
+def test_value_types_compare_hash_and_print_by_value(positional, keyword,
+                                                     text):
+    """Equal values, built positionally or by keyword, compare and hash
+    equal, print as ``Name(field=value, ...)`` and cannot be assigned to."""
+    a, b = positional(), keyword()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert repr(a) == repr(b) == text
+    field = text.split("(")[1].split("=")[0]
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(b, field))
+    with pytest.raises(AttributeError):
+        a.extra = 0
+
+
+def test_value_types_normalise_to_fractions_and_validate():
+    assert type(Cap(2, 0, 0).energy) is Fraction
+    assert Cap("1/2", 1, 0) == Cap(Fraction(1, 2), 1, 0)
+    assert all(type(w) is Fraction for w in PiGroup(2, (1, 0.5), (0, 2)).omega)
+    for args in ((-1, 0, 0), (0, -1, 0), (0, 0, -1)):
+        with pytest.raises(ValueError, match="cap components must be "
+                                             "nonnegative"):
+            Cap(*args)
+    with pytest.raises(ValueError, match="maslov values must be even"):
+        PiGroup(1, (1,), (3,))
+    with pytest.raises(ValueError, match="one value per generator"):
+        PiGroup(2, (1,), (0, 0))
+    with pytest.raises(ValueError, match="generator names must be unique"):
+        GradedModule("m", ("x", "x"), (0, 0), TRIVIAL_CONTEXT)
+    with pytest.raises(ValueError, match="one degree per generator"):
+        GradedModule("m", ("x", "y"), (0,), TRIVIAL_CONTEXT)
+    with pytest.raises(ValueError, match="empty degree window"):
+        Truncation(Cap(1, 1, 0), 2, 1)
+
+
+def test_context_memos_take_no_part_in_equality(ctx):
+    """Contexts compare and hash by (pi, tvars) alone: filling one's
+    memos of valuation, parity and product changes neither."""
+    other = Context(ctx.pi, ctx.tvars)
+    m = ((1, 0), (1, 1, 0))
+    ctx.mono_valuation(m)
+    ctx.mono_parity(m)
+    ctx.mono_mul(m, m)
+    assert ctx._vcache and ctx._pcache and ctx._mcache
+    assert not other._vcache and not other._mcache
+    assert ctx == other and hash(ctx) == hash(other)
+    assert ctx != Context(ctx.pi, FormalVarSpec((0, 1)))
+    assert len({ctx, other}) == 1
